@@ -13,7 +13,9 @@ Three architectures over frozen word embeddings:
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -41,7 +43,7 @@ IOB_ALPHABET = ("B", "I", "O")
 ARCHITECTURES = ("sl", "icc", "jcc")
 SELECTION_METRICS = ("accuracy", "f1")
 CHECKPOINT_FORMAT = "stimex-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -405,7 +407,9 @@ def train(
 
     The returned model carries the parameters of the best dev epoch, not the
     last one.  Training stops once the metric has not improved for
-    ``config.patience`` consecutive epochs.
+    ``config.patience`` consecutive epochs.  A non-finite batch loss or
+    gradient raises ``ValueError`` naming the epoch and batch, before the
+    optimizer step that would spread it into the parameters.
     """
     if architecture not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}")
@@ -435,8 +439,16 @@ def train(
             for extra in losses[1:]:
                 total = total + extra
             mean_loss = total * (1.0 / len(losses))
+            where = f"epoch {epoch}, batch {offset // config.batch_size + 1}"
+            if not np.isfinite(total.data):
+                raise ValueError(f"training diverged at {where}: batch loss is {total.item()}")
             optimizer.zero_grad()
             mean_loss.backward()
+            for p in model.parameters():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise ValueError(
+                        f"training diverged at {where}: gradient of {p.name!r} is not finite"
+                    )
             optimizer.step()
             loss_sum += float(total.data)
         metric = _dev_metric(model, architecture, dev_instances, config.selection_metric)
@@ -480,6 +492,39 @@ def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool
 # Checkpoints
 
 
+def _encode_array(arr: np.ndarray) -> dict:
+    """Exact, deterministic JSON form of a float64 array."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "float64_le": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(entry, version: int) -> np.ndarray:
+    """Inverse of ``_encode_array``; version 1 stored a flat ``values`` list."""
+    if not isinstance(entry, dict):
+        raise ValueError("expected an object with 'shape' and the values")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"'shape' must be a list of sizes, got {shape!r}")
+    if version == 1:
+        try:
+            flat = np.array(entry["values"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("'values' must be a flat list of numbers") from None
+        if flat.ndim != 1:
+            raise ValueError("'values' must be a flat list of numbers")
+    else:
+        try:
+            raw = base64.b64decode(entry["float64_le"], validate=True)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("'float64_le' must be a base64 string") from None
+        if len(raw) % 8:
+            raise ValueError(f"'float64_le' holds {len(raw)} bytes, not whole float64 values")
+        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if flat.size != math.prod(shape):
+        raise ValueError(f"holds {flat.size} values, but shape {shape} needs {math.prod(shape)}")
+    return flat.reshape(shape)
+
+
 def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     model = trained.model
     payload = {
@@ -490,39 +535,64 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
         "clause_attention": getattr(model, "clause_attention", True),
         "history": trained.history,
         "vocab": model.embeddings.tokens,
-        "embedding": {
-            "shape": list(model.embeddings.matrix.shape),
-            "values": model.embeddings.matrix.ravel().tolist(),
-        },
-        "params": {
-            p.name: {"shape": list(p.data.shape), "values": p.data.ravel().tolist()}
-            for p in model.parameters()
-        },
+        "embedding": _encode_array(model.embeddings.matrix),
+        "params": {p.name: _encode_array(p.data) for p in model.parameters()},
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def load_checkpoint(path: str | Path) -> TrainedModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a model checkpoint (format header missing or wrong)")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-    config = TrainConfig.from_dict(payload["config"])
-    matrix = np.array(payload["embedding"]["values"], dtype=np.float64).reshape(
-        payload["embedding"]["shape"]
-    )
-    embeddings = EmbeddingTable(payload["vocab"], matrix)
+_JSON_KIND = {dict: "object", list: "array", str: "string"}
+
+
+def _entry(payload: dict, key: str, kind: type):
+    if key not in payload:
+        raise ValueError(f"checkpoint has no {key!r} entry")
+    value = payload[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be a JSON {_JSON_KIND[kind]}")
+    return value
+
+
+def _parse_checkpoint(payload) -> TrainedModel:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError("not a model checkpoint (format header missing or wrong)")
+    version = payload.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    config_entry = _entry(payload, "config", dict)
+    try:
+        config = TrainConfig.from_dict(config_entry)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'config': {exc}") from None
+    architecture = _entry(payload, "architecture", str)
+    vocab = _entry(payload, "vocab", list)
+    if not all(isinstance(tok, str) for tok in vocab):
+        raise ValueError("'vocab' must be a list of strings")
+    try:
+        matrix = _decode_array(_entry(payload, "embedding", dict), version)
+    except ValueError as exc:
+        raise ValueError(f"'embedding': {exc}") from None
+    state = {}
+    for name, entry in _entry(payload, "params", dict).items():
+        try:
+            state[name] = _decode_array(entry, version)
+        except ValueError as exc:
+            raise ValueError(f"parameter {name!r}: {exc}") from None
     model = _build_model(
-        payload["architecture"],
-        embeddings,
+        architecture,
+        EmbeddingTable(vocab, matrix),
         config,
         np.random.default_rng(config.seed),
         payload.get("clause_attention", True),
     )
-    state = {
-        name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
     _load_state(model, state)
-    return TrainedModel(payload["architecture"], model, config, payload.get("history", []))
+    return TrainedModel(architecture, model, config, payload.get("history", []))
+
+
+def load_checkpoint(path: str | Path) -> TrainedModel:
+    """Read a checkpoint of version 2 or 1; any defect raises ``ValueError`` naming ``path``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return _parse_checkpoint(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

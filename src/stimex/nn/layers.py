@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from stimex.nn.tensor import Parameter, Tensor, concat, stack
+from stimex.nn.tensor import Parameter, Tensor, _accum, concat, stable_sigmoid
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -30,27 +30,82 @@ class Lstm:
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.bias]
 
-    def states(self, xs: Tensor, reverse: bool = False) -> list[Tensor]:
-        """Hidden state per position, indexed by original position."""
+    def states(self, xs: Tensor, reverse: bool = False) -> Tensor:
+        """Hidden states as one (n, h) graph node, row t at original position t.
+
+        The forward pass runs in plain NumPy, step by step, in the operation
+        order of the per-step graph it replaces, ``(xw[t] + h @ w_h) + bias``,
+        so its values are bit-identical to that graph's.  It caches, per
+        position, the gate activations ``acts`` (input, forget and output
+        gates after the sigmoid, cell candidate after tanh), the cell state
+        ``cs`` and its ``tanh``, ``tcs``; with the outputs ``hs`` these are
+        everything the backward pass needs.
+        """
         n = xs.shape[0]
         if n == 0:
             raise ValueError("cannot encode an empty sequence")
         hd = self.hidden_dim
-        xw = xs @ self.w_x  # (n, 4h) in one shot
-        h = Tensor(np.zeros(hd))
-        c = Tensor(np.zeros(hd))
-        out: list[Tensor | None] = [None] * n
+        w_x, w_h, bias = self.w_x, self.w_h, self.bias
+        xw = xs.data @ w_x.data  # (n, 4h) in one shot
+        w_h_data, bias_data = w_h.data, bias.data
+        acts = np.empty_like(xw)
+        cs = np.empty((n, hd))
+        tcs = np.empty((n, hd))
+        hs = np.empty((n, hd))
+        h = np.zeros(hd)
+        c = np.zeros(hd)
         order = range(n - 1, -1, -1) if reverse else range(n)
         for t in order:
-            pre = xw[t] + h @ self.w_h + self.bias
-            i = pre[0:hd].sigmoid()
-            f = pre[hd : 2 * hd].sigmoid()
-            g = pre[2 * hd : 3 * hd].tanh()
-            o = pre[3 * hd : 4 * hd].sigmoid()
-            c = f * c + i * g
-            h = o * c.tanh()
-            out[t] = h
-        return out  # type: ignore[return-value]
+            pre = xw[t] + h @ w_h_data + bias_data
+            a = acts[t]
+            a[:] = stable_sigmoid(pre)
+            a[2 * hd : 3 * hd] = np.tanh(pre[2 * hd : 3 * hd])
+            c = a[hd : 2 * hd] * c + a[0:hd] * a[2 * hd : 3 * hd]
+            cs[t] = c
+            h = hs[t] = a[3 * hd : 4 * hd] * np.tanh(c, out=tcs[t])
+        out = Tensor(hs)
+
+        def backward():
+            """Backpropagation through time over the cached sequence.
+
+            Only ``dh`` and ``dc`` flow between steps; the loop writes each
+            step's pre-activation gradient into one (n, 4h) array, from which
+            the gradients of ``w_x``, ``w_h``, ``bias`` and ``xs`` each follow
+            in a single matmul or sum over the whole sequence.
+            """
+            h_prev = np.zeros((n, hd))
+            c_prev = np.zeros((n, hd))
+            inner = slice(1, n) if reverse else slice(0, n - 1)
+            shifted = slice(0, n - 1) if reverse else slice(1, n)
+            h_prev[shifted], c_prev[shifted] = hs[inner], cs[inner]
+            i, f, g, o = (acts[:, k * hd : (k + 1) * hd] for k in range(4))
+            # d pre / d (dc) for the i, f, g blocks and d pre / d (dh) for o,
+            # each with its nonlinearity's derivative folded in.
+            by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+            by_dh = tcs * o * (1.0 - o)
+            dc_by_dh = o * (1.0 - tcs * tcs)
+            d_pre = np.empty((n, 4, hd))
+            dh_out = out.grad
+            dh = np.zeros(hd)
+            dc = np.zeros(hd)
+            for t in reversed(order):
+                dh = dh_out[t] + dh
+                dc = dc + dh * dc_by_dh[t]
+                d_pre[t, :3] = by_dc[t] * dc
+                d_pre[t, 3] = dh * by_dh[t]
+                dh = w_h_data @ d_pre[t].ravel()
+                dc = dc * f[t]
+            d_pre = d_pre.reshape(n, 4 * hd)
+            if xs.requires_grad:
+                _accum(xs, d_pre @ w_x.data.T)
+            if w_x.requires_grad:
+                _accum(w_x, xs.data.T @ d_pre)
+            if w_h.requires_grad:
+                _accum(w_h, h_prev.T @ d_pre)
+            if bias.requires_grad:
+                _accum(bias, d_pre.sum(axis=0))
+
+        return out._attach((xs, w_x, w_h, bias), backward)
 
 
 class BiLstm:
@@ -61,12 +116,12 @@ class BiLstm:
     def parameters(self) -> list[Parameter]:
         return self.fwd.parameters() + self.bwd.parameters()
 
-    def run(self, xs: Tensor) -> tuple[list[Tensor], list[Tensor]]:
+    def run(self, xs: Tensor) -> tuple[Tensor, Tensor]:
+        """Forward and backward hidden states, each (n, h)."""
         return self.fwd.states(xs), self.bwd.states(xs, reverse=True)
 
     def __call__(self, xs: Tensor) -> Tensor:
-        f, b = self.run(xs)
-        return concat([stack(f), stack(b)], axis=1)  # (n, 2h)
+        return concat(self.run(xs), axis=1)  # (n, 2h)
 
 
 def attention(h: Tensor, include_self: bool = True) -> Tensor:

@@ -23,6 +23,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function whose exponent is never positive, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def _accum(t: "Tensor", g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -242,8 +249,7 @@ class Tensor:
         return out._attach((self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        e = np.exp(-np.abs(self.data))  # stable: exponent is never positive
-        y = np.where(self.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        y = stable_sigmoid(self.data)
         out = Tensor(y)
 
         def backward():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from stimex.nn import Tensor, stack
+
 
 def _scalar(value) -> float:
     return float(value.item() if hasattr(value, "item") else value)
@@ -33,6 +35,30 @@ def gradient_gap(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]
     a = np.concatenate([np.asarray(analytic[k], dtype=float).ravel() for k in keys])
     b = np.concatenate([numeric[k].ravel() for k in keys])
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12))
+
+
+def lstm_states_per_step(cell, xs: Tensor, reverse: bool = False) -> Tensor:
+    """Reference LSTM built from one small autodiff node per operation and step.
+
+    Same parameters and gate order as ``Lstm``; the fused ``Lstm.states``
+    must reproduce its values exactly and its gradients to rounding.
+    """
+    hd = cell.hidden_dim
+    xw = xs @ cell.w_x
+    h = Tensor(np.zeros(hd))
+    c = Tensor(np.zeros(hd))
+    out = [None] * xs.shape[0]
+    order = range(xs.shape[0] - 1, -1, -1) if reverse else range(xs.shape[0])
+    for t in order:
+        pre = xw[t] + h @ cell.w_h + cell.bias
+        i = pre[0:hd].sigmoid()
+        f = pre[hd : 2 * hd].sigmoid()
+        g = pre[2 * hd : 3 * hd].tanh()
+        o = pre[3 * hd : 4 * hd].sigmoid()
+        c = f * c + i * g
+        h = o * c.tanh()
+        out[t] = h
+    return stack(out)
 
 
 def random_tree_text(rng: np.random.Generator, max_depth: int = 4) -> str:

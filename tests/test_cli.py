@@ -246,3 +246,52 @@ def test_usage_errors_exit_two():
 def test_missing_file_is_reported(tmp_path, capsys):
     assert run("stats", "--corpus", tmp_path / "nope.jsonl") == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        ("[]", "not a model checkpoint"),
+        ('{"format": "stimex-checkpoint", "version": 2}', "'config'"),
+        ("{broken", "ckpt.json"),
+    ],
+)
+def test_predict_with_bad_checkpoint_exits_one(tmp_path, corpus_path, capsys, content, needle):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(content, encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    assert run("predict", "--corpus", corpus_path, "--checkpoint", ckpt, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}") and needle in err
+    assert not out.exists()
+
+
+def test_predict_names_damaged_parameter(tmp_path, corpus_path, capsys):
+    _, ckpt, _ = pipeline(tmp_path, corpus_path)
+    payload = json.loads(ckpt.read_text(encoding="utf-8"))
+    payload["params"]["project.weight"]["float64_le"] = "AAAA"
+    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "again.jsonl"
+    assert run("predict", "--corpus", corpus_path, "--checkpoint", ckpt, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "'project.weight'" in err
+
+
+def test_train_with_nan_embedding_exits_one_without_checkpoint(tmp_path, corpus_path, capsys):
+    splits = tmp_path / "splits.json"
+    run("split", "--corpus", corpus_path, "--seed", 2, "--out", splits)
+    vocab = sorted({tok for inst in load_corpus(corpus_path) for tok in inst.tokens})
+    rows = [f"{tok} {' '.join(['0.1'] * 4)}" for tok in vocab]
+    rows[0] = f"{vocab[0]} nan 0.1 0.1 0.1"
+    emb = tmp_path / "emb.txt"
+    emb.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"embedding_dim": 4, "hidden_dim": 3, "max_epochs": 1, "patience": 1}),
+        encoding="utf-8",
+    )
+    ckpt = tmp_path / "model.json"
+    args = ["--corpus", corpus_path, "--splits", splits, "--embeddings", emb, "--config", config]
+    assert run("train", *args, "--arch", "sl", "--checkpoint", ckpt) == 1
+    assert "epoch 1, batch" in capsys.readouterr().err
+    assert not ckpt.exists()

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from stimex.models import (
     train,
     vocabulary,
 )
+from stimex.nn import Adam
 
 TOY = TrainConfig(embedding_dim=8, hidden_dim=6, dropout_p=0.0, max_epochs=2, patience=1)
 
@@ -386,3 +390,117 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     )
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
+
+
+def _small_trained(arch="sl", seed=12):
+    corpus = toy_corpus(6, seed=seed)
+    cfg = TrainConfig(embedding_dim=8, hidden_dim=6, max_epochs=1, patience=1)
+    return corpus, train(arch, corpus, corpus, toy_embeddings(corpus, 8), cfg)
+
+
+def test_checkpoint_stores_exact_binary_payloads(tmp_path):
+    _, trained = _small_trained()
+    path = tmp_path / "m.json"
+    save_checkpoint(trained, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["version"] == 2
+    entry = payload["params"]["encoder.fwd.w_h"]
+    assert set(entry) == {"shape", "float64_le"}
+    raw = base64.b64decode(entry["float64_le"])
+    w_h = trained.model.encoder.fwd.w_h.data
+    assert raw == w_h.astype("<f8").tobytes()
+    assert entry["shape"] == list(w_h.shape)
+
+
+def test_checkpoint_version_1_still_loads(tmp_path):
+    corpus, trained = _small_trained()
+    model = trained.model
+    old = {
+        "format": "stimex-checkpoint",
+        "version": 1,
+        "architecture": "sl",
+        "config": trained.config.to_dict(),
+        "clause_attention": True,
+        "history": trained.history,
+        "vocab": model.embeddings.tokens,
+        "embedding": {
+            "shape": list(model.embeddings.matrix.shape),
+            "values": model.embeddings.matrix.ravel().tolist(),
+        },
+        "params": {
+            p.name: {"shape": list(p.data.shape), "values": p.data.ravel().tolist()}
+            for p in model.parameters()
+        },
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(old), encoding="utf-8")
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded.model.embeddings.matrix, model.embeddings.matrix)
+    for pa, pb in zip(model.parameters(), loaded.model.parameters()):
+        assert np.array_equal(pa.data, pb.data)
+    assert [sl_predict(loaded, inst) for inst in corpus] == [
+        sl_predict(trained, inst) for inst in corpus
+    ]
+
+
+def _corrupt(payload):
+    """Named ways to damage a valid checkpoint payload, with the text the error must name."""
+    entry = payload["params"]["project.bias"]
+    yield "top level is a list", [], "not a model checkpoint"
+    yield "params missing", {k: v for k, v in payload.items() if k != "params"}, "'params'"
+    yield "config missing", {k: v for k, v in payload.items() if k != "config"}, "'config'"
+    short = dict(entry, float64_le=base64.b64encode(b"\0" * 16).decode())
+    yield "payload too short", _with_param(payload, short), "'project.bias'"
+    yield "bad base64", _with_param(payload, dict(entry, float64_le="@@not base64@@")), "base64"
+    yield "odd byte count", _with_param(
+        payload, dict(entry, float64_le=base64.b64encode(b"\0" * 5).decode())
+    ), "'project.bias'"
+    yield "shape not a list", _with_param(payload, dict(entry, shape="3")), "'project.bias'"
+    bad_emb = dict(payload["embedding"], shape=[1, 1])
+    yield "embedding wrong size", dict(payload, embedding=bad_emb), "'embedding'"
+    yield "vocab not strings", dict(payload, vocab=[1, 2]), "'vocab'"
+    yield "config bad key", dict(payload, config={"nope": 1}), "'config'"
+
+
+def _with_param(payload, entry):
+    return dict(payload, params=dict(payload["params"], **{"project.bias": entry}))
+
+
+def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
+    _, trained = _small_trained()
+    good = tmp_path / "good.json"
+    save_checkpoint(trained, good)
+    payload = json.loads(good.read_text(encoding="utf-8"))
+    for label, bad, needle in _corrupt(payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        message = str(exc.value)
+        assert str(path) in message and needle in message, (label, message)
+
+
+def test_non_finite_loss_stops_training():
+    corpus = toy_corpus(12, seed=13)
+    emb = toy_embeddings(corpus, 8)
+    emb.matrix[emb.index[corpus[0].tokens[0]]] = np.nan
+    for arch in ("sl", "icc", "jcc"):
+        with pytest.raises(ValueError, match=r"epoch 1, batch \d+"):
+            train(arch, corpus, corpus, emb, TOY)
+
+
+def test_non_finite_gradient_stops_training_before_the_step(monkeypatch):
+    corpus = toy_corpus(4, seed=14)
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+    original = SlModel.loss
+
+    def poisoned(self, unit, training=True, rng=None):
+        # sqrt has an infinite slope at 0: the loss stays finite, its gradient does not
+        return original(self, unit, training, rng) + (self.project.bias * 0.0).sum() ** 0.5
+
+    monkeypatch.setattr(SlModel, "loss", poisoned)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="epoch 1, batch 1: gradient of 'project.bias'"):
+            train("sl", corpus, corpus, toy_embeddings(corpus, 8), TOY)
+    assert steps == []

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import finite_difference, gradient_gap
+from _oracles import finite_difference, gradient_gap, lstm_states_per_step
 from stimex.nn import (
     Adam,
     BiLstm,
@@ -49,7 +49,7 @@ def test_lstm_state_shapes_and_order_dependence():
     cell = Lstm("c", 3, 5, np.random.default_rng(1))
     xs = np.random.default_rng(2).standard_normal((4, 3))
     fwd = cell.states(Tensor(xs))
-    assert len(fwd) == 4 and all(h.shape == (5,) for h in fwd)
+    assert fwd.shape == (4, 5)
     swapped = cell.states(Tensor(xs[[1, 0, 2, 3]]))
     assert not np.allclose(fwd[3].data, swapped[3].data)
 
@@ -79,7 +79,7 @@ def test_bilstm_output_layout():
 def test_lstm_gradients():
     rng = np.random.default_rng(5)
     cell = Lstm("c", 2, 3, rng)
-    xs = Tensor(rng.standard_normal((4, 2)))
+    xs = Parameter("xs", rng.standard_normal((4, 2)))
     target = Tensor(rng.standard_normal(3))
 
     def loss():
@@ -87,9 +87,37 @@ def test_lstm_gradients():
         return ((h - target) * (h - target)).sum()
 
     loss().backward()
-    numeric = finite_difference(loss, cell.parameters())
-    analytic = {p.name: p.grad for p in cell.parameters()}
+    params = cell.parameters() + [xs]
+    numeric = finite_difference(loss, params)
+    analytic = {p.name: p.grad for p in params}
     assert gradient_gap(analytic, numeric) < 1e-6
+    assert gradient_gap({"xs": xs.grad}, {"xs": numeric["xs"]}) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 58])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("xs_grad", [False, True])
+def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
+    rng = np.random.default_rng(n)
+    cell = Lstm("c", 6, 7, rng)
+    xs = Parameter("xs", 2.0 * rng.standard_normal((n, 6)), trainable=xs_grad)
+    weights = Tensor(rng.standard_normal((n, 7)))  # every position feeds the loss
+    params = cell.parameters() + [xs]
+
+    def run(states_fn):
+        for p in params:
+            p.grad = None
+        h = states_fn(cell, xs, reverse)
+        (h * weights).sum().backward()
+        return h.data, {p.name: p.grad for p in params}
+
+    fused, fused_grads = run(Lstm.states)
+    oracle, oracle_grads = run(lstm_states_per_step)
+    assert np.array_equal(fused, oracle)
+    assert (fused_grads["xs"] is None) == (not xs_grad)
+    for name, g in oracle_grads.items():
+        if g is not None:
+            assert np.max(np.abs(fused_grads[name] - g)) < 1e-10, name
 
 
 # -- attention -----------------------------------------------------------------
