@@ -389,10 +389,6 @@ def format_stats_csv(stats_by_dataset: dict[str, CorpusStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_stats_csv(stats_by_dataset: dict[str, CorpusStats], path: str | Path) -> None:
-    Path(path).write_text(format_stats_csv(stats_by_dataset), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic corpus
 

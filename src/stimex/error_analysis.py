@@ -25,7 +25,6 @@ gold span and is not additionally a FalsePositive.
 from __future__ import annotations
 
 import enum
-from pathlib import Path
 from typing import Sequence
 
 from stimex.corpus import Span
@@ -121,9 +120,3 @@ def format_errors_csv(counts_by_column: dict[str, dict[ErrorType, int]]) -> str:
     ]
     lines.append(",".join(["all"] + totals))
     return "\n".join(lines) + "\n"
-
-
-def write_errors_csv(
-    counts_by_column: dict[str, dict[ErrorType, int]], path: str | Path
-) -> None:
-    Path(path).write_text(format_errors_csv(counts_by_column), encoding="utf-8")

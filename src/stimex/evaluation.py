@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from stimex.corpus import Span
@@ -198,7 +197,3 @@ def format_eval_csv(rows: Sequence[tuple[str, str, MatchMode, Prf]]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_eval_csv(rows: Sequence[tuple[str, str, MatchMode, Prf]], path: str | Path) -> None:
-    Path(path).write_text(format_eval_csv(rows), encoding="utf-8")

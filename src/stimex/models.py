@@ -36,7 +36,6 @@ from stimex.nn import (
     concat,
     cross_entropy,
     dropout,
-    stack,
 )
 
 IOB_ALPHABET = ("B", "I", "O")
@@ -166,6 +165,32 @@ def vocabulary(instances: Sequence[Instance]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Architectures
+#
+# Each model's ``batch_loss`` runs its encoders once over the whole batch,
+# packed (see ``Lstm.states``), then attention, dropout, projection and the
+# loss per unit, in unit order, so dropout draws from ``rng`` in the same
+# order and shapes as one unit at a time would.  ``loss``, ``emissions``,
+# ``logits`` and ``predict`` are that same code on a batch of one.
+
+
+def _flat(token_lists: Sequence[Sequence[str]]) -> list[str]:
+    return [tok for toks in token_lists for tok in toks]
+
+
+def _blocks(rows: Tensor, lengths: Sequence[int]) -> list[Tensor]:
+    """Consecutive row blocks of ``rows``, one per length."""
+    if len(lengths) == 1:
+        return [rows]
+    ends = np.cumsum(lengths)
+    return [rows[end - k : end] for k, end in zip(lengths, ends)]
+
+
+def _encode_each(
+    encoder: BiLstm, embeddings: EmbeddingTable, token_lists: Sequence[Sequence[str]]
+) -> list[Tensor]:
+    """(n, 2h) BiLSTM states of each token list, from one packed encoder call."""
+    lengths = [len(toks) for toks in token_lists]
+    return _blocks(encoder(embeddings.lookup(_flat(token_lists)), lengths), lengths)
 
 
 class SlModel:
@@ -182,14 +207,29 @@ class SlModel:
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.project.parameters() + self.crf.parameters()
 
+    def batch_emissions(
+        self, token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
+    ) -> list[Tensor]:
+        """Emission scores per sentence; the encoder runs once over the batch."""
+        return [
+            self.project(dropout(attention(h), self.config.dropout_p, training, rng))
+            for h in _encode_each(self.encoder, self.embeddings, token_lists)
+        ]
+
     def emissions(self, tokens: Sequence[str], training: bool = False, rng=None) -> Tensor:
-        u = attention(self.encoder(self.embeddings.lookup(tokens)))
-        u = dropout(u, self.config.dropout_p, training, rng)
-        return self.project(u)
+        return self.batch_emissions([tokens], training, rng)[0]
+
+    def batch_loss(self, units: Sequence[Instance], training: bool = True, rng=None) -> Tensor:
+        """Summed CRF loss of a batch of instances."""
+        emissions = self.batch_emissions([inst.tokens for inst in units], training, rng)
+        losses = [
+            crf.nll_loss(e, [IOB_ALPHABET.index(lab) for lab in inst.iob], self.crf)
+            for e, inst in zip(emissions, units)
+        ]
+        return sum(losses[1:], start=losses[0])
 
     def loss(self, instance: Instance, training: bool = True, rng=None) -> Tensor:
-        y = [IOB_ALPHABET.index(lab) for lab in instance.iob]
-        return crf.nll_loss(self.emissions(instance.tokens, training, rng), y, self.crf)
+        return self.batch_loss([instance], training, rng)
 
     def predict(self, tokens: Sequence[str]) -> list[str]:
         path, _ = crf.viterbi_decode(self.emissions(tokens), self.crf)
@@ -210,18 +250,33 @@ class IccModel:
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.hidden.parameters() + self.out.parameters()
 
+    def batch_logits(
+        self, clause_lists: Sequence[Sequence[str]], training: bool = False, rng=None
+    ) -> list[Tensor]:
+        """Class logits per clause; the encoder runs once over the batch."""
+        out = []
+        for h in _encode_each(self.encoder, self.embeddings, clause_lists):
+            s = attention(h).mean(axis=0)
+            z = dropout(self.hidden(s), self.config.dropout_p, training, rng).relu()
+            out.append(self.out(z))
+        return out
+
     def logits(self, clause_tokens: Sequence[str], training: bool = False, rng=None) -> Tensor:
-        u = attention(self.encoder(self.embeddings.lookup(clause_tokens)))
-        s = u.mean(axis=0)
-        z = dropout(self.hidden(s), self.config.dropout_p, training, rng).relu()
-        return self.out(z)
+        return self.batch_logits([clause_tokens], training, rng)[0]
 
     def probabilities(self, clause_tokens: Sequence[str]) -> np.ndarray:
         return self.logits(clause_tokens).softmax().data
 
+    def batch_loss(
+        self, units: Sequence[tuple[Sequence[str], bool]], training: bool = True, rng=None
+    ) -> Tensor:
+        """Summed cross-entropy of a batch of (clause tokens, flag) units."""
+        logits = self.batch_logits([toks for toks, _ in units], training, rng)
+        losses = [cross_entropy(z, int(flag)) for z, (_, flag) in zip(logits, units)]
+        return sum(losses[1:], start=losses[0])
+
     def loss(self, unit: tuple[Sequence[str], bool], training: bool = True, rng=None) -> Tensor:
-        clause_tokens, flag = unit
-        return cross_entropy(self.logits(clause_tokens, training, rng), int(flag))
+        return self.batch_loss([unit], training, rng)
 
     def predict(self, clause_tokens: Sequence[str]) -> bool:
         return bool(np.argmax(self.logits(clause_tokens).data) == 1)
@@ -256,20 +311,49 @@ class JccModel:
             + self.crf.parameters()
         )
 
+    def batch_emissions(
+        self, documents: Sequence[Sequence[Sequence[str]]], training: bool = False, rng=None
+    ) -> list[Tensor]:
+        """Clause emission scores per document (a list of clause token lists).
+
+        The word encoder runs once over every clause of the batch and each
+        clause encoder once over every document's clause sequence.
+        """
+        if not all(documents):
+            raise ValueError("need at least one clause")
+        clauses = _flat(documents)
+        widths = [len(toks) for toks in clauses]
+        fwd, bwd = self.word_encoder.run(self.embeddings.lookup(_flat(clauses)), widths)
+        ends = np.cumsum(widths)
+        # final forward state and first backward state of each clause
+        vectors = concat([fwd[ends - 1], bwd[ends - widths]], axis=1)
+        counts = [len(doc) for doc in documents]
+        ms = self.clause_encoder2(self.clause_encoder1(vectors, counts), counts)
+        out = []
+        for m in _blocks(ms, counts):
+            if self.clause_attention:
+                m = attention(m)
+            out.append(self.project(dropout(m, self.config.dropout_p, training, rng)))
+        return out
+
     def emissions(
         self, clause_token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
     ) -> Tensor:
-        if not clause_token_lists:
-            raise ValueError("need at least one clause")
-        vectors = []
-        for toks in clause_token_lists:
-            fwd, bwd = self.word_encoder.run(self.embeddings.lookup(toks))
-            vectors.append(concat([fwd[-1], bwd[0]]))  # final forward, first backward
-        m = self.clause_encoder2(self.clause_encoder1(stack(vectors)))
-        if self.clause_attention:
-            m = attention(m)
-        m = dropout(m, self.config.dropout_p, training, rng)
-        return self.project(m)
+        return self.batch_emissions([clause_token_lists], training, rng)[0]
+
+    def batch_loss(
+        self,
+        units: Sequence[tuple[Sequence[Sequence[str]], Sequence[bool]]],
+        training: bool = True,
+        rng=None,
+    ) -> Tensor:
+        """Summed clause-CRF loss of a batch of (clause token lists, flags) units."""
+        emissions = self.batch_emissions([doc for doc, _ in units], training, rng)
+        losses = [
+            crf.nll_loss(e, [int(f) for f in flags], self.crf)
+            for e, (_, flags) in zip(emissions, units)
+        ]
+        return sum(losses[1:], start=losses[0])
 
     def loss(
         self,
@@ -277,9 +361,7 @@ class JccModel:
         training: bool = True,
         rng=None,
     ) -> Tensor:
-        clause_token_lists, flags = unit
-        y = [int(f) for f in flags]
-        return crf.nll_loss(self.emissions(clause_token_lists, training, rng), y, self.crf)
+        return self.batch_loss([unit], training, rng)
 
     def predict(self, clause_token_lists: Sequence[Sequence[str]]) -> list[bool]:
         path, _ = crf.viterbi_decode(self.emissions(clause_token_lists), self.crf)
@@ -434,11 +516,8 @@ def train(
         loss_sum = 0.0
         for offset in range(0, len(units), config.batch_size):
             batch = order[offset : offset + config.batch_size]
-            losses = [model.loss(units[i], training=True, rng=rng) for i in batch]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = total + extra
-            mean_loss = total * (1.0 / len(losses))
+            total = model.batch_loss([units[i] for i in batch], training=True, rng=rng)
+            mean_loss = total * (1.0 / len(batch))
             where = f"epoch {epoch}, batch {offset // config.batch_size + 1}"
             if not np.isfinite(total.data):
                 raise ValueError(f"training diverged at {where}: batch loss is {total.item()}")
@@ -538,7 +617,8 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
         "embedding": _encode_array(model.embeddings.matrix),
         "params": {p.name: _encode_array(p.data) for p in model.parameters()},
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
 
 
 _JSON_KIND = {dict: "object", list: "array", str: "string"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from stimex.nn.tensor import Parameter, Tensor, _accum, concat, stable_sigmoid
@@ -30,78 +32,106 @@ class Lstm:
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.bias]
 
-    def states(self, xs: Tensor, reverse: bool = False) -> Tensor:
-        """Hidden states as one (n, h) graph node, row t at original position t.
+    def states(self, xs: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+        """Hidden states of sequences laid end to end, as one (N, h) graph node.
 
-        The forward pass runs in plain NumPy, step by step, in the operation
-        order of the per-step graph it replaces, ``(xw[t] + h @ w_h) + bias``,
-        so its values are bit-identical to that graph's.  It caches, per
-        position, the gate activations ``acts`` (input, forget and output
+        ``xs`` holds R sequences of the given ``lengths`` as consecutive rows
+        (``lengths=None`` means one sequence); output row k is the state at
+        input row k, in either direction.  The recurrence runs over
+        max(lengths) steps on step-major (T, R, .) arrays, one GEMM per step
+        for all R sequences.  Each sequence is right-padded, and reversed
+        within its own length when ``reverse`` is set, so all of them start
+        at step 0; padded rows compute on zero input, are never read, and
+        their gradient is exactly zero, so the loop needs no masks.  The
+        input projection and the ``w_x``, ``w_h``, ``bias`` and ``xs``
+        gradients work on the N packed rows, where padding costs nothing.
+
+        The forward pass runs in plain NumPy, in the operation order of the
+        per-step graph it replaces, ``(xw[t] + h @ w_h) + bias``, so for one
+        sequence its values are bit-identical to that graph's.  It caches,
+        per step, the gate activations ``acts`` (input, forget and output
         gates after the sigmoid, cell candidate after tanh), the cell state
         ``cs`` and its ``tanh``, ``tcs``; with the outputs ``hs`` these are
         everything the backward pass needs.
         """
         n = xs.shape[0]
-        if n == 0:
+        lengths = [n] if lengths is None else lengths
+        if n == 0 or min(lengths, default=0) < 1:
             raise ValueError("cannot encode an empty sequence")
+        if sum(lengths) != n:
+            raise ValueError(f"sequence lengths sum to {sum(lengths)}, not to the {n} input rows")
+        steps, width = max(lengths), len(lengths)
+        flip = slice(None, None, -1) if reverse else slice(None)
+        spans = list(enumerate(zip(itertools.accumulate(lengths, initial=0), lengths)))
+
+        def to_steps(rows):
+            """Packed rows to a zero-padded (T, R, .) grid, each sequence from step 0."""
+            grid = np.zeros((steps, width, rows.shape[1]))
+            for r, (start, size) in spans:
+                grid[:size, r] = rows[start : start + size][flip]
+            return grid
+
+        def to_rows(grid):
+            rows = np.empty((n, grid.shape[2]))
+            for r, (start, size) in spans:
+                rows[start : start + size] = grid[:size, r][flip]
+            return rows
+
         hd = self.hidden_dim
         w_x, w_h, bias = self.w_x, self.w_h, self.bias
-        xw = xs.data @ w_x.data  # (n, 4h) in one shot
+        xw = to_steps(xs.data @ w_x.data)  # projection of the packed rows in one shot
         w_h_data, bias_data = w_h.data, bias.data
-        acts = np.empty_like(xw)
-        cs = np.empty((n, hd))
-        tcs = np.empty((n, hd))
-        hs = np.empty((n, hd))
-        h = np.zeros(hd)
-        c = np.zeros(hd)
-        order = range(n - 1, -1, -1) if reverse else range(n)
-        for t in order:
+        acts = np.empty((steps, width, 4 * hd))
+        cs = np.empty((steps, width, hd))
+        tcs = np.empty((steps, width, hd))
+        hs = np.empty((steps, width, hd))
+        i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
+        h = np.zeros((width, hd))
+        c = np.zeros((width, hd))
+        for t in range(steps):
             pre = xw[t] + h @ w_h_data + bias_data
-            a = acts[t]
-            a[:] = stable_sigmoid(pre)
-            a[2 * hd : 3 * hd] = np.tanh(pre[2 * hd : 3 * hd])
-            c = a[hd : 2 * hd] * c + a[0:hd] * a[2 * hd : 3 * hd]
-            cs[t] = c
-            h = hs[t] = a[3 * hd : 4 * hd] * np.tanh(c, out=tcs[t])
-        out = Tensor(hs)
+            acts[t] = stable_sigmoid(pre)
+            np.tanh(pre[:, 2 * hd : 3 * hd], out=g[t])
+            c = np.multiply(f[t], c, out=cs[t])
+            c += i[t] * g[t]
+            h = np.multiply(o[t], np.tanh(c, out=tcs[t]), out=hs[t])
+        out = Tensor(to_rows(hs))
 
         def backward():
-            """Backpropagation through time over the cached sequence.
+            """Backpropagation through time over the cached steps.
 
             Only ``dh`` and ``dc`` flow between steps; the loop writes each
-            step's pre-activation gradient into one (n, 4h) array, from which
-            the gradients of ``w_x``, ``w_h``, ``bias`` and ``xs`` each follow
-            in a single matmul or sum over the whole sequence.
+            step's pre-activation gradient into one (T, R, 4h) array, whose N
+            real rows give the gradients of ``w_x``, ``w_h``, ``bias`` and
+            ``xs`` in a single matmul or sum each.
             """
-            h_prev = np.zeros((n, hd))
-            c_prev = np.zeros((n, hd))
-            inner = slice(1, n) if reverse else slice(0, n - 1)
-            shifted = slice(0, n - 1) if reverse else slice(1, n)
-            h_prev[shifted], c_prev[shifted] = hs[inner], cs[inner]
-            i, f, g, o = (acts[:, k * hd : (k + 1) * hd] for k in range(4))
+            h_prev = np.zeros_like(hs)
+            c_prev = np.zeros_like(cs)
+            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
             # d pre / d (dc) for the i, f, g blocks and d pre / d (dh) for o,
             # each with its nonlinearity's derivative folded in.
-            by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+            by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
             by_dh = tcs * o * (1.0 - o)
             dc_by_dh = o * (1.0 - tcs * tcs)
-            d_pre = np.empty((n, 4, hd))
-            dh_out = out.grad
-            dh = np.zeros(hd)
-            dc = np.zeros(hd)
-            for t in reversed(order):
+            d_pre = np.empty((steps, width, 4, hd))
+            dh_out = to_steps(out.grad)
+            w_h_t = w_h_data.T
+            dh = np.zeros((width, hd))
+            dc = np.zeros((width, hd))
+            for t in reversed(range(steps)):
                 dh = dh_out[t] + dh
                 dc = dc + dh * dc_by_dh[t]
-                d_pre[t, :3] = by_dc[t] * dc
-                d_pre[t, 3] = dh * by_dh[t]
-                dh = w_h_data @ d_pre[t].ravel()
+                d_pre[t, :, :3] = by_dc[t] * dc[:, None]
+                d_pre[t, :, 3] = dh * by_dh[t]
+                dh = d_pre[t].reshape(width, 4 * hd) @ w_h_t
                 dc = dc * f[t]
-            d_pre = d_pre.reshape(n, 4 * hd)
+            d_pre = to_rows(d_pre.reshape(steps, width, 4 * hd))
             if xs.requires_grad:
                 _accum(xs, d_pre @ w_x.data.T)
             if w_x.requires_grad:
                 _accum(w_x, xs.data.T @ d_pre)
             if w_h.requires_grad:
-                _accum(w_h, h_prev.T @ d_pre)
+                _accum(w_h, to_rows(h_prev).T @ d_pre)
             if bias.requires_grad:
                 _accum(bias, d_pre.sum(axis=0))
 
@@ -116,12 +146,15 @@ class BiLstm:
     def parameters(self) -> list[Parameter]:
         return self.fwd.parameters() + self.bwd.parameters()
 
-    def run(self, xs: Tensor) -> tuple[Tensor, Tensor]:
-        """Forward and backward hidden states, each (n, h)."""
-        return self.fwd.states(xs), self.bwd.states(xs, reverse=True)
+    def run(self, xs: Tensor, lengths=None) -> tuple[Tensor, Tensor]:
+        """Forward and backward hidden states, each (N, h), of packed sequences."""
+        return (
+            self.fwd.states(xs, lengths=lengths),
+            self.bwd.states(xs, reverse=True, lengths=lengths),
+        )
 
-    def __call__(self, xs: Tensor) -> Tensor:
-        return concat(self.run(xs), axis=1)  # (n, 2h)
+    def __call__(self, xs: Tensor, lengths=None) -> Tensor:
+        return concat(self.run(xs, lengths), axis=1)  # (N, 2h)
 
 
 def attention(h: Tensor, include_self: bool = True) -> Tensor:

@@ -33,7 +33,17 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        """One bias-corrected update, with ``m`` and ``v`` updated in place.
+
+        Each product and quotient is the textbook formula's own operation,
+        ``b1*m + (1-b1)*g``, ``b2*v + (1-b2)*(g*g)`` and
+        ``lr*m_hat / (sqrt(v_hat)+eps)``, so the result is bit-identical to it.
+        Per parameter, one scratch array holds the other terms in turn and
+        one more the update.
+        """
         self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        m_scale, v_scale = 1 - b1**self.t, 1 - b2**self.t
         for p in self.params:
             if not p.trainable:
                 continue
@@ -45,8 +55,18 @@ class Adam:
                     f"gradient shape {grad.shape} does not match parameter "
                     f"{p.name!r} of shape {p.data.shape}"
                 )
-            m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * grad
-            v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * grad**2
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[p.name], self.v[p.name]
+            scratch = (1 - b1) * grad
+            m *= b1
+            m += scratch
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1 - b2
+            v *= b2
+            v += scratch
+            np.divide(v, v_scale, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps  # sqrt(v_hat) + eps
+            update = m / m_scale
+            update *= self.lr
+            update /= scratch
+            p.data -= update

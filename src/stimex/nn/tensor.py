@@ -26,8 +26,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function whose exponent is never positive, so it never overflows."""
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 def _accum(t: "Tensor", g: np.ndarray) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from _oracles import finite_difference, gradient_gap
 from stimex.nn import Parameter, Tensor, as_tensor, concat, stack, take_pairs
+from stimex.nn.tensor import stable_sigmoid
 
 RNG = np.random.default_rng(0)
 
@@ -115,6 +116,15 @@ def test_sigmoid_is_stable_at_extremes():
     y = Tensor(np.array([-1000.0, 1000.0])).sigmoid().data
     assert np.all(np.isfinite(y))
     assert y[0] == pytest.approx(0.0) and y[1] == pytest.approx(1.0)
+
+
+def test_stable_sigmoid_equals_the_two_branch_formula_exactly():
+    special = [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan]
+    for x in (RNG.standard_normal(400) * 8.0, RNG.standard_normal((10, 40)), np.array(special)):
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        old = np.where(x >= 0, 1.0 / d, e / d)
+        assert np.array_equal(stable_sigmoid(x), old, equal_nan=True)
 
 
 def test_softmax_rows_and_grad():

@@ -235,6 +235,88 @@ def test_jcc_is_sensitive_to_clause_order():
     assert not np.allclose(a, b[::-1])  # clause context matters, not just content
 
 
+# -- packed batches ----------------------------------------------------------------------
+
+BATCH_CFG = TrainConfig(embedding_dim=8, hidden_dim=6, dropout_p=0.5)
+WORDS = ["i", "cried", "because", "he", "left", ".", "happy", "zebra"]  # "zebra" is unknown
+
+
+def ragged_units(arch):
+    """Five units of ragged lengths, 1 among them; jcc has a 1-clause document."""
+    rng = np.random.default_rng(3)
+
+    def words(n):
+        return [WORDS[k] for k in rng.integers(0, len(WORDS), n)]
+
+    if arch == "sl":
+        labels = ["B", "OBIIO", "OOO", "BBIOBBIO", "IO"]
+        return [Instance(f"u{k}", "d", words(len(iob)), list(iob)) for k, iob in enumerate(labels)]
+    if arch == "icc":
+        sizes = [(1, True), (5, False), (3, True), (9, False), (2, False)]
+        return [(words(n), flag) for n, flag in sizes]
+    docs = [[1], [2, 1, 3], [1, 1], [4, 6, 1, 2], [3]]
+    return [
+        ([words(n) for n in widths], [k % 2 == 0 for k in range(len(widths))]) for widths in docs
+    ]
+
+
+def _model(arch):
+    emb = EmbeddingTable.random(WORDS[:-1], BATCH_CFG.embedding_dim, 4)
+    cls = {"sl": SlModel, "icc": IccModel, "jcc": JccModel}[arch]
+    model = cls(emb, BATCH_CFG, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for p in model.parameters():  # nonzero biases, so that state leaking across padding shows
+        p.data += 0.3 * rng.standard_normal(p.data.shape)
+    return model
+
+
+def _loss_and_grads(model, loss_fn):
+    for p in model.parameters():
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), {p.name: p.grad for p in model.parameters()}
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_batch_loss_equals_sum_of_unit_losses(arch):
+    model, units = _model(arch), ragged_units(arch)
+
+    def one_by_one():
+        total = model.loss(units[0], training=False)
+        for unit in units[1:]:
+            total = total + model.loss(unit, training=False)
+        return total
+
+    batched, batched_grads = _loss_and_grads(model, lambda: model.batch_loss(units, False))
+    single, single_grads = _loss_and_grads(model, one_by_one)
+    assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
+    for name, g in single_grads.items():
+        assert np.max(np.abs(batched_grads[name] - g)) < 1e-10, name
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_batch_loss_draws_the_same_dropout_masks(arch):
+    model, units = _model(arch), ragged_units(arch)
+    rng_batch, rng_single = np.random.default_rng(9), np.random.default_rng(9)
+    batched = model.batch_loss(units, True, rng_batch).item()
+    single = sum(model.loss(u, True, rng_single).item() for u in units)
+    assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
+    assert rng_batch.random() == rng_single.random()  # both streams at the same point
+
+
+def test_batch_with_an_empty_sequence_is_rejected():
+    sl, icc, jcc = (_model(arch) for arch in ("sl", "icc", "jcc"))
+    with pytest.raises(ValueError, match="empty"):
+        sl.batch_loss([Instance("a", "d", ["i", "cried"], ["O", "O"]), Instance("b", "d", [], [])])
+    with pytest.raises(ValueError, match="empty"):
+        icc.batch_loss([(["i"], True), ([], False)])
+    with pytest.raises(ValueError, match="empty"):
+        jcc.batch_loss([([["i"]], [True]), ([["he"], []], [False, False])])
+    with pytest.raises(ValueError, match="at least one clause"):
+        jcc.batch_loss([([["i"]], [True]), ([], [])])
+
+
 # -- training ----------------------------------------------------------------------------
 
 
@@ -410,6 +492,8 @@ def test_checkpoint_stores_exact_binary_payloads(tmp_path):
     w_h = trained.model.encoder.fwd.w_h.data
     assert raw == w_h.astype("<f8").tobytes()
     assert entry["shape"] == list(w_h.shape)
+    # the streamed file is exactly what one ``json.dumps`` of the payload gives
+    assert path.read_bytes() == json.dumps(payload).encode("utf-8")
 
 
 def test_checkpoint_version_1_still_loads(tmp_path):
@@ -493,13 +577,13 @@ def test_non_finite_gradient_stops_training_before_the_step(monkeypatch):
     corpus = toy_corpus(4, seed=14)
     steps = []
     monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
-    original = SlModel.loss
+    original = SlModel.batch_loss
 
-    def poisoned(self, unit, training=True, rng=None):
+    def poisoned(self, units, training=True, rng=None):
         # sqrt has an infinite slope at 0: the loss stays finite, its gradient does not
-        return original(self, unit, training, rng) + (self.project.bias * 0.0).sum() ** 0.5
+        return original(self, units, training, rng) + (self.project.bias * 0.0).sum() ** 0.5
 
-    monkeypatch.setattr(SlModel, "loss", poisoned)
+    monkeypatch.setattr(SlModel, "batch_loss", poisoned)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="epoch 1, batch 1: gradient of 'project.bias'"):
             train("sl", corpus, corpus, toy_embeddings(corpus, 8), TOY)

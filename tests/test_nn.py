@@ -12,6 +12,7 @@ from stimex.nn import (
     Parameter,
     Tensor,
     attention,
+    concat,
     cross_entropy,
     dropout,
     glorot_uniform,
@@ -118,6 +119,45 @@ def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
     for name, g in oracle_grads.items():
         if g is not None:
             assert np.max(np.abs(fused_grads[name] - g)) < 1e-10, name
+
+
+@pytest.mark.parametrize("lengths", [[1, 4], [3, 1, 7, 2, 5], [6, 6, 1]])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_packed_lstm_matches_per_step_oracle(lengths, reverse):
+    rng = np.random.default_rng(len(lengths))
+    cell = Lstm("c", 6, 7, rng)
+    cell.bias.data = rng.standard_normal(cell.bias.data.shape)  # so that padding leaks would show
+    n = sum(lengths)
+    xs = Parameter("xs", 2.0 * rng.standard_normal((n, 6)))
+    weights = Tensor(rng.standard_normal((n, 7)))
+    params = cell.parameters() + [xs]
+    ends = np.cumsum(lengths)
+
+    def per_sequence(cell, xs, reverse):
+        return concat(
+            [lstm_states_per_step(cell, xs[e - k : e], reverse) for k, e in zip(lengths, ends)]
+        )
+
+    def run(states_fn):
+        for p in params:
+            p.grad = None
+        h = states_fn(cell, xs, reverse)
+        (h * weights).sum().backward()
+        return h.data, {p.name: p.grad for p in params}
+
+    packed, packed_grads = run(lambda c, x, r: c.states(x, r, lengths=lengths))
+    oracle, oracle_grads = run(per_sequence)
+    assert np.max(np.abs(packed - oracle)) < 1e-12
+    for name, g in oracle_grads.items():
+        assert np.max(np.abs(packed_grads[name] - g)) < 1e-10, name
+
+
+def test_packed_lstm_rejects_bad_lengths():
+    cell = Lstm("z", 3, 2, np.random.default_rng(0))
+    xs = Tensor(np.zeros((5, 3)))
+    for lengths in ([3, 0, 2], [2, 2], [6]):
+        with pytest.raises(ValueError):
+            cell.states(xs, lengths=lengths)
 
 
 # -- attention -----------------------------------------------------------------
@@ -271,3 +311,32 @@ def test_adam_first_step_size_is_lr():
     p.grad = np.array([1.0, -2.0, 0.5])
     opt.step()
     assert np.allclose(np.abs(p.data), 0.01, atol=1e-6)
+
+
+def test_adam_step_equals_the_textbook_formula_exactly():
+    rng = np.random.default_rng(11)
+    params = [
+        Parameter("w", rng.standard_normal((4, 3))),
+        Parameter("b", rng.standard_normal(3)),
+        Parameter("idle", rng.standard_normal(2)),  # its grad stays None
+        Parameter("frozen", rng.standard_normal(2), trainable=False),
+    ]
+    expected = {p.name: p.data.copy() for p in params}
+    m = {name: np.zeros_like(x) for name, x in expected.items()}
+    v = {name: np.zeros_like(x) for name, x in expected.items()}
+    b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 4):
+        opt.zero_grad()
+        for p in params[:2] + params[3:]:
+            p.grad = rng.standard_normal(p.data.shape)
+        opt.step()
+        for p in params[:3]:
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            m[p.name] = b1 * m[p.name] + (1 - b1) * g
+            v[p.name] = b2 * v[p.name] + (1 - b2) * g**2
+            m_hat = m[p.name] / (1 - b1**t)
+            v_hat = v[p.name] / (1 - b2**t)
+            expected[p.name] = expected[p.name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p in params:
+            assert np.array_equal(p.data, expected[p.name]), (t, p.name)
