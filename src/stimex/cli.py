@@ -9,6 +9,7 @@ by explicit seeds, so identical invocations produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -190,11 +191,23 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {what} is not valid JSON: {exc}") from None
+
+
 def _read_splits(path: str) -> dict:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _read_json(path, "split file")
+    if not isinstance(payload, dict):
+        raise CorpusError(f"{path}: split file must be a JSON object")
     for key in ("train", "dev", "test"):
         if key not in payload:
             raise CorpusError(f"{path}: split file is missing the {key!r} id list")
+        ids = payload[key]
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise CorpusError(f"{path}: {key!r} must be a list of instance id strings")
     return payload
 
 
@@ -207,14 +220,18 @@ def _select(instances: Sequence[Instance], ids: Sequence[str], path: str) -> lis
 
 
 def _load_config(args) -> models.TrainConfig:
-    values = {}
+    config = models.TrainConfig()
     if getattr(args, "config", None):
-        values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        values = _read_json(args.config, "training config")
         if not isinstance(values, dict):
             raise CorpusError(f"{args.config}: training config must be a JSON object")
+        try:
+            config = models.TrainConfig.from_dict(values)
+        except ValueError as exc:
+            raise CorpusError(f"{args.config}: {exc}") from None
     if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed  # flags beat the config file
-    return models.TrainConfig.from_dict(values)
+        config = dataclasses.replace(config, seed=args.seed)  # flags beat the config file
+    return config
 
 
 def cmd_train(args) -> int:

@@ -16,7 +16,9 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+import numbers
+import os
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -42,7 +44,8 @@ IOB_ALPHABET = ("B", "I", "O")
 ARCHITECTURES = ("sl", "icc", "jcc")
 SELECTION_METRICS = ("accuracy", "f1")
 CHECKPOINT_FORMAT = "stimex-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_CONFIG_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,10 @@ class TrainConfig:
     selection_metric: str = "accuracy"
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[field.type]):
+                raise ValueError(f"{field.name} must be of type {field.type}, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -70,6 +77,8 @@ class TrainConfig:
             raise ValueError("patience must satisfy 1 <= patience <= max_epochs")
         if self.embedding_dim < 1 or self.hidden_dim < 1:
             raise ValueError("embedding_dim and hidden_dim must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(f"selection_metric must be one of {SELECTION_METRICS}")
 
@@ -124,7 +133,7 @@ class EmbeddingTable:
     @classmethod
     def load_text(cls, path: str | Path) -> "EmbeddingTable":
         """Read ``token v1 ... vd`` lines (whitespace-separated decimals)."""
-        tokens: list[str] = []
+        tokens: dict[str, int] = {}  # token -> the line it is on
         rows: list[list[float]] = []
         dim: int | None = None
         with open(path, encoding="utf-8") as handle:
@@ -145,10 +154,15 @@ class EmbeddingTable:
                     rows.append([float(v) for v in values])
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
-                tokens.append(parts[0])
+                if parts[0] in tokens:
+                    raise ValueError(
+                        f"{path}: line {lineno}: duplicate token {parts[0]!r}"
+                        f" (first on line {tokens[parts[0]]})"
+                    )
+                tokens[parts[0]] = lineno
         if dim is None:
             raise ValueError(f"{path}: empty embedding file")
-        return cls(tokens, np.array(rows))
+        return cls(list(tokens), np.array(rows))
 
     @classmethod
     def random(cls, tokens: Sequence[str], dim: int, seed: int) -> "EmbeddingTable":
@@ -569,25 +583,88 @@ def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool
 
 # ---------------------------------------------------------------------------
 # Checkpoints
+#
+# Version 3, the only one written, is one UTF-8 JSON header line followed by
+# the payload: the row-major little-endian float64 bytes of every array the
+# header's "arrays" list names, back to back. Versions 1 and 2, still read,
+# are one JSON document holding each array as a flat "values" list (1) or as
+# base64 "float64_le" text (2).
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    """Exact, deterministic JSON form of a float64 array."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "float64_le": base64.b64encode(raw).decode("ascii")}
+def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
+    """Write ``trained`` to ``path`` through a temporary file, so a failed save leaves
+    no partial file at ``path`` and keeps any checkpoint already there."""
+    model = trained.model
+    arrays = [("embedding", model.embeddings.matrix)]
+    arrays += [(p.name, p.data) for p in model.parameters()]
+    header = {
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+        "architecture": trained.architecture,
+        "config": trained.config.to_dict(),
+        "clause_attention": getattr(model, "clause_attention", True),
+        "history": trained.history,
+        "vocab": model.embeddings.tokens,
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays],
+    }
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(json.dumps(header).encode("utf-8") + b"\n")
+            for _, arr in arrays:
+                handle.write(memoryview(np.ascontiguousarray(arr, "<f8")))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _shape(value) -> list[int]:
+    if not isinstance(value, list) or not all(type(d) is int and d >= 0 for d in value):
+        raise ValueError(f"'shape' must be a list of sizes, got {value!r}")
+    return value
+
+
+def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
+    """Read-only views of a version-3 payload, keyed by name; sizes are checked first."""
+    layout, offset = {}, 0
+    for item in _entry(header, "arrays", list):
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
+            raise ValueError(f"'arrays' entries must be [name, shape] pairs, got {item!r}")
+        name, shape = item
+        if name in layout:
+            raise ValueError(f"'arrays' lists {name!r} twice")
+        try:
+            count = math.prod(_shape(shape))
+        except ValueError as exc:
+            raise ValueError(f"array {name!r}: {exc}") from None
+        layout[name] = (shape, offset, count)
+        offset += 8 * count
+    size = len(body)
+    if size > offset:
+        raise ValueError(f"{size - offset} bytes follow the last array of 'arrays'")
+    if size < offset:
+        cut = next(n for n, (_, start, count) in layout.items() if start + 8 * count > size)
+        raise ValueError(f"payload ends inside array {cut!r} ({size} of {offset} bytes)")
+    arrays = {}
+    for name, (shape, start, count) in layout.items():
+        try:
+            arrays[name] = np.frombuffer(body, "<f8", count, start).reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"array {name!r}: {exc}") from None
+    return arrays
 
 
 def _decode_array(entry, version: int) -> np.ndarray:
-    """Inverse of ``_encode_array``; version 1 stored a flat ``values`` list."""
+    """One array of a version-2 (base64) or version-1 (flat ``values``) checkpoint."""
     if not isinstance(entry, dict):
         raise ValueError("expected an object with 'shape' and the values")
-    shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        raise ValueError(f"'shape' must be a list of sizes, got {shape!r}")
+    shape = _shape(entry.get("shape"))
     if version == 1:
         try:
             flat = np.array(entry["values"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ValueError("'values' must be a flat list of numbers") from None
         if flat.ndim != 1:
             raise ValueError("'values' must be a flat list of numbers")
@@ -604,21 +681,34 @@ def _decode_array(entry, version: int) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
-    model = trained.model
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "architecture": trained.architecture,
-        "config": trained.config.to_dict(),
-        "clause_attention": getattr(model, "clause_attention", True),
-        "history": trained.history,
-        "vocab": model.embeddings.tokens,
-        "embedding": _encode_array(model.embeddings.matrix),
-        "params": {p.name: _encode_array(p.data) for p in model.parameters()},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+def _json_arrays(payload: dict, version: int) -> dict[str, np.ndarray]:
+    """The arrays of a version-1 or version-2 checkpoint, keyed as in version 3."""
+    try:
+        arrays = {"embedding": _decode_array(_entry(payload, "embedding", dict), version)}
+    except ValueError as exc:
+        raise ValueError(f"'embedding': {exc}") from None
+    for name, entry in _entry(payload, "params", dict).items():
+        try:
+            arrays[name] = _decode_array(entry, version)
+        except ValueError as exc:
+            raise ValueError(f"parameter {name!r}: {exc}") from None
+    return arrays
+
+
+def _split_header(data: bytes) -> tuple[object, memoryview | None]:
+    """A version-3 file's header and payload, or an older file's JSON document and None."""
+    newline = data.find(b"\n")
+    if newline >= 0:
+        try:
+            header = json.loads(data[:newline].decode("utf-8"))
+        except (ValueError, RecursionError):
+            header = None
+        if isinstance(header, dict) and header.get("version") == CHECKPOINT_VERSION:
+            return header, memoryview(data)[newline + 1 :]
+    try:
+        return json.loads(data.decode("utf-8")), None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"neither a version-3 header line nor JSON ({exc})") from None
 
 
 _JSON_KIND = {dict: "object", list: "array", str: "string"}
@@ -633,11 +723,12 @@ def _entry(payload: dict, key: str, kind: type):
     return value
 
 
-def _parse_checkpoint(payload) -> TrainedModel:
+def _parse_checkpoint(data: bytes) -> TrainedModel:
+    payload, body = _split_header(data)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint (format header missing or wrong)")
     version = payload.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version!r}")
     config_entry = _entry(payload, "config", dict)
     try:
@@ -648,19 +739,25 @@ def _parse_checkpoint(payload) -> TrainedModel:
     vocab = _entry(payload, "vocab", list)
     if not all(isinstance(tok, str) for tok in vocab):
         raise ValueError("'vocab' must be a list of strings")
+    if body is not None:
+        state = _payload_arrays(payload, body)
+    elif version == CHECKPOINT_VERSION:
+        raise ValueError("no payload after the version-3 header line")
+    else:
+        state = _json_arrays(payload, version)
+    if "embedding" not in state:
+        raise ValueError("'arrays' has no 'embedding' entry")
+    if 8 * config.hidden_dim**2 > sum(arr.size for arr in state.values()):
+        # every model's BiLSTM has two (h, 4h) w_h arrays: refuse before allocating them
+        raise ValueError(f"'config': hidden_dim {config.hidden_dim} does not fit the arrays")
     try:
-        matrix = _decode_array(_entry(payload, "embedding", dict), version)
+        # a copy, so that the table owns its rows instead of viewing the file's bytes
+        embeddings = EmbeddingTable(vocab, state.pop("embedding").copy())
     except ValueError as exc:
         raise ValueError(f"'embedding': {exc}") from None
-    state = {}
-    for name, entry in _entry(payload, "params", dict).items():
-        try:
-            state[name] = _decode_array(entry, version)
-        except ValueError as exc:
-            raise ValueError(f"parameter {name!r}: {exc}") from None
     model = _build_model(
         architecture,
-        EmbeddingTable(vocab, matrix),
+        embeddings,
         config,
         np.random.default_rng(config.seed),
         payload.get("clause_attention", True),
@@ -670,9 +767,8 @@ def _parse_checkpoint(payload) -> TrainedModel:
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read a checkpoint of version 2 or 1; any defect raises ``ValueError`` naming ``path``."""
+    """Read a checkpoint of version 3, 2 or 1; any defect raises ``ValueError`` naming ``path``."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return _parse_checkpoint(payload)
+        return _parse_checkpoint(Path(path).read_bytes())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

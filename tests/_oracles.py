@@ -1,8 +1,11 @@
-"""Shared test helpers: finite differences and independently coded recounts."""
+"""Shared test helpers: finite differences, independently coded recounts and damaged files."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+from hypothesis import strategies as st
 
 from stimex.nn import Tensor, stack
 
@@ -149,3 +152,45 @@ def naive_stats(instances) -> dict:
     out["mu_clauses_per_i"] = total / len(clause_insts)
     out["mu_all_s_per_i"] = full / len(clause_insts)
     return out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def damaged(good: bytes):
+    """``good`` cut at any byte, with any byte (or a header byte) overwritten, with the
+    header line, one header entry or one item of a header list replaced by any JSON
+    value, or any bytes."""
+    header_end = good.index(b"\n")
+    header, body = json.loads(good[:header_end]), good[header_end + 1 :]
+    lists = sorted(key for key, value in header.items() if isinstance(value, list) and value)
+
+    def overwrite(at_value):
+        at, value = at_value
+        return good[:at] + bytes([value]) + good[at + 1 :]
+
+    def line(value, rest):
+        return json.dumps(value).encode("utf-8") + b"\n" + rest
+
+    def with_item(key, at, value):
+        items = list(header[key])
+        items[at % len(items)] = value
+        return line({**header, key: items}, body)
+
+    return st.one_of(
+        st.integers(0, len(good) - 1).map(lambda n: good[:n]),
+        st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)).map(overwrite),
+        st.tuples(st.integers(0, header_end), st.integers(0, 255)).map(overwrite),
+        st.builds(
+            lambda key, value: line({**header, key: value}, body),
+            st.sampled_from(sorted(header)),
+            JSON_VALUES,
+        ),
+        st.builds(with_item, st.sampled_from(lists), st.integers(0, 10**4), JSON_VALUES),
+        st.builds(line, JSON_VALUES, st.binary(max_size=64)),
+        st.binary(max_size=200),
+    )

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import damaged
 from stimex.cli import main
 from stimex.corpus import generate_synthetic, load_corpus, save_corpus
+from stimex.models import EmbeddingTable, TrainConfig, save_checkpoint, train, vocabulary
 
 
 @pytest.fixture()
@@ -17,6 +24,11 @@ def corpus_path(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def checkpoint_header(path):
+    """The JSON header line of a version-3 checkpoint."""
+    return json.loads(path.read_bytes().partition(b"\n")[0])
 
 
 def pipeline(tmp_path, corpus_path, seed=5, arch="sl"):
@@ -224,8 +236,8 @@ def test_train_seed_flag_overrides_config(tmp_path, corpus_path):
             == 0
         )
     assert a.read_bytes() == b.read_bytes()
-    assert json.loads(a.read_text())["config"]["seed"] == 7
-    assert json.loads(c.read_text())["config"]["seed"] == 1
+    assert checkpoint_header(a)["config"]["seed"] == 7
+    assert checkpoint_header(c)["config"]["seed"] == 1
 
 
 def test_predict_subset_all_without_splits(tmp_path, corpus_path):
@@ -268,13 +280,111 @@ def test_predict_with_bad_checkpoint_exits_one(tmp_path, corpus_path, capsys, co
 
 def test_predict_names_damaged_parameter(tmp_path, corpus_path, capsys):
     _, ckpt, _ = pipeline(tmp_path, corpus_path)
-    payload = json.loads(ckpt.read_text(encoding="utf-8"))
-    payload["params"]["project.weight"]["float64_le"] = "AAAA"
-    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    header = checkpoint_header(ckpt)
+    names = [name for name, _ in header["arrays"]]
+    sizes = [8 * math.prod(shape) for _, shape in header["arrays"]]
+    cut = sum(sizes[: names.index("project.weight")]) + 3  # 3 bytes into project.weight
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[: data.index(b"\n") + 1 + cut])
     out = tmp_path / "again.jsonl"
     assert run("predict", "--corpus", corpus_path, "--checkpoint", ckpt, "--out", out) == 1
     err = capsys.readouterr().err
     assert str(ckpt) in err and "'project.weight'" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A short corpus, a small valid checkpoint's bytes and its path, and an output path."""
+    tmp = tmp_path_factory.mktemp("cli_fuzz")
+    corpus, ckpt, out = tmp / "corpus.jsonl", tmp / "ckpt.json", tmp / "preds.jsonl"
+    instances = generate_synthetic(6, seed=3)
+    save_corpus(instances, corpus)
+    config = TrainConfig(embedding_dim=6, hidden_dim=4, max_epochs=1, patience=1)
+    embeddings = EmbeddingTable.random(vocabulary(instances), 6, 0)
+    save_checkpoint(train("sl", instances, instances, embeddings, config), ckpt)
+    return corpus, ckpt, ckpt.read_bytes(), out
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_predict_on_a_damaged_checkpoint_exits_zero_or_one_with_one_error_line(
+    fuzz_files, data
+):
+    corpus, ckpt, good, out = fuzz_files
+    ckpt.write_bytes(data.draw(damaged(good)))
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run("predict", "--corpus", corpus, "--checkpoint", ckpt, "--out", out)
+    if code == 1:
+        message = err.getvalue()
+        assert message.startswith(f"error: {ckpt}: ") and message.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert code == 0 and err.getvalue() == ""
+
+
+def train_args(tmp_path, corpus_path):
+    """Arguments of a small ``train`` run; returns them with its split and config files."""
+    splits, config = tmp_path / "splits.json", tmp_path / "cfg.json"
+    run("split", "--corpus", corpus_path, "--seed", 2, "--out", splits)
+    config.write_text(
+        json.dumps({"embedding_dim": 4, "hidden_dim": 3, "max_epochs": 1, "patience": 1}),
+        encoding="utf-8",
+    )
+    args = ["--corpus", corpus_path, "--splits", splits, "--config", config, "--arch", "sl"]
+    return args, splits, config
+
+
+@pytest.mark.parametrize(
+    "which, content, needle",
+    [
+        ("splits", "{not json", "split file is not valid JSON: Expecting property name"),
+        ("splits", "[1, 2]", "split file must be a JSON object"),
+        ("splits", '{"train": 5, "dev": [], "test": []}', "'train' must be a list of instance"),
+        ("splits", '{"train": [], "dev": [1], "test": []}', "'dev' must be a list of instance"),
+        ("config", "{not json", "training config is not valid JSON: Expecting property name"),
+        ("config", '{"hidden_dim": "6"}', "hidden_dim must be of type int"),
+        ("config", '{"hidden_dim": 6.5}', "hidden_dim must be of type int"),
+        ("config", '{"seed": 1.5}', "seed must be of type int"),
+        ("config", '{"seed": -1}', "seed must be non-negative"),
+        ("config", '{"nope": 1}', "unknown training config key 'nope'"),
+    ],
+)
+def test_train_with_a_bad_split_or_config_file_names_it(
+    tmp_path, corpus_path, capsys, which, content, needle
+):
+    args, splits, config = train_args(tmp_path, corpus_path)
+    bad = {"splits": splits, "config": config}[which]
+    bad.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    ckpt = tmp_path / "model.json"
+    assert run("train", *args, "--checkpoint", ckpt) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and needle in err and err.count("\n") == 1
+    assert not ckpt.exists()
+
+
+def test_predict_with_a_bad_split_file_names_it(tmp_path, corpus_path, capsys):
+    splits = tmp_path / "splits.json"
+    splits.write_text('{"train": 5, "dev": [], "test": []}', encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    args = ["--corpus", corpus_path, "--checkpoint", tmp_path / "none.json", "--out", out]
+    assert run("predict", *args, "--splits", splits, "--subset", "all") == 1
+    assert capsys.readouterr().err == (
+        f"error: {splits}: 'train' must be a list of instance id strings\n"
+    )
+
+
+def test_train_names_a_duplicate_embedding_token(tmp_path, corpus_path, capsys):
+    args, _, _ = train_args(tmp_path, corpus_path)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("a 0.1 0.2 0.3\nb 0.1 0.2 0.3\n\na 0.5 0.6 0.7\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("train", *args, "--embeddings", emb, "--checkpoint", tmp_path / "m.json") == 1
+    assert capsys.readouterr().err == (
+        f"error: {emb}: line 4: duplicate token 'a' (first on line 1)\n"
+    )
 
 
 def test_train_with_nan_embedding_exits_one_without_checkpoint(tmp_path, corpus_path, capsys):

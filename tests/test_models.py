@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import base64
+import builtins
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import damaged
+from stimex import models
 from stimex.corpus import (
     ClauseAnnotation,
     Instance,
@@ -480,55 +486,100 @@ def _small_trained(arch="sl", seed=12):
     return corpus, train(arch, corpus, corpus, toy_embeddings(corpus, 8), cfg)
 
 
+def _arrays(model):
+    """Every array of ``model`` in checkpoint order: the embedding, then the parameters."""
+    return [("embedding", model.embeddings.matrix)] + [
+        (p.name, p.data) for p in model.parameters()
+    ]
+
+
+def _split_v3(path):
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header), body
+
+
+def _v3_bytes(header, body):
+    return json.dumps(header).encode("utf-8") + b"\n" + body
+
+
 def test_checkpoint_stores_exact_binary_payloads(tmp_path):
     _, trained = _small_trained()
     path = tmp_path / "m.json"
     save_checkpoint(trained, path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["version"] == 2
-    entry = payload["params"]["encoder.fwd.w_h"]
-    assert set(entry) == {"shape", "float64_le"}
-    raw = base64.b64decode(entry["float64_le"])
+    header, body = _split_v3(path)
+    assert header["version"] == 3
+    arrays = _arrays(trained.model)
+    assert header["arrays"] == [[name, list(arr.shape)] for name, arr in arrays]
+    at = [name for name, _ in arrays].index("encoder.fwd.w_h")
+    start = sum(arr.size * 8 for _, arr in arrays[:at])
     w_h = trained.model.encoder.fwd.w_h.data
-    assert raw == w_h.astype("<f8").tobytes()
-    assert entry["shape"] == list(w_h.shape)
-    # the streamed file is exactly what one ``json.dumps`` of the payload gives
-    assert path.read_bytes() == json.dumps(payload).encode("utf-8")
+    assert body[start : start + w_h.size * 8] == w_h.astype("<f8").tobytes()
+    assert header["arrays"][at] == ["encoder.fwd.w_h", list(w_h.shape)]
+    # the file is exactly the header line plus every array's bytes, nothing after them
+    payload = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
+    assert path.read_bytes() == _v3_bytes(header, payload)
 
 
-def test_checkpoint_version_1_still_loads(tmp_path):
-    corpus, trained = _small_trained()
+def _legacy_payload(trained, version):
+    """The single JSON document a version-1 or version-2 checkpoint of ``trained`` holds."""
+    if version == 1:
+        encode = lambda arr: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+    else:
+        encode = lambda arr: {
+            "shape": list(arr.shape),
+            "float64_le": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+        }
     model = trained.model
-    old = {
+    return {
         "format": "stimex-checkpoint",
-        "version": 1,
-        "architecture": "sl",
+        "version": version,
+        "architecture": trained.architecture,
         "config": trained.config.to_dict(),
         "clause_attention": True,
         "history": trained.history,
         "vocab": model.embeddings.tokens,
-        "embedding": {
-            "shape": list(model.embeddings.matrix.shape),
-            "values": model.embeddings.matrix.ravel().tolist(),
-        },
-        "params": {
-            p.name: {"shape": list(p.data.shape), "values": p.data.ravel().tolist()}
-            for p in model.parameters()
-        },
+        "embedding": encode(model.embeddings.matrix),
+        "params": {p.name: encode(p.data) for p in model.parameters()},
     }
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(old), encoding="utf-8")
-    loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.model.embeddings.matrix, model.embeddings.matrix)
-    for pa, pb in zip(model.parameters(), loaded.model.parameters()):
+
+
+def _assert_same_model(loaded, trained, corpus):
+    assert np.array_equal(loaded.model.embeddings.matrix, trained.model.embeddings.matrix)
+    for pa, pb in zip(trained.model.parameters(), loaded.model.parameters()):
+        assert pa.name == pb.name
         assert np.array_equal(pa.data, pb.data)
     assert [sl_predict(loaded, inst) for inst in corpus] == [
         sl_predict(trained, inst) for inst in corpus
     ]
 
 
+def test_checkpoint_version_1_still_loads(tmp_path):
+    corpus, trained = _small_trained()
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(_legacy_payload(trained, 1)), encoding="utf-8")
+    _assert_same_model(load_checkpoint(path), trained, corpus)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_checkpoint_version_2_still_loads(tmp_path, indent):
+    corpus, trained = _small_trained()
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(_legacy_payload(trained, 2), indent=indent), encoding="utf-8")
+    _assert_same_model(load_checkpoint(path), trained, corpus)
+
+
+def test_loaded_checkpoint_owns_its_arrays(tmp_path):
+    corpus, trained = _small_trained()
+    path = tmp_path / "m.json"
+    save_checkpoint(trained, path)
+    loaded = load_checkpoint(path)
+    _assert_same_model(loaded, trained, corpus)
+    for arr in [loaded.model.embeddings.matrix] + [p.data for p in loaded.model.parameters()]:
+        assert arr.flags.owndata and arr.flags.writeable
+
+
 def _corrupt(payload):
-    """Named ways to damage a valid checkpoint payload, with the text the error must name."""
+    """Named ways to damage a valid version-2 payload, with the text the error must name."""
     entry = payload["params"]["project.bias"]
     yield "top level is a list", [], "not a model checkpoint"
     yield "params missing", {k: v for k, v in payload.items() if k != "params"}, "'params'"
@@ -544,24 +595,127 @@ def _corrupt(payload):
     yield "embedding wrong size", dict(payload, embedding=bad_emb), "'embedding'"
     yield "vocab not strings", dict(payload, vocab=[1, 2]), "'vocab'"
     yield "config bad key", dict(payload, config={"nope": 1}), "'config'"
+    yield "config wrong type", dict(payload, config={"hidden_dim": 6.5}), "'config'"
 
 
 def _with_param(payload, entry):
     return dict(payload, params=dict(payload["params"], **{"project.bias": entry}))
 
 
+def _corrupt_v3(header, body):
+    """Named ways to damage a valid version-3 file, with the text the error must name."""
+    arrays = header["arrays"]
+    names = [name for name, _ in arrays]
+    at = names.index("project.bias")
+
+    def with_arrays(entries):
+        return _v3_bytes(dict(header, arrays=entries), body)
+
+    def with_entry(entry):
+        return with_arrays(arrays[:at] + [entry] + arrays[at + 1 :])
+
+    def without(key):
+        return _v3_bytes({k: v for k, v in header.items() if k != key}, body)
+
+    good = _v3_bytes(header, body)
+    head_len = good.index(b"\n")
+    embedding_bytes = 8 * math.prod(arrays[0][1])
+    yield "shape not a list", with_entry(["project.bias", "3"]), "'project.bias'"
+    yield "negative size", with_entry(["project.bias", [-3]]), "'project.bias'"
+    yield "size not an int", with_entry(["project.bias", [3.0]]), "'project.bias'"
+    yield "shape beyond the file", with_entry(["project.bias", [10**9] * 2]), "'project.bias'"
+    yield "shape of the wrong model", with_entry(["project.bias", [1, 3]]), "'project.bias'"
+    yield "entry not a pair", with_entry(["project.bias"]), "'arrays'"
+    yield "duplicate name", with_arrays(arrays + [arrays[at]]), "'project.bias' twice"
+    yield "arrays missing", without("arrays"), "'arrays'"
+    yield "arrays not a list", with_arrays({"project.bias": [3]}), "'arrays'"
+    yield "embedding not listed", _v3_bytes(
+        dict(header, arrays=arrays[1:]), body[embedding_bytes:]
+    ), "'embedding'"
+    yield "payload short", good[:-8], f"{names[-1]!r}"
+    yield "trailing bytes", good + b"\0" * 8, "8 bytes follow the last array"
+    yield "header not UTF-8", b"\xff" + good[1:], "header"
+    yield "header not JSON", good[: head_len - 1] + good[head_len:], "header"
+    yield "no payload", good[:head_len], "no payload"
+    yield "vocab not strings", _v3_bytes(dict(header, vocab=[1, 2]), body), "'vocab'"
+    yield "config missing", without("config"), "'config'"
+    huge = dict(header["config"], hidden_dim=2**40)  # would need petabytes of weights
+    yield "hidden size beyond the arrays", _v3_bytes(dict(header, config=huge), body), "'config'"
+
+
 def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
     _, trained = _small_trained()
     good = tmp_path / "good.json"
     save_checkpoint(trained, good)
-    payload = json.loads(good.read_text(encoding="utf-8"))
-    for label, bad, needle in _corrupt(payload):
+    cases = [
+        (label, json.dumps(bad).encode("utf-8"), needle)
+        for label, bad, needle in _corrupt(_legacy_payload(trained, 2))
+    ]
+    cases += list(_corrupt_v3(*_split_v3(good)))
+    v1 = _legacy_payload(trained, 1)
+    v1["params"]["project.bias"]["values"][0] = 10**400
+    cases.append(("v1 value beyond float64", json.dumps(v1).encode("utf-8"), "'project.bias'"))
+    for label, bad, needle in cases:
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad), encoding="utf-8")
+        path.write_bytes(bad)
         with pytest.raises(ValueError) as exc:
             load_checkpoint(path)
         message = str(exc.value)
         assert str(path) in message and needle in message, (label, message)
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch, error):
+    _, trained = _small_trained()
+    path = tmp_path / "m.json"
+    save_checkpoint(trained, path)
+    before = path.read_bytes()
+
+    class FailsMidFile:
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:  # the header and one array are already written
+                raise error
+            return self.handle.write(data)
+
+    monkeypatch.setattr(
+        models, "open", lambda *a, **kw: FailsMidFile(builtins.open(*a, **kw)), raising=False
+    )
+    _, other = _small_trained(seed=13)
+    for target in (path, tmp_path / "new.json"):
+        with pytest.raises(type(error)):
+            save_checkpoint(other, target)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file, no partial new.json
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A small valid checkpoint's bytes, and a path to write damaged copies to."""
+    _, trained = _small_trained()
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    save_checkpoint(trained, path)
+    return path, path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_checkpoints_load_or_raise_value_error_naming_file(fuzz_checkpoint, data):
+    path, good = fuzz_checkpoint
+    path.write_bytes(data.draw(damaged(good)))
+    try:
+        load_checkpoint(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
 
 
 def test_non_finite_loss_stops_training():
