@@ -73,7 +73,10 @@ def _trees_for(instances: Sequence[Instance], trees_path: str | None) -> list[Co
             sources.append(inst.parse)
     trees = []
     for inst, text in zip(instances, sources):
-        tree = parse_bracket(text)
+        try:
+            tree = parse_bracket(text)
+        except BracketParseError as exc:
+            raise CorpusError(f"instance {inst.id!r}: {exc}") from None
         if tree.leaf_span.end != len(inst.tokens):
             raise CorpusError(
                 f"instance {inst.id!r}: tree has {tree.leaf_span.end} leaves "
@@ -265,20 +268,9 @@ def cmd_predict(args) -> int:
         else:
             ids = splits[args.subset]
         instances = _select(instances, ids, args.splits)
-    trained = models.load_checkpoint(args.checkpoint)
+    model = models.load_checkpoint(args.checkpoint).model
     for inst in instances:
-        if trained.architecture == "sl":
-            inst.pred_iob = models.sl_predict(trained, inst)
-        elif trained.architecture == "icc":
-            spans = models.clause_spans(inst)
-            flags = [
-                models.icc_predict(trained, inst.tokens[sp.start : sp.end]) for sp in spans
-            ]
-            inst.pred_clauses = [ClauseAnnotation(sp, f) for sp, f in zip(spans, flags)]
-        else:
-            spans = models.clause_spans(inst)
-            flags = models.jcc_predict(trained, inst)
-            inst.pred_clauses = [ClauseAnnotation(sp, f) for sp, f in zip(spans, flags)]
+        model.store_prediction(inst, model.predict_instance(inst))
     save_corpus(instances, args.out)
     print(f"wrote predictions for {len(instances)} instances to {args.out}")
     return 0

@@ -165,16 +165,33 @@ def spans_to_iob(spans: Iterable[Span], n: int) -> list[str]:
 # JSON-lines I/O
 
 
-def _clause_from_obj(obj: object, field: str, k: int) -> ClauseAnnotation:
-    if not isinstance(obj, dict):
-        raise CorpusError(f"field '{field}' entry {k} must be an object")
-    try:
-        start, end = obj["start"], obj["end"]
-    except KeyError as exc:
-        raise CorpusError(f"field '{field}' entry {k} is missing key {exc}") from None
-    if not isinstance(start, int) or not isinstance(end, int):
-        raise CorpusError(f"field '{field}' entry {k} has non-integer bounds")
-    return ClauseAnnotation(Span(start, end), bool(obj.get("stimulus", False)))
+def _field(obj: dict, field: str, kind: type):
+    """``obj[field]`` if it is a ``kind``, None if it is absent or null."""
+    value = obj.get(field)
+    if value is not None and not isinstance(value, kind):
+        raise CorpusError(f"field '{field}' must be a {'list' if kind is list else 'string'}")
+    return value
+
+
+def _clause_list(obj: dict, field: str) -> list[ClauseAnnotation] | None:
+    entries = _field(obj, field, list)
+    if entries is None:
+        return None
+    clauses = []
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CorpusError(f"field '{field}' entry {k} must be an object")
+        try:
+            start, end = entry["start"], entry["end"]
+        except KeyError as exc:
+            raise CorpusError(f"field '{field}' entry {k} is missing key {exc}") from None
+        if type(start) is not int or type(end) is not int:
+            raise CorpusError(f"field '{field}' entry {k} has non-integer bounds")
+        stimulus = entry.get("stimulus", False)
+        if not isinstance(stimulus, bool):
+            raise CorpusError(f"field '{field}' entry {k} has a non-boolean 'stimulus'")
+        clauses.append(ClauseAnnotation(Span(start, end), stimulus))
+    return clauses
 
 
 def _instance_from_obj(obj: dict) -> Instance:
@@ -184,45 +201,57 @@ def _instance_from_obj(obj: dict) -> Instance:
     for field in ("tokens", "iob"):
         if not isinstance(obj[field], list):
             raise CorpusError(f"field '{field}' must be a list")
-    clauses = pred_clauses = None
-    if obj.get("clauses") is not None:
-        clauses = [_clause_from_obj(c, "clauses", k) for k, c in enumerate(obj["clauses"])]
-    if obj.get("pred_clauses") is not None:
-        pred_clauses = [
-            _clause_from_obj(c, "pred_clauses", k) for k, c in enumerate(obj["pred_clauses"])
-        ]
+    pred_iob = _field(obj, "pred_iob", list)
     inst = Instance(
         id=obj["id"],
         dataset=obj["dataset"],
         tokens=list(obj["tokens"]),
         iob=list(obj["iob"]),
-        clauses=clauses,
-        parse=obj.get("parse"),
-        emotion=obj.get("emotion"),
-        pred_iob=list(obj["pred_iob"]) if obj.get("pred_iob") is not None else None,
-        pred_clauses=pred_clauses,
+        clauses=_clause_list(obj, "clauses"),
+        parse=_field(obj, "parse", str),
+        emotion=_field(obj, "emotion", str),
+        pred_iob=None if pred_iob is None else list(pred_iob),
+        pred_clauses=_clause_list(obj, "pred_clauses"),
     )
     inst.validate()
     return inst
 
 
+def _first_line_not_utf8(path: str | Path) -> int | None:
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
+
+
 def load_corpus(path: str | Path) -> list[Instance]:
-    """Read a JSON-lines corpus; errors name the offending line and field."""
+    """Read a JSON-lines corpus; errors name the file, the offending line and field."""
     instances = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
-            try:
-                instances.append(_instance_from_obj(obj))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+                except (ValueError, RecursionError) as exc:  # a number too long, nesting too deep
+                    raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
+                try:
+                    instances.append(_instance_from_obj(obj))
+                except CorpusError as exc:
+                    raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        # the reader decodes whole blocks ahead of the lines it returns, so the line is
+        # found in the bytes
+        lineno = _first_line_not_utf8(path)
+        raise CorpusError(f"{path}: line {lineno}: not UTF-8 text") from None
     return instances
 
 

@@ -88,26 +88,16 @@ def _score_path(
     return float(s + start[y[0]] + end[y[-1]])
 
 
-def viterbi_decode(
-    u: Tensor | np.ndarray, params: CrfParams, transition_mask: np.ndarray | None = None
-) -> tuple[list[int], float]:
-    """Best label path and its score.
-
-    Ties break toward the lower label index.  ``transition_mask`` is an
-    optional boolean (L, L) matrix of allowed transitions applied at decode
-    time only; the returned score is always under the unmasked parameters.
-    """
+def viterbi_decode(u: Tensor | np.ndarray, params: CrfParams) -> tuple[list[int], float]:
+    """Best label path and its score; ties break toward the lower label index."""
     u, trans, start, end = _as_arrays(u, params)
     n, num_labels = u.shape
     if n == 0:
         raise ValueError("empty emission sequence")
-    trans_dec = trans
-    if transition_mask is not None:
-        trans_dec = np.where(transition_mask, trans, -np.inf)
     delta = u[0] + start
     back = np.zeros((n, num_labels), dtype=int)
     for t in range(1, n):
-        scores = delta[:, None] + trans_dec
+        scores = delta[:, None] + trans
         back[t] = np.argmax(scores, axis=0)
         delta = scores[back[t], np.arange(num_labels)] + u[t]
     label = int(np.argmax(delta + end))
@@ -117,17 +107,6 @@ def viterbi_decode(
         path.append(label)
     path.reverse()
     return path, _score_path(u, np.asarray(path), trans, start, end)
-
-
-def iob_transition_mask(labels: tuple[str, ...] = ("B", "I", "O")) -> np.ndarray:
-    """Allowed-transition matrix forbidding O -> I."""
-    num = len(labels)
-    mask = np.ones((num, num), dtype=bool)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            if a == "O" and b == "I":
-                mask[i, j] = False
-    return mask
 
 
 def brute_force_decode(u: Tensor | np.ndarray, params: CrfParams) -> tuple[list[int], float]:

@@ -7,8 +7,8 @@ Three architectures over frozen word embeddings:
 * ``icc`` — independent clause classification: BiLSTM + attention over one
   clause, mean-pooled, one hidden layer, softmax over {other, stimulus}.
 * ``jcc`` — joint clause classification: a shared word-level BiLSTM yields
-  one vector per clause, two stacked clause-level BiLSTMs (optionally with
-  clause-level attention) feed a 2-label clause CRF.
+  one vector per clause, two stacked clause-level BiLSTMs and clause-level
+  attention feed a 2-label clause CRF.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from stimex import crf
-from stimex.corpus import Instance, Span, iob_to_spans
+from stimex.corpus import ClauseAnnotation, Instance, Span, iob_to_spans
 from stimex.evaluation import MatchMode, clause_prf, span_prf
 from stimex.mapping import tokens_to_clauses
 from stimex.nn import (
@@ -41,7 +41,6 @@ from stimex.nn import (
 )
 
 IOB_ALPHABET = ("B", "I", "O")
-ARCHITECTURES = ("sl", "icc", "jcc")
 SELECTION_METRICS = ("accuracy", "f1")
 CHECKPOINT_FORMAT = "stimex-checkpoint"
 CHECKPOINT_VERSION = 3
@@ -178,6 +177,25 @@ def vocabulary(instances: Sequence[Instance]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Clause units
+
+
+def clause_spans(instance: Instance) -> list[Span]:
+    if not instance.clauses:
+        raise ValueError(f"instance {instance.id!r} has no clause annotations")
+    return [c.span for c in instance.clauses]
+
+
+def clause_gold_flags(instance: Instance) -> list[bool]:
+    """Gold clause flags derived from the token labels via the mapping."""
+    return tokens_to_clauses(instance.iob, clause_spans(instance))
+
+
+def clause_token_lists(instance: Instance) -> list[list[str]]:
+    return [instance.tokens[sp.start : sp.end] for sp in clause_spans(instance)]
+
+
+# ---------------------------------------------------------------------------
 # Architectures
 #
 # Each model's ``batch_loss`` runs its encoders once over the whole batch,
@@ -207,12 +225,41 @@ def _encode_each(
     return _blocks(encoder(embeddings.lookup(_flat(token_lists)), lengths), lengths)
 
 
-class SlModel:
-    architecture = "sl"
+class Model:
+    """What ``train``, ``stimex predict`` and the checkpoints use of a model.
 
-    def __init__(self, embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator):
+    Besides ``parameters`` and ``batch_loss``, a model has ``units``, the
+    training units its ``batch_loss`` takes, built from instances;
+    ``predict_instance``, one instance's labels in the model's own unit (IOB
+    labels or clause flags); ``gold`` and ``f1``, the gold labels in that
+    unit and their F1 score; and ``store_prediction``, which puts labels on
+    an instance.  ``rng=None`` leaves the weights uninitialised, for a
+    checkpoint to fill.
+    """
+
+    architecture: str
+
+    def __init__(self, embeddings: EmbeddingTable, config: TrainConfig):
         self.embeddings = embeddings
         self.config = config
+
+    def dev_score(self, instances: Sequence[Instance], metric: str) -> float:
+        """The selection ``metric`` on ``instances``: label accuracy or F1."""
+        preds = [self.predict_instance(inst) for inst in instances]
+        golds = [self.gold(inst) for inst in instances]
+        if metric == "accuracy":
+            correct = sum(p == g for ps, gs in zip(preds, golds) for p, g in zip(ps, gs))
+            return correct / sum(len(g) for g in golds)
+        return self.f1(preds, golds)
+
+
+class SlModel(Model):
+    architecture = "sl"
+
+    def __init__(
+        self, embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator | None
+    ):
+        super().__init__(embeddings, config)
         h = config.hidden_dim
         self.encoder = BiLstm("encoder", embeddings.dim, h, rng)
         self.project = Linear("project", 4 * h, len(IOB_ALPHABET), rng)
@@ -249,13 +296,48 @@ class SlModel:
         path, _ = crf.viterbi_decode(self.emissions(tokens), self.crf)
         return [IOB_ALPHABET[i] for i in path]
 
+    def units(self, instances: Sequence[Instance]) -> list[Instance]:
+        return list(instances)
 
-class IccModel:
+    def predict_instance(self, instance: Instance) -> list[str]:
+        return self.predict(instance.tokens)
+
+    def gold(self, instance: Instance) -> list[str]:
+        return instance.iob
+
+    @staticmethod
+    def f1(preds: Sequence[Sequence[str]], golds: Sequence[Sequence[str]]) -> float:
+        """Exact-match span F1."""
+        return span_prf(
+            [iob_to_spans(p) for p in preds], [iob_to_spans(g) for g in golds], MatchMode.EXACT
+        ).f1
+
+    def store_prediction(self, instance: Instance, labels: list[str]) -> None:
+        instance.pred_iob = labels
+
+
+class _ClauseModel(Model):
+    """The clause models' gold flags, clause F1 and ``pred_clauses``."""
+
+    def gold(self, instance: Instance) -> list[bool]:
+        return clause_gold_flags(instance)
+
+    @staticmethod
+    def f1(preds: Sequence[Sequence[bool]], golds: Sequence[Sequence[bool]]) -> float:
+        return clause_prf(preds, golds).f1
+
+    def store_prediction(self, instance: Instance, flags: list[bool]) -> None:
+        spans = clause_spans(instance)
+        instance.pred_clauses = [ClauseAnnotation(sp, f) for sp, f in zip(spans, flags)]
+
+
+class IccModel(_ClauseModel):
     architecture = "icc"
 
-    def __init__(self, embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator):
-        self.embeddings = embeddings
-        self.config = config
+    def __init__(
+        self, embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator | None
+    ):
+        super().__init__(embeddings, config)
         h = config.hidden_dim
         self.encoder = BiLstm("encoder", embeddings.dim, h, rng)
         self.hidden = Linear("hidden", 4 * h, h, rng)
@@ -278,9 +360,6 @@ class IccModel:
     def logits(self, clause_tokens: Sequence[str], training: bool = False, rng=None) -> Tensor:
         return self.batch_logits([clause_tokens], training, rng)[0]
 
-    def probabilities(self, clause_tokens: Sequence[str]) -> np.ndarray:
-        return self.logits(clause_tokens).softmax().data
-
     def batch_loss(
         self, units: Sequence[tuple[Sequence[str], bool]], training: bool = True, rng=None
     ) -> Tensor:
@@ -295,25 +374,31 @@ class IccModel:
     def predict(self, clause_tokens: Sequence[str]) -> bool:
         return bool(np.argmax(self.logits(clause_tokens).data) == 1)
 
+    def units(self, instances: Sequence[Instance]) -> list[tuple[list[str], bool]]:
+        """One (clause tokens, gold flag) unit per clause."""
+        return [
+            unit
+            for inst in instances
+            for unit in zip(clause_token_lists(inst), clause_gold_flags(inst))
+        ]
 
-class JccModel:
+    def predict_instance(self, instance: Instance) -> list[bool]:
+        """Each clause classified on its own, one ``predict`` call per clause."""
+        return [self.predict(toks) for toks in clause_token_lists(instance)]
+
+
+class JccModel(_ClauseModel):
     architecture = "jcc"
 
     def __init__(
-        self,
-        embeddings: EmbeddingTable,
-        config: TrainConfig,
-        rng: np.random.Generator,
-        clause_attention: bool = True,
+        self, embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator | None
     ):
-        self.embeddings = embeddings
-        self.config = config
-        self.clause_attention = clause_attention
+        super().__init__(embeddings, config)
         h = config.hidden_dim
         self.word_encoder = BiLstm("word_encoder", embeddings.dim, h, rng)
         self.clause_encoder1 = BiLstm("clause_encoder1", 2 * h, h, rng)
         self.clause_encoder2 = BiLstm("clause_encoder2", 2 * h, h, rng)
-        self.project = Linear("project", (4 if clause_attention else 2) * h, 2, rng)
+        self.project = Linear("project", 4 * h, 2, rng)
         self.crf = crf.CrfParams("crf", 2)
 
     def parameters(self) -> list[Parameter]:
@@ -343,12 +428,10 @@ class JccModel:
         vectors = concat([fwd[ends - 1], bwd[ends - widths]], axis=1)
         counts = [len(doc) for doc in documents]
         ms = self.clause_encoder2(self.clause_encoder1(vectors, counts), counts)
-        out = []
-        for m in _blocks(ms, counts):
-            if self.clause_attention:
-                m = attention(m)
-            out.append(self.project(dropout(m, self.config.dropout_p, training, rng)))
-        return out
+        return [
+            self.project(dropout(attention(m), self.config.dropout_p, training, rng))
+            for m in _blocks(ms, counts)
+        ]
 
     def emissions(
         self, clause_token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
@@ -381,56 +464,22 @@ class JccModel:
         path, _ = crf.viterbi_decode(self.emissions(clause_token_lists), self.crf)
         return [bool(i) for i in path]
 
+    def units(self, instances: Sequence[Instance]) -> list[tuple[list[list[str]], list[bool]]]:
+        """One (clause token lists, gold flags) unit per instance."""
+        return [(clause_token_lists(inst), clause_gold_flags(inst)) for inst in instances]
 
-Model = SlModel | IccModel | JccModel
-
-
-def _build_model(
-    architecture: str,
-    embeddings: EmbeddingTable,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    clause_attention: bool = True,
-) -> Model:
-    if architecture == "sl":
-        return SlModel(embeddings, config, rng)
-    if architecture == "icc":
-        return IccModel(embeddings, config, rng)
-    if architecture == "jcc":
-        return JccModel(embeddings, config, rng, clause_attention)
-    raise ValueError(f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}")
+    def predict_instance(self, instance: Instance) -> list[bool]:
+        return self.predict(clause_token_lists(instance))
 
 
-# ---------------------------------------------------------------------------
-# Clause units
+MODELS: dict[str, type[Model]] = {cls.architecture: cls for cls in (SlModel, IccModel, JccModel)}
+ARCHITECTURES = tuple(MODELS)
 
 
-def clause_spans(instance: Instance) -> list[Span]:
-    if not instance.clauses:
-        raise ValueError(f"instance {instance.id!r} has no clause annotations")
-    return [c.span for c in instance.clauses]
-
-
-def clause_gold_flags(instance: Instance) -> list[bool]:
-    """Gold clause flags derived from the token labels via the mapping."""
-    return tokens_to_clauses(instance.iob, clause_spans(instance))
-
-
-def clause_token_lists(instance: Instance) -> list[list[str]]:
-    return [instance.tokens[sp.start : sp.end] for sp in clause_spans(instance)]
-
-
-def _icc_units(instances: Sequence[Instance]) -> list[tuple[list[str], bool]]:
-    units = []
-    for inst in instances:
-        flags = clause_gold_flags(inst)
-        for toks, flag in zip(clause_token_lists(inst), flags):
-            units.append((toks, flag))
-    return units
-
-
-def _jcc_units(instances: Sequence[Instance]) -> list[tuple[list[list[str]], list[bool]]]:
-    return [(clause_token_lists(inst), clause_gold_flags(inst)) for inst in instances]
+def _model_class(architecture: str) -> type[Model]:
+    if architecture not in MODELS:
+        raise ValueError(f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}")
+    return MODELS[architecture]
 
 
 # ---------------------------------------------------------------------------
@@ -464,40 +513,12 @@ def _load_state(model: Model, state: dict[str, np.ndarray]) -> None:
         p.data = arr.copy()
 
 
-def _dev_metric(model: Model, architecture: str, dev: Sequence[Instance], metric: str) -> float:
-    if architecture == "sl":
-        preds = [model.predict(inst.tokens) for inst in dev]
-        golds = [inst.iob for inst in dev]
-        if metric == "accuracy":
-            correct = sum(p == g for ps, gs in zip(preds, golds) for p, g in zip(ps, gs))
-            total = sum(len(g) for g in golds)
-            return correct / total
-        return span_prf(
-            [iob_to_spans(p) for p in preds],
-            [iob_to_spans(g) for g in golds],
-            MatchMode.EXACT,
-        ).f1
-    gold_flags = [clause_gold_flags(inst) for inst in dev]
-    if architecture == "icc":
-        pred_flags = [
-            [model.predict(toks) for toks in clause_token_lists(inst)] for inst in dev
-        ]
-    else:
-        pred_flags = [model.predict(clause_token_lists(inst)) for inst in dev]
-    if metric == "accuracy":
-        correct = sum(p == g for ps, gs in zip(pred_flags, gold_flags) for p, g in zip(ps, gs))
-        total = sum(len(g) for g in gold_flags)
-        return correct / total
-    return clause_prf(pred_flags, gold_flags).f1
-
-
 def train(
     architecture: str,
     train_instances: Sequence[Instance],
     dev_instances: Sequence[Instance],
     embeddings: EmbeddingTable,
     config: TrainConfig,
-    clause_attention: bool = True,
 ) -> TrainedModel:
     """Mini-batch Adam with early stopping on the dev selection metric.
 
@@ -507,19 +528,13 @@ def train(
     gradient raises ``ValueError`` naming the epoch and batch, before the
     optimizer step that would spread it into the parameters.
     """
-    if architecture not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}")
+    model_class = _model_class(architecture)
     if not train_instances or not dev_instances:
         raise ValueError("train and dev splits must be non-empty")
     rng = np.random.default_rng(config.seed)
-    model = _build_model(architecture, embeddings, config, rng, clause_attention)
+    model = model_class(embeddings, config, rng)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    if architecture == "sl":
-        units: list = list(train_instances)
-    elif architecture == "icc":
-        units = _icc_units(train_instances)
-    else:
-        units = _jcc_units(train_instances)
+    units = model.units(train_instances)
 
     history: list[dict] = []
     best_metric = -np.inf
@@ -544,7 +559,7 @@ def train(
                     )
             optimizer.step()
             loss_sum += float(total.data)
-        metric = _dev_metric(model, architecture, dev_instances, config.selection_metric)
+        metric = model.dev_score(dev_instances, config.selection_metric)
         history.append(
             {"epoch": epoch, "train_loss": loss_sum / len(units), "dev_metric": metric}
         )
@@ -578,7 +593,7 @@ def icc_predict(model: TrainedModel | IccModel, clause_tokens: Sequence[str]) ->
 
 
 def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool]:
-    return _unwrap(model).predict(clause_token_lists(instance))
+    return _unwrap(model).predict_instance(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +617,6 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
         "version": CHECKPOINT_VERSION,
         "architecture": trained.architecture,
         "config": trained.config.to_dict(),
-        "clause_attention": getattr(model, "clause_attention", True),
         "history": trained.history,
         "vocab": model.embeddings.tokens,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
@@ -755,13 +769,7 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
         embeddings = EmbeddingTable(vocab, state.pop("embedding").copy())
     except ValueError as exc:
         raise ValueError(f"'embedding': {exc}") from None
-    model = _build_model(
-        architecture,
-        embeddings,
-        config,
-        np.random.default_rng(config.seed),
-        payload.get("clause_attention", True),
-    )
+    model = _model_class(architecture)(embeddings, config, None)
     _load_state(model, state)
     return TrainedModel(architecture, model, config, payload.get("history", []))
 

@@ -9,7 +9,11 @@ import numpy as np
 from stimex.nn.tensor import Parameter, Tensor, _accum, concat, stable_sigmoid
 
 
-def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int) -> np.ndarray:
+    """Glorot-uniform weights; with ``rng=None`` an uninitialised array, for a
+    checkpoint to overwrite."""
+    if rng is None:
+        return np.empty((rows, cols))
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
 
@@ -21,7 +25,9 @@ class Lstm:
     matrices; the forget-gate bias is initialized to 1.
     """
 
-    def __init__(self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+    def __init__(
+        self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator | None
+    ):
         self.hidden_dim = hidden_dim
         self.w_x = Parameter(f"{name}.w_x", glorot_uniform(rng, input_dim, 4 * hidden_dim))
         self.w_h = Parameter(f"{name}.w_h", glorot_uniform(rng, hidden_dim, 4 * hidden_dim))
@@ -139,7 +145,9 @@ class Lstm:
 
 
 class BiLstm:
-    def __init__(self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+    def __init__(
+        self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator | None
+    ):
         self.fwd = Lstm(f"{name}.fwd", input_dim, hidden_dim, rng)
         self.bwd = Lstm(f"{name}.bwd", input_dim, hidden_dim, rng)
 
@@ -184,7 +192,9 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 
 
 class Linear:
-    def __init__(self, name: str, input_dim: int, output_dim: int, rng: np.random.Generator):
+    def __init__(
+        self, name: str, input_dim: int, output_dim: int, rng: np.random.Generator | None
+    ):
         self.weight = Parameter(f"{name}.weight", glorot_uniform(rng, input_dim, output_dim))
         self.bias = Parameter(f"{name}.bias", np.zeros(output_dim))
 

@@ -115,35 +115,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = Tensor(self.data / other.data)
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, _unbroadcast(out.grad / other.data, self.data.shape))
-            if other.requires_grad:
-                _accum(
-                    other,
-                    _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape),
-                )
-
-        return out._attach((self, other), backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.data**exponent)
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, exponent * self.data ** (exponent - 1) * out.grad)
-
-        return out._attach((self,), backward)
-
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self.data, other.data
@@ -266,25 +237,6 @@ class Tensor:
         def backward():
             if self.requires_grad:
                 _accum(self, mask * out.grad)
-
-        return out._attach((self,), backward)
-
-    def exp(self) -> "Tensor":
-        y = np.exp(self.data)
-        out = Tensor(y)
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, y * out.grad)
-
-        return out._attach((self,), backward)
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data))
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, out.grad / self.data)
 
         return out._attach((self,), backward)
 

@@ -112,7 +112,10 @@ def parse_bracket(text: str) -> ConstTree:
     pos = skip_ws(pos)
     if pos >= n:
         raise BracketParseError("empty input", pos)
-    tree, pos = parse_node(pos)
+    try:
+        tree, pos = parse_node(pos)
+    except RecursionError:
+        raise BracketParseError("tree nested too deeply", pos) from None
     pos = skip_ws(pos)
     if pos != n:
         raise BracketParseError("trailing content after tree", pos)

@@ -81,23 +81,50 @@ def random_tree_text(rng: np.random.Generator, max_depth: int = 4) -> str:
     return node(0)
 
 
+def spans_of(iob) -> list[tuple[int, int]]:
+    """(start, end) of each span: a non-``O`` label opens one, following ``I`` labels extend it."""
+    spans = []
+    i, n = 0, len(iob)
+    while i < n:
+        if iob[i] == "O":
+            i += 1
+            continue
+        j = i + 1
+        while j < n and iob[j] == "I":
+            j += 1
+        spans.append((i, j))
+        i = j
+    return spans
+
+
+def recount_dev_score(arch: str, preds, instances, metric: str) -> float:
+    """A model's selection metric recounted from its predictions: label accuracy, or the
+    F1 of exact spans (``sl``) or of stimulus clauses (``icc``, ``jcc``)."""
+    if arch == "sl":
+        golds = [inst.iob for inst in instances]
+    else:
+        golds = [
+            [any(inst.iob[i] != "O" for i in range(c.span.start, c.span.end)) for c in inst.clauses]
+            for inst in instances
+        ]
+    if metric == "accuracy":
+        pairs = [pg for ps, gs in zip(preds, golds) for pg in zip(ps, gs, strict=True)]
+        return sum(p == g for p, g in pairs) / len(pairs)
+
+    def items(labels):
+        if arch == "sl":
+            return {(k, span) for k, iob in enumerate(labels) for span in spans_of(iob)}
+        return {(k, j) for k, flags in enumerate(labels) for j, flag in enumerate(flags) if flag}
+
+    predicted, gold = items(preds), items(golds)
+    hits = len(predicted & gold)
+    precision = hits / len(predicted) if predicted else 0.0
+    recall = hits / len(gold) if gold else 0.0
+    return 2 * precision * recall / (precision + recall) if hits else 0.0
+
+
 def naive_stats(instances) -> dict:
     """Recount every statistics column with logic independent of the package."""
-
-    def spans_of(iob):
-        spans = []
-        i, n = 0, len(iob)
-        while i < n:
-            if iob[i] == "O":
-                i += 1
-                continue
-            j = i + 1
-            while j < n and iob[j] == "I":
-                j += 1
-            spans.append((i, j))
-            i = j
-        return spans
-
     out = {
         "size": len(instances),
         "with_stimuli": 0,
@@ -193,4 +220,80 @@ def damaged(good: bytes):
         st.builds(with_item, st.sampled_from(lists), st.integers(0, 10**4), JSON_VALUES),
         st.builds(line, JSON_VALUES, st.binary(max_size=64)),
         st.binary(max_size=200),
+    )
+
+
+CORPUS_RECORD = {  # the README's example line, with predictions
+    "id": "ex-1",
+    "dataset": "demo",
+    "tokens": ["I", "cried", "because", "he", "left", "."],
+    "iob": ["O", "O", "B", "I", "I", "O"],
+    "clauses": [{"start": 0, "end": 2, "stimulus": False}, {"start": 2, "end": 5, "stimulus": True}],
+    "parse": "(S (NP (PRP I)) (VP (VBD cried)) (SBAR (IN because) (S (NP he) (VP left))) (. .))",
+    "emotion": "sadness",
+    "pred_iob": ["O", "B", "I", "O", "O", "O"],
+    "pred_clauses": [{"start": 0, "end": 2, "stimulus": True}],
+}
+
+
+def damaged_corpus(record: dict):
+    """A corpus file of two copies of ``record``, the second one damaged: one field (or a
+    new key) set to any JSON value, one field dropped, one item of a list field or one
+    key of a clause replaced, the line cut or a byte of it overwritten; or any JSON value
+    as the line, or any bytes as the file."""
+    good = json.dumps(record).encode("utf-8") + b"\n"
+    lists = sorted(key for key, value in record.items() if isinstance(value, list) and value)
+    clause_keys = sorted({key for clause in record.get("clauses", []) for key in clause})
+
+    def file(second: bytes) -> bytes:
+        return good + second + b"\n"
+
+    def line(value) -> bytes:
+        return file(json.dumps(value).encode("utf-8"))
+
+    def with_item(key, at, value):
+        items = list(record[key])
+        items[at % len(items)] = value
+        return line({**record, key: items})
+
+    def with_clause_key(at, key, value):
+        clauses = [dict(c) for c in record["clauses"]]
+        clauses[at % len(clauses)][key] = value
+        return line({**record, "clauses": clauses})
+
+    def overwrite(at, value):
+        return file(good[:at] + bytes([value]) + good[at + 1 : -1])
+
+    return st.one_of(
+        st.builds(
+            lambda key, value: line({**record, key: value}),
+            st.sampled_from(sorted(record) + ["extra"]),
+            JSON_VALUES,
+        ),
+        st.sampled_from(sorted(record)).map(
+            lambda key: line({k: v for k, v in record.items() if k != key})
+        ),
+        st.builds(with_item, st.sampled_from(lists), st.integers(0, 10**4), JSON_VALUES),
+        st.builds(
+            with_clause_key, st.integers(0, 10**4), st.sampled_from(clause_keys), JSON_VALUES
+        ),
+        st.integers(0, len(good) - 1).map(lambda n: file(good[:n])),
+        st.builds(overwrite, st.integers(0, len(good) - 2), st.integers(0, 255)),
+        JSON_VALUES.map(line),
+        st.binary(max_size=200),
+    )
+
+
+def damaged_brackets(good: str):
+    """Bracket text: ``good`` cut, or with a character overwritten, inserted or deleted;
+    text over the bracket alphabet; or a tree nested up to 3,000 deep."""
+    alphabet = st.sampled_from("() \tSNPVab-.")
+    at = st.integers(0, len(good))
+    return st.one_of(
+        at.map(lambda n: good[:n]),
+        st.builds(lambda n, ch: good[:n] + ch + good[n + 1 :], at, alphabet),
+        st.builds(lambda n, ch: good[:n] + ch + good[n:], at, alphabet),
+        at.map(lambda n: good[:n] + good[n + 1 :]),
+        st.text(alphabet, max_size=80),
+        st.integers(0, 3000).map(lambda n: "(S " * n + "(X x)" + ")" * n),
     )

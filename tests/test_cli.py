@@ -9,10 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import damaged
+from _oracles import CORPUS_RECORD, damaged, damaged_corpus
 from stimex.cli import main
 from stimex.corpus import generate_synthetic, load_corpus, save_corpus
-from stimex.models import EmbeddingTable, TrainConfig, save_checkpoint, train, vocabulary
+from stimex.models import (
+    EmbeddingTable,
+    TrainConfig,
+    clause_spans,
+    clause_token_lists,
+    icc_predict,
+    jcc_predict,
+    load_checkpoint,
+    save_checkpoint,
+    sl_predict,
+    train,
+    vocabulary,
+)
 
 
 @pytest.fixture()
@@ -83,6 +95,24 @@ def test_validate_ok_and_failure(tmp_path, corpus_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_validate_on_a_damaged_corpus_exits_zero_or_one_with_one_error_line(
+    tmp_path_factory, data
+):
+    path = tmp_path_factory.getbasetemp() / "damaged.jsonl"
+    path.write_bytes(data.draw(damaged_corpus(CORPUS_RECORD)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = run("validate", "--corpus", path)
+    if code == 1:
+        message = err.getvalue()
+        assert message.startswith(f"error: {path}: line ") and message.count("\n") == 1
+        assert out.getvalue() == ""
+    else:
+        assert code == 0 and err.getvalue() == "" and out.getvalue().startswith("ok: ")
+
+
 def test_stats_writes_csv(tmp_path, corpus_path):
     out = tmp_path / "stats.csv"
     assert run("stats", "--corpus", corpus_path, "--out", out) == 0
@@ -99,6 +129,19 @@ def test_clauses_extract_writes_clause_fields(tmp_path, corpus_path):
         assert inst.clauses[0].span.start == 0
         assert inst.clauses[-1].span.end == len(inst.tokens)
         assert all(not c.is_stimulus for c in inst.clauses)
+
+
+def test_clauses_extract_names_an_instance_with_a_bad_parse(tmp_path, capsys):
+    path, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
+    record = dict(CORPUS_RECORD, parse="(S (NN x)")
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run("clauses", "extract", "--corpus", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance 'ex-1': unbalanced") and err.count("\n") == 1
+    path.write_text(json.dumps(dict(record, parse=5)) + "\n", encoding="utf-8")
+    assert run("clauses", "extract", "--corpus", path, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 1: field 'parse' must be a string\n"
+    assert not out.exists()
 
 
 def test_clauses_extract_no_join_gives_finer_segments(tmp_path, corpus_path):
@@ -238,6 +281,27 @@ def test_train_seed_flag_overrides_config(tmp_path, corpus_path):
     assert a.read_bytes() == b.read_bytes()
     assert checkpoint_header(a)["config"]["seed"] == 7
     assert checkpoint_header(c)["config"]["seed"] == 1
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_predict_writes_what_the_prediction_functions_return(tmp_path, corpus_path, arch):
+    _, ckpt, preds = pipeline(tmp_path, corpus_path, arch=arch)
+    trained = load_checkpoint(ckpt)
+    golds = {inst.id: inst for inst in load_corpus(corpus_path)}
+    for inst in load_corpus(preds):
+        gold = golds[inst.id]
+        assert (inst.tokens, inst.iob, inst.clauses) == (gold.tokens, gold.iob, gold.clauses)
+        if arch == "sl":
+            assert inst.pred_clauses is None
+            assert inst.pred_iob == sl_predict(trained, gold)
+            continue
+        assert inst.pred_iob is None
+        if arch == "icc":
+            flags = [icc_predict(trained, toks) for toks in clause_token_lists(gold)]
+        else:
+            flags = jcc_predict(trained, gold)
+        assert [c.span for c in inst.pred_clauses] == clause_spans(gold)
+        assert [c.is_stimulus for c in inst.pred_clauses] == flags
 
 
 def test_predict_subset_all_without_splits(tmp_path, corpus_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_stats
+from _oracles import CORPUS_RECORD, damaged_corpus, naive_stats
 from stimex.corpus import (
     ClauseAnnotation,
     CorpusError,
@@ -162,6 +162,61 @@ def test_load_reports_line_and_field(tmp_path):
     )
     with pytest.raises(CorpusError, match="'clauses'"):
         load_corpus(path)
+
+
+GOOD_LINE = '{"id": "a", "dataset": "d", "tokens": ["x", "y"], "iob": ["O", "O"]'
+
+
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        ('"pred_iob": 5', "field 'pred_iob' must be a list"),
+        ('"pred_iob": "BO"', "field 'pred_iob' must be a list"),  # not read as ["B", "O"]
+        ('"clauses": 5', "field 'clauses' must be a list"),
+        ('"pred_clauses": 5', "field 'pred_clauses' must be a list"),
+        ('"parse": 5', "field 'parse' must be a string"),
+        ('"emotion": ["joy"]', "field 'emotion' must be a string"),
+        ('"clauses": [{"start": 0, "end": 2, "stimulus": "no"}]', "'clauses' entry 0"),
+        ('"pred_clauses": [{"start": 0, "end": 2, "stimulus": 1}]', "'pred_clauses' entry 0"),
+        ('"clauses": [{"start": false, "end": 2}]', "'clauses' entry 0 has non-integer"),
+    ],
+)
+def test_load_rejects_a_field_of_the_wrong_type(tmp_path, extra, needle):
+    path = tmp_path / "c.jsonl"
+    path.write_text(f"{GOOD_LINE}}}\n{GOOD_LINE}, {extra}}}\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value).startswith(f"{path}: line 2: ") and needle in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "data, needle",
+    [
+        (GOOD_LINE.encode() + b"}\n\xff\n", "line 2: not UTF-8"),
+        (b"[" * 100_000 + b"\n", "line 1: invalid JSON"),
+        (b'{"id": ' + b"1" * 5000 + b"}\n", "line 1: invalid JSON"),
+    ],
+)
+def test_load_rejects_bytes_that_are_not_a_json_line(tmp_path, data, needle):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(CorpusError, match=needle):
+        load_corpus(path)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_corpora_load_or_raise_a_corpus_error_naming_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "damaged.jsonl"
+    path.write_bytes(data.draw(damaged_corpus(CORPUS_RECORD)))
+    try:
+        instances = load_corpus(path)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path}: line ")
+        return
+    for inst in instances:
+        inst.validate()
+        assert all(isinstance(v, (str, type(None))) for v in (inst.parse, inst.emotion))
 
 
 def test_load_skips_blank_lines(tmp_path):

@@ -8,7 +8,6 @@ from stimex.crf import (
     CrfParams,
     brute_force_decode,
     brute_force_log_partition,
-    iob_transition_mask,
     log_partition,
     nll_loss,
     score_sequence,
@@ -109,21 +108,6 @@ def test_emission_shift_invariance_of_decode():
     params = fresh_params(3, seed=2)
     u = np.random.default_rng(3).standard_normal((5, 3))
     assert viterbi_decode(u, params)[0] == viterbi_decode(u + 7.5, params)[0]
-
-
-def test_transition_mask_blocks_o_to_i():
-    labels = ("B", "I", "O")
-    mask = iob_transition_mask(labels)
-    assert mask[2, 1] == False  # noqa: E712  O -> I forbidden
-    assert mask.sum() == 8
-    params = fresh_params(3)
-    # emissions that want O then I
-    u = np.array([[0.0, 0.0, 5.0], [0.0, 5.0, 0.0]])
-    assert viterbi_decode(u, params)[0] == [2, 1]
-    masked_path, masked_score = viterbi_decode(u, params, transition_mask=mask)
-    assert (masked_path[0], masked_path[1]) != (2, 1)
-    # the reported score is under the true (unmasked) parameters
-    assert masked_score == pytest.approx(score_sequence(u, masked_path, params).item())
 
 
 def test_nll_gradients():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import builtins
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import damaged
+from _oracles import damaged, recount_dev_score
 from stimex import models
 from stimex.corpus import (
     ClauseAnnotation,
@@ -20,6 +21,7 @@ from stimex.corpus import (
     iob_to_spans,
 )
 from stimex.models import (
+    MODELS,
     EmbeddingTable,
     IccModel,
     JccModel,
@@ -36,7 +38,7 @@ from stimex.models import (
     train,
     vocabulary,
 )
-from stimex.nn import Adam
+from stimex.nn import Adam, layers
 
 TOY = TrainConfig(embedding_dim=8, hidden_dim=6, dropout_p=0.0, max_epochs=2, patience=1)
 
@@ -182,6 +184,23 @@ def test_clause_helpers_require_annotations():
         clause_spans(bare)
 
 
+def test_units_of_each_architecture():
+    inst, other = clause_instance(), toy_corpus(1, seed=1)[0]
+    inst.iob = ["B", "I", "O", "O", "O", "O"]  # gold flags now differ from the annotation's
+    emb = toy_embeddings([inst, other])
+    rng = np.random.default_rng(0)
+    sl, icc, jcc = (MODELS[arch](emb, TOY, rng) for arch in ("sl", "icc", "jcc"))
+    assert sl.units([inst, other]) == [inst, other]
+    assert icc.units([inst, other]) == [
+        (["I", "cried"], True),
+        (["because", "he", "left"], False),
+        (["."], False),
+    ] + list(zip(clause_token_lists(other), clause_gold_flags(other)))
+    assert jcc.units([inst]) == [
+        ([["I", "cried"], ["because", "he", "left"], ["."]], [True, False, False])
+    ]
+
+
 # -- model shapes ------------------------------------------------------------------------
 
 
@@ -200,8 +219,6 @@ def test_icc_logits_and_probability():
     model = IccModel(toy_embeddings(corpus), TOY, np.random.default_rng(0))
     logits = model.logits(["because", "he", "left"])
     assert logits.shape == (2,)
-    probs = model.probabilities(["because", "he", "left"])
-    assert probs.shape == (2,) and probs.sum() == pytest.approx(1.0)
     assert isinstance(model.predict(["because"]), bool)
 
 
@@ -214,15 +231,6 @@ def test_jcc_emissions_and_prediction():
     assert len(flags) == 3 and all(isinstance(f, bool) for f in flags)
     with pytest.raises(ValueError):
         model.emissions([])
-
-
-def test_jcc_without_clause_attention_changes_projection():
-    corpus = toy_corpus()
-    narrow = JccModel(
-        toy_embeddings(corpus), TOY, np.random.default_rng(0), clause_attention=False
-    )
-    assert narrow.project.weight.data.shape == (2 * TOY.hidden_dim, 2)
-    assert narrow.emissions([["a"], ["b"]]).shape == (2, 2)
 
 
 def test_jcc_single_clause_decodes_by_local_score():
@@ -429,6 +437,38 @@ def test_prediction_is_deterministic_after_training():
     assert first == second
 
 
+def _predictions(arch, trained, instances):
+    """Each instance's labels from the public prediction functions."""
+    if arch == "sl":
+        return [sl_predict(trained, inst) for inst in instances]
+    if arch == "icc":
+        return [[icc_predict(trained, toks) for toks in clause_token_lists(i)] for i in instances]
+    return [jcc_predict(trained, inst) for inst in instances]
+
+
+def _stimulus_one_token_earlier(inst):
+    """``inst`` with its stimulus span starting one token earlier, where it can."""
+    iob = list(inst.iob)
+    k = iob.index("B") if "B" in iob else 0
+    if k > 0:
+        iob[k - 1 : k + 1] = ["B", "I"]
+    return dataclasses.replace(inst, iob=iob)
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "f1"])
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_dev_score_equals_a_recount(arch, metric):
+    corpus = toy_corpus(40, seed=16)
+    cfg = TrainConfig(embedding_dim=8, hidden_dim=6, max_epochs=3, patience=3, learning_rate=0.02)
+    trained = train(arch, corpus[:20], corpus[:20], toy_embeddings(corpus, 8), cfg)
+    # every other dev label moved, so that the model is partly wrong and a miscount shows
+    dev = [_stimulus_one_token_earlier(i) if k % 2 else i for k, i in enumerate(corpus[20:])]
+    score = trained.model.dev_score(dev, metric)
+    assert 0.0 < score < 1.0
+    want = recount_dev_score(arch, _predictions(arch, trained, dev), dev, metric)
+    assert score == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # -- checkpoints ----------------------------------------------------------------------------
 
 
@@ -456,15 +496,23 @@ def test_checkpoint_round_trip(arch, tmp_path):
         assert jcc_predict(loaded, inst) == jcc_predict(trained, inst)
 
 
-def test_checkpoint_preserves_clause_attention_flag(tmp_path):
-    corpus = toy_corpus(8, seed=11)
-    cfg = TrainConfig(embedding_dim=8, hidden_dim=6, max_epochs=1, patience=1)
-    trained = train(
-        "jcc", corpus, corpus, toy_embeddings(corpus, 8), cfg, clause_attention=False
-    )
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_loading_a_checkpoint_draws_no_initial_weights(tmp_path, monkeypatch, arch):
+    corpus, trained = _small_trained(arch)
     path = tmp_path / "m.json"
     save_checkpoint(trained, path)
-    assert load_checkpoint(path).model.clause_attention is False
+    rngs = []
+    original = layers.glorot_uniform
+
+    def recording(rng, rows, cols):
+        rngs.append(rng)
+        return original(rng, rows, cols)
+
+    monkeypatch.setattr(layers, "glorot_uniform", recording)
+    loaded = load_checkpoint(path)
+    assert rngs and all(rng is None for rng in rngs)
+    for pa, pb in zip(trained.model.parameters(), loaded.model.parameters()):
+        assert np.array_equal(pa.data, pb.data)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
@@ -643,6 +691,20 @@ def _corrupt_v3(header, body):
     yield "hidden size beyond the arrays", _v3_bytes(dict(header, config=huge), body), "'config'"
 
 
+def _without_clause_attention(header, body):
+    """A version-3 jcc file as saved when the clause attention could be switched off: the
+    flag false in the header and a (2h, 2) projection instead of a (4h, 2) one."""
+    names = [name for name, _ in header["arrays"]]
+    sizes = [8 * math.prod(shape) for _, shape in header["arrays"]]
+    at = names.index("project.weight")
+    start = sum(sizes[:at])
+    rows, cols = header["arrays"][at][1]
+    arrays = list(header["arrays"])
+    arrays[at] = ["project.weight", [rows // 2, cols]]
+    payload = body[: start + sizes[at] // 2] + body[start + sizes[at] :]
+    return _v3_bytes(dict(header, clause_attention=False, arrays=arrays), payload)
+
+
 def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
     _, trained = _small_trained()
     good = tmp_path / "good.json"
@@ -655,6 +717,10 @@ def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
     v1 = _legacy_payload(trained, 1)
     v1["params"]["project.bias"]["values"][0] = 10**400
     cases.append(("v1 value beyond float64", json.dumps(v1).encode("utf-8"), "'project.bias'"))
+    _, jcc = _small_trained("jcc")
+    save_checkpoint(jcc, good)
+    narrow = _without_clause_attention(*_split_v3(good))
+    cases.append(("jcc without clause attention", narrow, "'project.weight' has shape (12, 2)"))
     for label, bad, needle in cases:
         path = tmp_path / "bad.json"
         path.write_bytes(bad)
@@ -734,11 +800,11 @@ def test_non_finite_gradient_stops_training_before_the_step(monkeypatch):
     original = SlModel.batch_loss
 
     def poisoned(self, units, training=True, rng=None):
-        # sqrt has an infinite slope at 0: the loss stays finite, its gradient does not
-        return original(self, units, training, rng) + (self.project.bias * 0.0).sum() ** 0.5
+        # the bias is still zero, so the loss stays finite; its gradient overflows to inf
+        return original(self, units, training, rng) + (self.project.bias * 1e308).sum() * 1e308
 
     monkeypatch.setattr(SlModel, "batch_loss", poisoned)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="epoch 1, batch 1: gradient of 'project.bias'"):
             train("sl", corpus, corpus, toy_embeddings(corpus, 8), TOY)
     assert steps == []

@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import random_tree_text
+from hypothesis import given, settings
+
+from _oracles import damaged_brackets, random_tree_text
 from stimex.corpus import Span
-from stimex.parsetree import BracketParseError, leaves, parse_bracket, to_bracket
+from stimex.parsetree import BracketParseError, ConstTree, leaves, parse_bracket, to_bracket
 
 GOLDEN = "(S (NP (PRP I)) (VP (VBP am) (ADJP (JJ happy) (SBAR (IN because) (S (NP (PRP you)) (VP (VBD came)))))) (. .))"
 
@@ -49,6 +51,7 @@ def test_whitespace_is_flexible():
         ("(S x (NN y))", "mixes a token"),
         ("(NN x y)", "more than one token"),
         ("S (NN x)", r"expected '\('"),
+        ("(S " * 5000 + "(X x)" + ")" * 5000, "nested too deeply"),
     ],
 )
 def test_parse_errors(text, message):
@@ -83,3 +86,13 @@ def test_parent_span_is_hull_of_children():
                 assert node.leaf_span.end == node.children[-1].leaf_span.end
                 for left, right in zip(node.children, node.children[1:]):
                     assert left.leaf_span.end == right.leaf_span.start
+
+
+@given(damaged_brackets(GOLDEN))
+@settings(max_examples=300, deadline=None)
+def test_damaged_brackets_parse_or_raise_a_parse_error(text):
+    try:
+        tree = parse_bracket(text)
+    except BracketParseError:
+        return
+    assert isinstance(tree, ConstTree)
