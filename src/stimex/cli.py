@@ -25,6 +25,7 @@ from stimex.corpus import (
     format_stats_csv,
     iob_to_spans,
     load_corpus,
+    not_utf8,
     save_corpus,
     split_corpus,
 )
@@ -59,7 +60,11 @@ def _by_dataset(instances: Sequence[Instance]) -> dict[str, list[Instance]]:
 def _trees_for(instances: Sequence[Instance], trees_path: str | None) -> list[ConstTree]:
     """One tree per instance, from a line-aligned sidecar file or the parse field."""
     if trees_path:
-        lines = [ln for ln in Path(trees_path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+        try:
+            text = Path(trees_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise CorpusError(not_utf8(trees_path)) from None
+        lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != len(instances):
             raise CorpusError(
                 f"{trees_path} holds {len(lines)} trees for {len(instances)} instances"

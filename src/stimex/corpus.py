@@ -217,14 +217,19 @@ def _instance_from_obj(obj: dict) -> Instance:
     return inst
 
 
-def _first_line_not_utf8(path: str | Path) -> int | None:
+def not_utf8(path: str | Path) -> str:
+    """``<path>: line N: not UTF-8 text``, N being the first line that does not decode.
+
+    For the ``UnicodeDecodeError`` of a text reader, which decodes whole blocks
+    ahead of the lines it returns, so the line is found in the bytes.
+    """
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                return lineno
-    return None
+                return f"{path}: line {lineno}: not UTF-8 text"
+    return f"{path}: not UTF-8 text"
 
 
 def load_corpus(path: str | Path) -> list[Instance]:
@@ -248,10 +253,7 @@ def load_corpus(path: str | Path) -> list[Instance]:
                 except CorpusError as exc:
                     raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     except UnicodeDecodeError:
-        # the reader decodes whole blocks ahead of the lines it returns, so the line is
-        # found in the bytes
-        lineno = _first_line_not_utf8(path)
-        raise CorpusError(f"{path}: line {lineno}: not UTF-8 text") from None
+        raise CorpusError(not_utf8(path)) from None
     return instances
 
 

@@ -2,8 +2,6 @@
 
 A path score is the sum of per-position emission scores, transition scores
 between adjacent labels, and start/end scores for the first and last label.
-Start/end score vectors strictly generalize the model; construct
-``CrfParams(..., learn_boundaries=False)`` to pin them at zero.
 """
 
 from __future__ import annotations
@@ -12,23 +10,19 @@ import itertools
 
 import numpy as np
 
-from stimex.nn.tensor import Parameter, Tensor, as_tensor, take_pairs
+from stimex.nn.tensor import Parameter, Tensor, _accum, as_tensor
 
 MAX_BRUTE_FORCE = 1_000_000
 
 
 class CrfParams:
-    def __init__(self, name: str, num_labels: int, learn_boundaries: bool = True):
+    def __init__(self, name: str, num_labels: int):
         if num_labels < 1:
             raise ValueError("num_labels must be positive")
         self.num_labels = num_labels
         self.transitions = Parameter(f"{name}.transitions", np.zeros((num_labels, num_labels)))
-        self.start_scores = Parameter(
-            f"{name}.start_scores", np.zeros(num_labels), trainable=learn_boundaries
-        )
-        self.end_scores = Parameter(
-            f"{name}.end_scores", np.zeros(num_labels), trainable=learn_boundaries
-        )
+        self.start_scores = Parameter(f"{name}.start_scores", np.zeros(num_labels))
+        self.end_scores = Parameter(f"{name}.end_scores", np.zeros(num_labels))
 
     def parameters(self) -> list[Parameter]:
         return [self.transitions, self.start_scores, self.end_scores]
@@ -43,35 +37,117 @@ def _check_labels(y: np.ndarray, n: int, num_labels: int) -> None:
         raise ValueError("label index out of range")
 
 
+def _lse(x: np.ndarray, axis: int) -> np.ndarray:
+    """log-sum-exp along ``axis``, by the operations of ``Tensor.logsumexp``."""
+    m = np.max(x, axis=axis, keepdims=True)
+    return np.squeeze(m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)), axis=axis)
+
+
+def _grid(emissions, params: CrfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R (n_r, L) emission arrays, right-padded into a step-major (T, R, L) grid,
+    T = max(n_r); with the lengths and the (T, R) mask of the steps within them."""
+    arrays = [as_tensor(u).data for u in emissions]
+    for u in arrays:
+        if u.ndim != 2 or u.shape[1] != params.num_labels:
+            raise ValueError(f"emissions of shape {u.shape} for {params.num_labels} labels")
+        if len(u) == 0:
+            raise ValueError("empty emission sequence")
+    lengths = np.array([len(u) for u in arrays])
+    grid = np.zeros((lengths.max(), len(arrays), params.num_labels))
+    for r, u in enumerate(arrays):
+        grid[: len(u), r] = u
+    return grid, lengths, np.arange(len(grid))[:, None] < lengths
+
+
+def _alphas(grid: np.ndarray, live: np.ndarray, params: CrfParams) -> tuple[np.ndarray, ...]:
+    """Forward recursion over a grid: the (T, R, L) alphas and each sequence's log Z.
+
+    ``alphas[t, r, j]`` sums (in log space) the paths of sequence r that end in
+    label j at step t.  Each step runs the per-sequence graph's operations,
+    ``lse(alpha[:, None] + trans, axis=0) + u[t]``, for all R sequences; a
+    sequence past its length keeps its last alpha.
+    """
+    trans = params.transitions.data
+    alphas = np.empty_like(grid)
+    alphas[0] = grid[0] + params.start_scores.data
+    for t in range(1, len(grid)):
+        step = _lse(alphas[t - 1][:, :, None] + trans, axis=1) + grid[t]
+        alphas[t] = np.where(live[t][:, None], step, alphas[t - 1])
+    return alphas, _lse(alphas[-1] + params.end_scores.data, axis=1)
+
+
+def batch_nll_loss(emissions, labels, params: CrfParams) -> Tensor:
+    """Summed negative log-likelihood of R gold label paths, as one graph node.
+
+    The loss is the left fold, in sequence order, of ``logZ_r + (-score_r)``
+    (see ``_alphas``), so it equals summing the per-sequence graph losses
+    bit for bit.  The backward pass is forward-backward (Lafferty et al.
+    2001; Sutton and McCallum, arXiv 1011.4088): the beta recursion on the
+    same grid gives the node and pairwise marginals.  The gradient of the
+    emissions and of the start and end scores is the node marginals minus
+    the gold one-hots; that of the transitions is the pairwise marginals
+    summed over the steps within each length, minus the gold transition
+    counts.
+    """
+    emissions = [as_tensor(u) for u in emissions]
+    if not emissions or len(labels) != len(emissions):
+        raise ValueError(f"{len(labels)} label sequences for {len(emissions)} emission sequences")
+    grid, lengths, live = _grid(emissions, params)
+    labels = [np.asarray(y, dtype=int) for y in labels]
+    for y, n in zip(labels, lengths):
+        _check_labels(y, n, params.num_labels)
+    trans, start, end = params.parameters()
+    alphas, log_z = _alphas(grid, live, params)
+    total = None
+    for u, y, z in zip(emissions, labels, log_z):
+        loss = z + (-_score_path(u.data, y, trans.data, start.data, end.data))
+        total = loss if total is None else total + loss
+    out = Tensor(total)
+
+    def backward():
+        # betas[t, r, i] sums (in log space) the continuations of label i after step t
+        betas = np.empty_like(grid)
+        betas[-1] = end.data
+        for t in range(len(grid) - 2, -1, -1):
+            step = _lse(trans.data + (grid[t + 1] + betas[t + 1])[:, None, :], axis=2)
+            betas[t] = np.where(live[t + 1][:, None], step, end.data)
+        node = np.exp(alphas + betas - log_z[:, None])  # read only within each length
+        into = (grid[1:] + betas[1:])[:, :, None]  # transitions into steps 1..T-1
+        pair = np.exp(alphas[:-1, :, :, None] + trans.data + into - log_z[:, None, None])
+        d_trans = np.where(live[1:, :, None, None], pair, 0.0).sum(axis=(0, 1))
+        d_start = node[0].sum(axis=0)
+        d_end = node[lengths - 1, np.arange(len(lengths))].sum(axis=0)
+        for r, y in enumerate(labels):
+            node[np.arange(len(y)), r, y] -= 1.0
+            np.add.at(d_trans, (y[:-1], y[1:]), -1.0)
+            d_start[y[0]] -= 1.0
+            d_end[y[-1]] -= 1.0
+        for r, u in enumerate(emissions):
+            if u.requires_grad:
+                _accum(u, out.grad * node[: lengths[r], r])
+        for p, d in ((trans, d_trans), (start, d_start), (end, d_end)):
+            _accum(p, out.grad * d)
+
+    return out._attach((*emissions, trans, start, end), backward)
+
+
 def score_sequence(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
-    """Differentiable score of one label path given emissions ``u`` (n, L)."""
-    u = as_tensor(u)
-    n = u.shape[0]
+    """Score of one label path given emissions ``u`` (n, L), as a graph-free Tensor."""
+    u, trans, start, end = _as_arrays(u, params)
     y = np.asarray(y, dtype=int)
-    _check_labels(y, n, params.num_labels)
-    score = take_pairs(u, np.arange(n), y).sum()
-    if n > 1:
-        score = score + take_pairs(params.transitions, y[:-1], y[1:]).sum()
-    return score + params.start_scores[int(y[0])] + params.end_scores[int(y[-1])]
+    _check_labels(y, u.shape[0], params.num_labels)
+    return Tensor(_score_path(u, y, trans, start, end))
 
 
 def log_partition(u: Tensor | np.ndarray, params: CrfParams) -> Tensor:
-    """log-sum-exp over all label paths, by the forward recursion."""
-    u = as_tensor(u)
-    n, num_labels = u.shape
-    if n == 0:
-        raise ValueError("empty emission sequence")
-    if num_labels != params.num_labels:
-        raise ValueError(f"emissions have {num_labels} labels, params {params.num_labels}")
-    alpha = u[0] + params.start_scores
-    for t in range(1, n):
-        alpha = (alpha.reshape((num_labels, 1)) + params.transitions).logsumexp(axis=0) + u[t]
-    return (alpha + params.end_scores).logsumexp()
+    """log-sum-exp over all label paths, by the forward recursion, as a graph-free Tensor."""
+    grid, _, live = _grid([u], params)
+    return Tensor(_alphas(grid, live, params)[1][0])
 
 
 def nll_loss(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
-    """Negative log-likelihood of the gold path: ``logZ - score(y)``."""
-    return log_partition(u, params) - score_sequence(u, y, params)
+    """Negative log-likelihood of the gold path, ``logZ - score(y)``: the batch of one."""
+    return batch_nll_loss([u], [y], params)
 
 
 def _as_arrays(u, params: CrfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

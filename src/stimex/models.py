@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from stimex import crf
-from stimex.corpus import ClauseAnnotation, Instance, Span, iob_to_spans
+from stimex.corpus import ClauseAnnotation, Instance, Span, iob_to_spans, not_utf8
 from stimex.evaluation import MatchMode, clause_prf, span_prf
 from stimex.mapping import tokens_to_clauses
 from stimex.nn import (
@@ -135,30 +135,33 @@ class EmbeddingTable:
         tokens: dict[str, int] = {}  # token -> the line it is on
         rows: list[list[float]] = []
         dim: int | None = None
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                values = parts[1:]
-                if dim is None:
-                    dim = len(values)
-                    if dim == 0:
-                        raise ValueError(f"{path}: line {lineno}: no vector components")
-                if len(values) != dim:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected {dim} components, found {len(values)}"
-                    )
-                try:
-                    rows.append([float(v) for v in values])
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
-                if parts[0] in tokens:
-                    raise ValueError(
-                        f"{path}: line {lineno}: duplicate token {parts[0]!r}"
-                        f" (first on line {tokens[parts[0]]})"
-                    )
-                tokens[parts[0]] = lineno
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    values = parts[1:]
+                    if dim is None:
+                        dim = len(values)
+                        if dim == 0:
+                            raise ValueError(f"{path}: line {lineno}: no vector components")
+                    if len(values) != dim:
+                        raise ValueError(
+                            f"{path}: line {lineno}: expected {dim} components, found {len(values)}"
+                        )
+                    try:
+                        rows.append([float(v) for v in values])
+                    except ValueError:
+                        raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
+                    if parts[0] in tokens:
+                        raise ValueError(
+                            f"{path}: line {lineno}: duplicate token {parts[0]!r}"
+                            f" (first on line {tokens[parts[0]]})"
+                        )
+                    tokens[parts[0]] = lineno
+        except UnicodeDecodeError:
+            raise ValueError(not_utf8(path)) from None
         if dim is None:
             raise ValueError(f"{path}: empty embedding file")
         return cls(list(tokens), np.array(rows))
@@ -199,9 +202,11 @@ def clause_token_lists(instance: Instance) -> list[list[str]]:
 # Architectures
 #
 # Each model's ``batch_loss`` runs its encoders once over the whole batch,
-# packed (see ``Lstm.states``), then attention, dropout, projection and the
-# loss per unit, in unit order, so dropout draws from ``rng`` in the same
-# order and shapes as one unit at a time would.  ``loss``, ``emissions``,
+# packed (see ``Lstm.states``), then attention, dropout and projection per
+# unit, in unit order, so dropout draws from ``rng`` in the same order and
+# shapes as one unit at a time would.  The CRF models take the loss of the
+# whole batch as one node (``crf.batch_nll_loss``), ``icc`` a cross-entropy
+# per unit.  ``loss``, ``emissions``,
 # ``logits`` and ``predict`` are that same code on a batch of one.
 
 
@@ -283,11 +288,8 @@ class SlModel(Model):
     def batch_loss(self, units: Sequence[Instance], training: bool = True, rng=None) -> Tensor:
         """Summed CRF loss of a batch of instances."""
         emissions = self.batch_emissions([inst.tokens for inst in units], training, rng)
-        losses = [
-            crf.nll_loss(e, [IOB_ALPHABET.index(lab) for lab in inst.iob], self.crf)
-            for e, inst in zip(emissions, units)
-        ]
-        return sum(losses[1:], start=losses[0])
+        labels = [[IOB_ALPHABET.index(lab) for lab in inst.iob] for inst in units]
+        return crf.batch_nll_loss(emissions, labels, self.crf)
 
     def loss(self, instance: Instance, training: bool = True, rng=None) -> Tensor:
         return self.batch_loss([instance], training, rng)
@@ -446,11 +448,8 @@ class JccModel(_ClauseModel):
     ) -> Tensor:
         """Summed clause-CRF loss of a batch of (clause token lists, flags) units."""
         emissions = self.batch_emissions([doc for doc, _ in units], training, rng)
-        losses = [
-            crf.nll_loss(e, [int(f) for f in flags], self.crf)
-            for e, (_, flags) in zip(emissions, units)
-        ]
-        return sum(losses[1:], start=losses[0])
+        labels = [[int(f) for f in flags] for _, flags in units]
+        return crf.batch_nll_loss(emissions, labels, self.crf)
 
     def loss(
         self,

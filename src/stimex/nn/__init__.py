@@ -1,6 +1,6 @@
 """Small float64 autodiff engine and the layers built on it."""
 
-from stimex.nn.tensor import Parameter, Tensor, as_tensor, concat, stack, take_pairs
+from stimex.nn.tensor import Parameter, Tensor, as_tensor, concat, stack
 from stimex.nn.layers import (
     BiLstm,
     Linear,
@@ -26,5 +26,4 @@ __all__ = [
     "dropout",
     "glorot_uniform",
     "stack",
-    "take_pairs",
 ]

@@ -165,19 +165,13 @@ class BiLstm:
         return concat(self.run(xs, lengths), axis=1)  # (N, 2h)
 
 
-def attention(h: Tensor, include_self: bool = True) -> Tensor:
+def attention(h: Tensor) -> Tensor:
     """Dot-product self-attention: each row becomes ``[h_i ; sum_j a_ij h_j]``.
 
-    Weights are a softmax over scores against every position, including
-    ``j = i`` by default.  With a single position the context equals the
-    input regardless of ``include_self``.
+    Weights are a softmax over scores against every position, ``j = i``
+    included, so with a single position the context equals the input.
     """
-    n = h.shape[0]
-    scores = h @ h.T
-    if not include_self and n > 1:
-        mask = np.where(np.eye(n, dtype=bool), -np.inf, 0.0)
-        scores = scores + Tensor(mask)
-    weights = scores.softmax(axis=1)
+    weights = (h @ h.T).softmax(axis=1)
     return concat([h, weights @ h], axis=1)
 
 

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "Parameter", "as_tensor", "concat", "stack", "take_pairs"]
+__all__ = ["Tensor", "Parameter", "as_tensor", "concat", "stack"]
 
 
 def as_tensor(x) -> "Tensor":
@@ -148,15 +148,6 @@ class Tensor:
         def backward():
             if self.requires_grad:
                 _accum(self, out.grad.T)
-
-        return out._attach((self,), backward)
-
-    def reshape(self, shape) -> "Tensor":
-        out = Tensor(self.data.reshape(shape))
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, out.grad.reshape(self.data.shape))
 
         return out._attach((self,), backward)
 
@@ -324,17 +315,3 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 
     return out._attach(tuple(tensors), backward)
 
-
-def take_pairs(t: Tensor, rows, cols) -> Tensor:
-    """Pick ``t[rows[k], cols[k]]`` for each k; used for CRF path scoring."""
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    out = Tensor(t.data[rows, cols])
-
-    def backward():
-        if t.requires_grad:
-            g = np.zeros_like(t.data)
-            np.add.at(g, (rows, cols), out.grad)
-            _accum(t, g)
-
-    return out._attach((t,), backward)

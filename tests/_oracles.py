@@ -7,7 +7,7 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from stimex.nn import Tensor, stack
+from stimex.nn import Tensor, as_tensor, stack
 
 
 def _scalar(value) -> float:
@@ -62,6 +62,32 @@ def lstm_states_per_step(cell, xs: Tensor, reverse: bool = False) -> Tensor:
         h = o * c.tanh()
         out[t] = h
     return stack(out)
+
+
+def graph_nll_loss(emissions, labels, params) -> Tensor:
+    """Reference CRF loss built from one small autodiff node per operation and position.
+
+    The summed negative log-likelihood of each ``(u, y)`` pair, added in order:
+    the forward recursion ``lse(alpha + trans, over the previous label) + u[t]``
+    as graph nodes, minus the gold path score.  ``crf.batch_nll_loss`` must
+    reproduce its value and its gradients to rounding.
+    """
+    total = None
+    for u, y in zip(emissions, labels):
+        u = as_tensor(u)
+        y = np.asarray(y, dtype=int)
+        n = len(y)
+        alpha = u[0] + params.start_scores
+        for t in range(1, n):
+            alpha = (params.transitions.T + alpha).logsumexp(axis=1) + u[t]
+        log_z = (alpha + params.end_scores).logsumexp()
+        score = u[np.arange(n), y].sum()
+        if n > 1:
+            score = score + params.transitions[y[:-1], y[1:]].sum()
+        score = score + params.start_scores[int(y[0])] + params.end_scores[int(y[-1])]
+        loss = log_z - score
+        total = loss if total is None else total + loss
+    return total
 
 
 def random_tree_text(rng: np.random.Generator, max_depth: int = 4) -> str:
@@ -188,6 +214,19 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _overwrite(good: bytes, at: int, value: int) -> bytes:
+    return good[:at] + bytes([value]) + good[at + 1 :]
+
+
+def damaged_bytes(good: bytes):
+    """``good`` cut at any byte or with any byte overwritten, or any bytes."""
+    return st.one_of(
+        st.integers(0, len(good) - 1).map(lambda n: good[:n]),
+        st.builds(_overwrite, st.just(good), st.integers(0, len(good) - 1), st.integers(0, 255)),
+        st.binary(max_size=200),
+    )
+
+
 def damaged(good: bytes):
     """``good`` cut at any byte, with any byte (or a header byte) overwritten, with the
     header line, one header entry or one item of a header list replaced by any JSON
@@ -195,10 +234,6 @@ def damaged(good: bytes):
     header_end = good.index(b"\n")
     header, body = json.loads(good[:header_end]), good[header_end + 1 :]
     lists = sorted(key for key, value in header.items() if isinstance(value, list) and value)
-
-    def overwrite(at_value):
-        at, value = at_value
-        return good[:at] + bytes([value]) + good[at + 1 :]
 
     def line(value, rest):
         return json.dumps(value).encode("utf-8") + b"\n" + rest
@@ -209,9 +244,8 @@ def damaged(good: bytes):
         return line({**header, key: items}, body)
 
     return st.one_of(
-        st.integers(0, len(good) - 1).map(lambda n: good[:n]),
-        st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)).map(overwrite),
-        st.tuples(st.integers(0, header_end), st.integers(0, 255)).map(overwrite),
+        damaged_bytes(good),
+        st.builds(_overwrite, st.just(good), st.integers(0, header_end), st.integers(0, 255)),
         st.builds(
             lambda key, value: line({**header, key: value}, body),
             st.sampled_from(sorted(header)),
@@ -219,7 +253,6 @@ def damaged(good: bytes):
         ),
         st.builds(with_item, st.sampled_from(lists), st.integers(0, 10**4), JSON_VALUES),
         st.builds(line, JSON_VALUES, st.binary(max_size=64)),
-        st.binary(max_size=200),
     )
 
 

@@ -451,6 +451,20 @@ def test_train_names_a_duplicate_embedding_token(tmp_path, corpus_path, capsys):
     )
 
 
+@pytest.mark.parametrize("flag", ["--trees", "--embeddings"])
+def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path, corpus_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a 0.1\n\xff\xfe\n")
+    if flag == "--trees":
+        argv = ["clauses", "extract", "--corpus", corpus_path, "--out", tmp_path / "out.jsonl"]
+    else:
+        args, _, _ = train_args(tmp_path, corpus_path)
+        argv = ["train", *args, "--checkpoint", tmp_path / "m.json"]
+    capsys.readouterr()
+    assert run(*argv, flag, bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
+
+
 def test_train_with_nan_embedding_exits_one_without_checkpoint(tmp_path, corpus_path, capsys):
     splits = tmp_path / "splits.json"
     run("split", "--corpus", corpus_path, "--seed", 2, "--out", splits)

@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import finite_difference, gradient_gap
+from _oracles import finite_difference, gradient_gap, graph_nll_loss
 from stimex.crf import (
     CrfParams,
+    batch_nll_loss,
     brute_force_decode,
     brute_force_log_partition,
     log_partition,
@@ -16,8 +17,8 @@ from stimex.crf import (
 from stimex.nn import Parameter, Tensor
 
 
-def fresh_params(num_labels=2, seed=None, learn_boundaries=True):
-    params = CrfParams("crf", num_labels, learn_boundaries=learn_boundaries)
+def fresh_params(num_labels=2, seed=None):
+    params = CrfParams("crf", num_labels)
     if seed is not None:
         rng = np.random.default_rng(seed)
         for p in params.parameters():
@@ -126,11 +127,56 @@ def test_nll_gradients():
     assert gradient_gap(analytic, numeric) < 1e-6
 
 
-def test_boundary_scores_can_be_frozen():
-    params = fresh_params(2, learn_boundaries=False)
-    assert not params.start_scores.trainable
-    assert not params.end_scores.trainable
-    assert params.transitions.trainable
+def _loss_and_grads(loss_fn, tensors):
+    for t in tensors:
+        t.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("num_labels", [2, 3])
+@pytest.mark.parametrize("emission_grad", [True, False])
+def test_batch_nll_matches_graph_oracle(num_labels, emission_grad):
+    rng = np.random.default_rng(31 + num_labels)
+    for trial in range(15):
+        params = fresh_params(num_labels, seed=int(rng.integers(1 << 30)))
+        lengths = [1, *rng.integers(1, 13, size=int(rng.integers(0, 7)))]
+        rng.shuffle(lengths)
+        us = [2.0 * rng.standard_normal((n, num_labels)) for n in lengths]
+        if emission_grad:
+            us = [Parameter(f"u{r}", u) for r, u in enumerate(us)]
+        ys = [rng.integers(0, num_labels, size=n) for n in lengths]
+        tensors = [*params.parameters(), *(us if emission_grad else [])]
+        fused, fused_grads = _loss_and_grads(lambda: batch_nll_loss(us, ys, params), tensors)
+        graph, graph_grads = _loss_and_grads(lambda: graph_nll_loss(us, ys, params), tensors)
+        assert fused == graph, (trial, lengths)  # same operations in the same order
+        for t, a, b in zip(tensors, fused_grads, graph_grads):
+            assert np.max(np.abs(a - b)) < 1e-10, (trial, lengths, getattr(t, "name", None))
+
+
+def test_batch_nll_scales_its_gradient_by_the_upstream_one():
+    params = fresh_params(3, seed=8)
+    u = Parameter("u", np.random.default_rng(8).standard_normal((4, 3)))
+    tensors = [u, *params.parameters()]
+    _, once = _loss_and_grads(lambda: batch_nll_loss([u], [[0, 2, 2, 1]], params), tensors)
+    _, thrice = _loss_and_grads(lambda: batch_nll_loss([u], [[0, 2, 2, 1]], params) * 3.0, tensors)
+    for a, b in zip(once, thrice):
+        assert np.allclose(3.0 * a, b, rtol=1e-12, atol=0.0)
+
+
+def test_batch_nll_validation():
+    params = fresh_params(2)
+    with pytest.raises(ValueError, match="0 label sequences for 0"):
+        batch_nll_loss([], [], params)
+    with pytest.raises(ValueError, match="1 label sequences for 2"):
+        batch_nll_loss([np.zeros((1, 2)), np.zeros((2, 2))], [[0]], params)
+    with pytest.raises(ValueError, match="empty emission"):
+        batch_nll_loss([np.zeros((1, 2)), np.zeros((0, 2))], [[0], []], params)
+    with pytest.raises(ValueError, match="does not match"):
+        batch_nll_loss([np.zeros((1, 2)), np.zeros((2, 2))], [[0], [1]], params)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) for 2 labels"):
+        batch_nll_loss([np.zeros((2, 3))], [[0, 1]], params)
 
 
 def test_input_validation():

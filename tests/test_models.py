@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import damaged, recount_dev_score
+from _oracles import damaged, damaged_bytes, recount_dev_score
 from stimex import models
 from stimex.corpus import (
     ClauseAnnotation,
@@ -130,6 +130,22 @@ def test_embedding_load_text_errors(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty"):
         EmbeddingTable.load_text(path)
+
+
+EMBEDDING_TEXT = "the 0.5 -1e-2 3\n\ncafé 1 2 nan\nß 4 5 6\n".encode("utf-8")
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_embedding_files_load_or_raise_value_error_naming_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "damaged_vec.txt"
+    path.write_bytes(data.draw(damaged_bytes(EMBEDDING_TEXT)))
+    try:
+        table = EmbeddingTable.load_text(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert table.matrix.shape == (len(table.tokens), table.dim)
 
 
 def test_embedding_random_is_deterministic():
@@ -317,6 +333,36 @@ def test_batch_loss_draws_the_same_dropout_masks(arch):
     single = sum(model.loss(u, True, rng_single).item() for u in units)
     assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
     assert rng_batch.random() == rng_single.random()  # both streams at the same point
+
+
+def _graph_nodes(loss):
+    """Every node reachable from ``loss``, itself included."""
+    seen, todo = {id(loss): loss}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("arch", ["sl", "jcc"])
+def test_crf_loss_is_one_graph_node(arch):
+    model, units = _model(arch), ragged_units(arch)
+    loss = model.batch_loss(units, training=True, rng=np.random.default_rng(2))
+    crf_params = model.crf.parameters()
+    crf_nodes = [
+        node
+        for node in _graph_nodes(loss)
+        if any(parent is p for parent in node._parents for p in crf_params)
+    ]
+    assert len(crf_nodes) == 1 and crf_nodes[0] is loss
+    *emissions, trans, start, end = loss._parents
+    assert (trans, start, end) == tuple(crf_params)
+    sizes = [len(u.tokens) for u in units] if arch == "sl" else [len(doc) for doc, _ in units]
+    assert [e.shape for e in emissions] == [(n, model.crf.num_labels) for n in sizes]
+    for e in emissions:  # each is the projection's output
+        assert any(parent is model.project.bias for parent in e._parents)
 
 
 def test_batch_with_an_empty_sequence_is_rejected():

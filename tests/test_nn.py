@@ -173,21 +173,10 @@ def test_attention_matches_numpy_oracle():
     assert np.allclose(out, np.concatenate([h, weights @ h], axis=1))
 
 
-def test_attention_excluding_self():
-    h = np.random.default_rng(4).standard_normal((3, 2))
-    out = attention(Tensor(h), include_self=False).data
-    scores = h @ h.T
-    np.fill_diagonal(scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)
-    assert np.allclose(out[:, 2:], weights @ h)
-
-
 def test_attention_single_row_context_is_input():
     h = np.array([[1.0, -2.0]])
-    for include_self in (True, False):
-        out = attention(Tensor(h), include_self=include_self).data
-        assert np.allclose(out, [[1.0, -2.0, 1.0, -2.0]])
+    out = attention(Tensor(h)).data
+    assert np.allclose(out, [[1.0, -2.0, 1.0, -2.0]])
 
 
 def test_attention_gradient():
