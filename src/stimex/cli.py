@@ -313,10 +313,18 @@ def cmd_errors(args) -> int:
     return 0
 
 
-def _markdown_table(csv_text: str) -> str:
+def _markdown_table(csv_text: str, path: str) -> str:
+    """The CSV text of ``path`` as a Markdown table; a row with more cells than
+    the header raises ``ValueError`` naming its line."""
+    first = csv_text[: len(csv_text) - len(csv_text.lstrip())].count("\n") + 1
     rows = [line.split(",") for line in csv_text.strip().splitlines()]
     if not rows:
         return "(empty)\n"
+    for lineno, row in enumerate(rows[1:], start=first + 1):
+        if len(row) > len(rows[0]):
+            raise ValueError(
+                f"{path}: line {lineno}: {len(row)} cells, but the header has {len(rows[0])}"
+            )
     widths = [max(len(r[i]) if i < len(r) else 0 for r in rows) for i in range(len(rows[0]))]
     out = []
     for k, row in enumerate(rows):
@@ -335,8 +343,11 @@ def cmd_report(args) -> int:
         ("Error analysis", args.errors),
     ):
         if path:
-            text = Path(path).read_text(encoding="utf-8")
-            sections.append(f"## {title}\n\n{_markdown_table(text)}")
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(not_utf8(path)) from None
+            sections.append(f"## {title}\n\n{_markdown_table(text, path)}")
     report = "# Stimulus detection report\n\n" + "\n".join(sections)
     Path(args.out).write_text(report, encoding="utf-8")
     print(f"wrote report to {args.out}")

@@ -13,7 +13,6 @@ Three architectures over frozen word embeddings:
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import numbers
@@ -38,6 +37,7 @@ from stimex.nn import (
     concat,
     cross_entropy,
     dropout,
+    segment_mean,
 )
 
 IOB_ALPHABET = ("B", "I", "O")
@@ -201,13 +201,15 @@ def clause_token_lists(instance: Instance) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 # Architectures
 #
-# Each model's ``batch_loss`` runs its encoders once over the whole batch,
-# packed (see ``Lstm.states``), then attention, dropout and projection per
-# unit, in unit order, so dropout draws from ``rng`` in the same order and
-# shapes as one unit at a time would.  The CRF models take the loss of the
-# whole batch as one node (``crf.batch_nll_loss``), ``icc`` a cross-entropy
-# per unit.  ``loss``, ``emissions``,
-# ``logits`` and ``predict`` are that same code on a batch of one.
+# Each model's ``batch_loss`` runs every layer once over the whole batch,
+# its units packed as consecutive rows (see ``Lstm.states``): the encoders,
+# attention, dropout and the projections.  One (N, d) dropout draw yields
+# the numbers that per-unit (n_r, d) draws would, in unit order.  The CRF
+# models cut the projection's rows into per-unit emission blocks for the
+# loss of the whole batch as one node (``crf.batch_nll_loss``); ``icc``
+# pools each clause's rows and takes one cross-entropy node over the
+# batch.  ``loss``, ``emissions``, ``logits`` and ``predict`` are that same
+# code on a batch of one.
 
 
 def _flat(token_lists: Sequence[Sequence[str]]) -> list[str]:
@@ -222,12 +224,12 @@ def _blocks(rows: Tensor, lengths: Sequence[int]) -> list[Tensor]:
     return [rows[end - k : end] for k, end in zip(lengths, ends)]
 
 
-def _encode_each(
+def _encode(
     encoder: BiLstm, embeddings: EmbeddingTable, token_lists: Sequence[Sequence[str]]
-) -> list[Tensor]:
-    """(n, 2h) BiLSTM states of each token list, from one packed encoder call."""
+) -> tuple[Tensor, list[int]]:
+    """Packed (N, 2h) BiLSTM states of the token lists, and their lengths."""
     lengths = [len(toks) for toks in token_lists]
-    return _blocks(encoder(embeddings.lookup(_flat(token_lists)), lengths), lengths)
+    return encoder(embeddings.lookup(_flat(token_lists)), lengths), lengths
 
 
 class Model:
@@ -276,11 +278,10 @@ class SlModel(Model):
     def batch_emissions(
         self, token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
     ) -> list[Tensor]:
-        """Emission scores per sentence; the encoder runs once over the batch."""
-        return [
-            self.project(dropout(attention(h), self.config.dropout_p, training, rng))
-            for h in _encode_each(self.encoder, self.embeddings, token_lists)
-        ]
+        """Emission scores per sentence, cut from one pass over the packed batch."""
+        h, lengths = _encode(self.encoder, self.embeddings, token_lists)
+        x = dropout(attention(h, lengths), self.config.dropout_p, training, rng)
+        return _blocks(self.project(x), lengths)
 
     def emissions(self, tokens: Sequence[str], training: bool = False, rng=None) -> Tensor:
         return self.batch_emissions([tokens], training, rng)[0]
@@ -350,14 +351,12 @@ class IccModel(_ClauseModel):
 
     def batch_logits(
         self, clause_lists: Sequence[Sequence[str]], training: bool = False, rng=None
-    ) -> list[Tensor]:
-        """Class logits per clause; the encoder runs once over the batch."""
-        out = []
-        for h in _encode_each(self.encoder, self.embeddings, clause_lists):
-            s = attention(h).mean(axis=0)
-            z = dropout(self.hidden(s), self.config.dropout_p, training, rng).relu()
-            out.append(self.out(z))
-        return out
+    ) -> Tensor:
+        """(R, 2) class logits of R clauses, from one pass over the packed batch."""
+        h, lengths = _encode(self.encoder, self.embeddings, clause_lists)
+        s = segment_mean(attention(h, lengths), lengths)
+        z = dropout(self.hidden(s), self.config.dropout_p, training, rng).relu()
+        return self.out(z)
 
     def logits(self, clause_tokens: Sequence[str], training: bool = False, rng=None) -> Tensor:
         return self.batch_logits([clause_tokens], training, rng)[0]
@@ -367,8 +366,7 @@ class IccModel(_ClauseModel):
     ) -> Tensor:
         """Summed cross-entropy of a batch of (clause tokens, flag) units."""
         logits = self.batch_logits([toks for toks, _ in units], training, rng)
-        losses = [cross_entropy(z, int(flag)) for z, (_, flag) in zip(logits, units)]
-        return sum(losses[1:], start=losses[0])
+        return cross_entropy(logits, [int(flag) for _, flag in units])
 
     def loss(self, unit: tuple[Sequence[str], bool], training: bool = True, rng=None) -> Tensor:
         return self.batch_loss([unit], training, rng)
@@ -430,10 +428,8 @@ class JccModel(_ClauseModel):
         vectors = concat([fwd[ends - 1], bwd[ends - widths]], axis=1)
         counts = [len(doc) for doc in documents]
         ms = self.clause_encoder2(self.clause_encoder1(vectors, counts), counts)
-        return [
-            self.project(dropout(attention(m), self.config.dropout_p, training, rng))
-            for m in _blocks(ms, counts)
-        ]
+        x = dropout(attention(ms, counts), self.config.dropout_p, training, rng)
+        return _blocks(self.project(x), counts)
 
     def emissions(
         self, clause_token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
@@ -598,11 +594,10 @@ def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool
 # ---------------------------------------------------------------------------
 # Checkpoints
 #
-# Version 3, the only one written, is one UTF-8 JSON header line followed by
-# the payload: the row-major little-endian float64 bytes of every array the
-# header's "arrays" list names, back to back. Versions 1 and 2, still read,
-# are one JSON document holding each array as a flat "values" list (1) or as
-# base64 "float64_le" text (2).
+# Version 3, the only one written or read, is one UTF-8 JSON header line
+# followed by the payload: the row-major little-endian float64 bytes of every
+# array the header's "arrays" list names, back to back. Versions 1 and 2 were
+# one JSON document each; loading one fails with an error naming its version.
 
 
 def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
@@ -669,59 +664,16 @@ def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _decode_array(entry, version: int) -> np.ndarray:
-    """One array of a version-2 (base64) or version-1 (flat ``values``) checkpoint."""
-    if not isinstance(entry, dict):
-        raise ValueError("expected an object with 'shape' and the values")
-    shape = _shape(entry.get("shape"))
-    if version == 1:
-        try:
-            flat = np.array(entry["values"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise ValueError("'values' must be a flat list of numbers") from None
-        if flat.ndim != 1:
-            raise ValueError("'values' must be a flat list of numbers")
-    else:
-        try:
-            raw = base64.b64decode(entry["float64_le"], validate=True)
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("'float64_le' must be a base64 string") from None
-        if len(raw) % 8:
-            raise ValueError(f"'float64_le' holds {len(raw)} bytes, not whole float64 values")
-        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if flat.size != math.prod(shape):
-        raise ValueError(f"holds {flat.size} values, but shape {shape} needs {math.prod(shape)}")
-    return flat.reshape(shape)
-
-
-def _json_arrays(payload: dict, version: int) -> dict[str, np.ndarray]:
-    """The arrays of a version-1 or version-2 checkpoint, keyed as in version 3."""
-    try:
-        arrays = {"embedding": _decode_array(_entry(payload, "embedding", dict), version)}
-    except ValueError as exc:
-        raise ValueError(f"'embedding': {exc}") from None
-    for name, entry in _entry(payload, "params", dict).items():
-        try:
-            arrays[name] = _decode_array(entry, version)
-        except ValueError as exc:
-            raise ValueError(f"parameter {name!r}: {exc}") from None
-    return arrays
-
-
 def _split_header(data: bytes) -> tuple[object, memoryview | None]:
-    """A version-3 file's header and payload, or an older file's JSON document and None."""
+    """The JSON value of a file's first line, and the payload after it (None
+    when the file has no newline)."""
     newline = data.find(b"\n")
-    if newline >= 0:
-        try:
-            header = json.loads(data[:newline].decode("utf-8"))
-        except (ValueError, RecursionError):
-            header = None
-        if isinstance(header, dict) and header.get("version") == CHECKPOINT_VERSION:
-            return header, memoryview(data)[newline + 1 :]
+    end = len(data) if newline < 0 else newline
     try:
-        return json.loads(data.decode("utf-8")), None
+        header = json.loads(data[:end].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"neither a version-3 header line nor JSON ({exc})") from None
+        raise ValueError(f"the header line is not UTF-8 JSON ({exc})") from None
+    return header, None if newline < 0 else memoryview(data)[newline + 1 :]
 
 
 _JSON_KIND = {dict: "object", list: "array", str: "string"}
@@ -741,8 +693,10 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint (format header missing or wrong)")
     version = payload.get("version")
-    if version not in (1, 2, CHECKPOINT_VERSION):
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint version {version!r} (only version {CHECKPOINT_VERSION} is read)"
+        )
     config_entry = _entry(payload, "config", dict)
     try:
         config = TrainConfig.from_dict(config_entry)
@@ -752,12 +706,9 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
     vocab = _entry(payload, "vocab", list)
     if not all(isinstance(tok, str) for tok in vocab):
         raise ValueError("'vocab' must be a list of strings")
-    if body is not None:
-        state = _payload_arrays(payload, body)
-    elif version == CHECKPOINT_VERSION:
+    if body is None:
         raise ValueError("no payload after the version-3 header line")
-    else:
-        state = _json_arrays(payload, version)
+    state = _payload_arrays(payload, body)
     if "embedding" not in state:
         raise ValueError("'arrays' has no 'embedding' entry")
     if 8 * config.hidden_dim**2 > sum(arr.size for arr in state.values()):
@@ -774,7 +725,8 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read a checkpoint of version 3, 2 or 1; any defect raises ``ValueError`` naming ``path``."""
+    """Read a version-3 checkpoint; any defect, or an older version, raises
+    ``ValueError`` naming ``path``."""
     try:
         return _parse_checkpoint(Path(path).read_bytes())
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Small float64 autodiff engine and the layers built on it."""
 
-from stimex.nn.tensor import Parameter, Tensor, as_tensor, concat, stack
+from stimex.nn.tensor import Parameter, Tensor, as_tensor, concat
 from stimex.nn.layers import (
     BiLstm,
     Linear,
@@ -9,6 +9,7 @@ from stimex.nn.layers import (
     cross_entropy,
     dropout,
     glorot_uniform,
+    segment_mean,
 )
 from stimex.nn.optim import Adam
 
@@ -25,5 +26,5 @@ __all__ = [
     "cross_entropy",
     "dropout",
     "glorot_uniform",
-    "stack",
+    "segment_mean",
 ]

@@ -1,4 +1,5 @@
-"""Recurrent encoder, self-attention, dropout and linear projection."""
+"""Recurrent encoder, self-attention, pooling, dropout, linear projection and
+cross-entropy, over sequences packed as consecutive rows."""
 
 from __future__ import annotations
 
@@ -16,6 +17,19 @@ def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int) -> np.
         return np.empty((rows, cols))
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
+
+
+def _packed_spans(n: int, lengths=None) -> list[tuple[int, int]]:
+    """(start, size) of each of R sequences laid end to end as ``n`` rows.
+
+    ``lengths=None`` means one sequence of all ``n`` rows.
+    """
+    lengths = [n] if lengths is None else lengths
+    if n == 0 or min(lengths, default=0) < 1:
+        raise ValueError("empty sequence among the packed rows")
+    if sum(lengths) != n:
+        raise ValueError(f"sequence lengths sum to {sum(lengths)}, not to the {n} input rows")
+    return list(zip(itertools.accumulate(lengths, initial=0), lengths))
 
 
 class Lstm:
@@ -61,14 +75,9 @@ class Lstm:
         everything the backward pass needs.
         """
         n = xs.shape[0]
-        lengths = [n] if lengths is None else lengths
-        if n == 0 or min(lengths, default=0) < 1:
-            raise ValueError("cannot encode an empty sequence")
-        if sum(lengths) != n:
-            raise ValueError(f"sequence lengths sum to {sum(lengths)}, not to the {n} input rows")
-        steps, width = max(lengths), len(lengths)
+        spans = list(enumerate(_packed_spans(n, lengths)))
+        steps, width = max(size for _, (_, size) in spans), len(spans)
         flip = slice(None, None, -1) if reverse else slice(None)
-        spans = list(enumerate(zip(itertools.accumulate(lengths, initial=0), lengths)))
 
         def to_steps(rows):
             """Packed rows to a zero-padded (T, R, .) grid, each sequence from step 0."""
@@ -165,14 +174,66 @@ class BiLstm:
         return concat(self.run(xs, lengths), axis=1)  # (N, 2h)
 
 
-def attention(h: Tensor) -> Tensor:
-    """Dot-product self-attention: each row becomes ``[h_i ; sum_j a_ij h_j]``.
+def attention(h: Tensor, lengths=None) -> Tensor:
+    """Dot-product self-attention over packed sequences, as one (N, 2d) graph node.
 
-    Weights are a softmax over scores against every position, ``j = i``
-    included, so with a single position the context equals the input.
+    ``h`` holds R sequences of the given ``lengths`` as consecutive (N, d)
+    rows (``lengths=None`` means one sequence), as for ``Lstm.states``.
+    Output row i is ``[h_i ; sum_j a_ij h_j]``, j running over row i's own
+    sequence only.  The weights are a softmax over scores against every
+    position of that sequence, ``j = i`` included, so a sequence of one row
+    has its input as its context.
+
+    Per sequence, the forward pass runs the NumPy operations of the graph
+    ``concat([h, softmax(h @ h.T) @ h])``: the scores ``h @ h.T``, their
+    softmax by row (shifted by the row maximum), then ``w @ h``, so its
+    values are bit-identical to that graph's.  The backward pass is that
+    graph's gradient, written out per sequence: the softmax vector-Jacobian
+    product, and a matmul term into ``dh`` for each use of ``h``.
     """
-    weights = (h @ h.T).softmax(axis=1)
-    return concat([h, weights @ h], axis=1)
+    spans = _packed_spans(h.shape[0], lengths)
+    x = h.data
+    d = x.shape[1]
+    out_data = np.empty((len(x), 2 * d))
+    out_data[:, :d] = x
+    weights = []
+    for start, size in spans:
+        hb = x[start : start + size]
+        scores = hb @ hb.T
+        e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+        w = e / e.sum(axis=1, keepdims=True)
+        out_data[start : start + size, d:] = w @ hb
+        weights.append(w)
+    out = Tensor(out_data)
+
+    def backward():
+        dh = out.grad[:, :d].copy()
+        for (start, size), w in zip(spans, weights):
+            rows = slice(start, start + size)
+            hb, d_ctx = x[rows], out.grad[rows, d:]
+            d_w = d_ctx @ hb.T
+            d_scores = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
+            dh[rows] += w.T @ d_ctx + d_scores @ hb + d_scores.T @ hb
+        _accum(h, dh)
+
+    return out._attach((h,), backward)
+
+
+def segment_mean(x: Tensor, lengths=None) -> Tensor:
+    """Mean of the rows of each of R packed sequences, as one (R, d) graph node.
+
+    Row r is ``block.sum(axis=0) * (1.0 / k)`` over the k rows of sequence r,
+    the operations of a sum node followed by a scaling node.
+    """
+    spans = _packed_spans(x.shape[0], lengths)
+    scale = np.array([1.0 / size for _, size in spans])[:, None]
+    sums = np.stack([x.data[start : start + size].sum(axis=0) for start, size in spans])
+    out = Tensor(sums * scale)
+
+    def backward():
+        _accum(x, np.repeat(out.grad * scale, [size for _, size in spans], axis=0))
+
+    return out._attach((x,), backward)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -199,8 +260,32 @@ class Linear:
         return x @ self.weight + self.bias
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-softmax of the target logit."""
-    if not 0 <= target < logits.shape[-1]:
-        raise ValueError(f"target {target} out of range for {logits.shape[-1]} classes")
-    return logits.logsumexp() - logits[target]
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Summed negative log-softmax of each row's target logit, as one graph node.
+
+    ``logits`` is (R, C), with one target per row.  Row r's loss is
+    ``logsumexp(z_r) - z_r[t_r]``, with the log-sum-exp shifted by the row
+    maximum, and the total is a left fold in row order, so it equals adding
+    the per-row graph losses bit for bit.  The gradient of each row is its
+    softmax minus the target's one-hot.
+    """
+    z = logits.data
+    targets = np.asarray(targets, dtype=int)
+    classes = z.shape[1]
+    if targets.shape != (len(z),):
+        raise ValueError(f"{targets.size} targets for {len(z)} rows of logits")
+    for target in targets:
+        if not 0 <= target < classes:
+            raise ValueError(f"target {target} out of range for {classes} classes")
+    m = np.max(z, axis=1, keepdims=True)
+    log_z = m + np.log(np.sum(np.exp(z - m), axis=1, keepdims=True))
+    rows = np.arange(len(z))
+    losses = (log_z[:, 0] - z[rows, targets]).tolist()
+    out = Tensor(sum(losses[1:], start=losses[0]))
+
+    def backward():
+        d = np.exp(z - log_z)
+        d[rows, targets] -= 1.0
+        _accum(logits, out.grad * d)
+
+    return out._attach((logits,), backward)

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "Parameter", "as_tensor", "concat", "stack"]
+__all__ = ["Tensor", "Parameter", "as_tensor", "concat"]
 
 
 def as_tensor(x) -> "Tensor":
@@ -141,16 +141,6 @@ class Tensor:
 
     # -- shape ------------------------------------------------------------
 
-    @property
-    def T(self) -> "Tensor":
-        out = Tensor(self.data.T)
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, out.grad.T)
-
-        return out._attach((self,), backward)
-
     def __getitem__(self, idx) -> "Tensor":
         out = Tensor(self.data[idx])
 
@@ -179,10 +169,6 @@ class Tensor:
 
         return out._attach((self,), backward)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / count)
-
     def logsumexp(self, axis: int | None = None) -> "Tensor":
         m = np.max(self.data, axis=axis, keepdims=True)
         y_keep = m + np.log(np.sum(np.exp(self.data - m), axis=axis, keepdims=True))
@@ -199,27 +185,7 @@ class Tensor:
 
         return out._attach((self,), backward)
 
-    # -- elementwise nonlinearities ------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = Tensor(y)
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, (1.0 - y * y) * out.grad)
-
-        return out._attach((self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        y = stable_sigmoid(self.data)
-        out = Tensor(y)
-
-        def backward():
-            if self.requires_grad:
-                _accum(self, y * (1.0 - y) * out.grad)
-
-        return out._attach((self,), backward)
+    # -- elementwise nonlinearity ---------------------------------------------
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -228,19 +194,6 @@ class Tensor:
         def backward():
             if self.requires_grad:
                 _accum(self, mask * out.grad)
-
-        return out._attach((self,), backward)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - np.max(self.data, axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=axis, keepdims=True)
-        out = Tensor(s)
-
-        def backward():
-            if self.requires_grad:
-                inner = (out.grad * s).sum(axis=axis, keepdims=True)
-                _accum(self, s * (out.grad - inner))
 
         return out._attach((self,), backward)
 
@@ -301,17 +254,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             offset += size
 
     return out._attach(tuple(tensors), backward)
-
-
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors]))
-
-    def backward():
-        for k, t in enumerate(tensors):
-            if t.requires_grad:
-                _accum(t, out.grad[k])
-
-    return out._attach(tuple(tensors), backward)
-

@@ -7,7 +7,8 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from stimex.nn import Tensor, as_tensor, stack
+from stimex.nn import Tensor, as_tensor, concat
+from stimex.nn.tensor import _accum, stable_sigmoid
 
 
 def _scalar(value) -> float:
@@ -40,6 +41,73 @@ def gradient_gap(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12))
 
 
+# -- graph ops that only the oracles below use ---------------------------------------------
+
+
+def _unary(x: Tensor, y: np.ndarray, dy_dx) -> Tensor:
+    """Elementwise ``y = f(x)`` as a graph node, with ``dy_dx(y)`` its derivative."""
+    out = Tensor(y)
+
+    def backward():
+        _accum(x, dy_dx(y) * out.grad)
+
+    return out._attach((x,), backward)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    return _unary(x, stable_sigmoid(x.data), lambda y: y * (1.0 - y))
+
+
+def tanh(x: Tensor) -> Tensor:
+    return _unary(x, np.tanh(x.data), lambda y: 1.0 - y * y)
+
+
+def transpose(x: Tensor) -> Tensor:
+    out = Tensor(x.data.T)
+
+    def backward():
+        _accum(x, out.grad.T)
+
+    return out._attach((x,), backward)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax shifted by the maximum along ``axis``."""
+    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+    out = Tensor(s)
+
+    def backward():
+        inner = (out.grad * s).sum(axis=axis, keepdims=True)
+        _accum(x, s * (out.grad - inner))
+
+    return out._attach((x,), backward)
+
+
+def stack(tensors) -> Tensor:
+    """Equal-shape tensors stacked along a new leading axis."""
+    tensors = [as_tensor(t) for t in tensors]
+    out = Tensor(np.stack([t.data for t in tensors]))
+
+    def backward():
+        for k, t in enumerate(tensors):
+            if t.requires_grad:
+                _accum(t, out.grad[k])
+
+    return out._attach(tuple(tensors), backward)
+
+
+# -- reference implementations --------------------------------------------------------------
+
+
+def graph_attention(h: Tensor) -> Tensor:
+    """Reference self-attention over one sequence, from small autodiff nodes:
+    ``concat([h, softmax(h @ h.T) @ h])``.  ``nn.attention`` must reproduce its
+    values exactly, block by block, and its gradients to rounding."""
+    return concat([h, softmax(h @ transpose(h), axis=1) @ h], axis=1)
+
+
 def lstm_states_per_step(cell, xs: Tensor, reverse: bool = False) -> Tensor:
     """Reference LSTM built from one small autodiff node per operation and step.
 
@@ -54,12 +122,12 @@ def lstm_states_per_step(cell, xs: Tensor, reverse: bool = False) -> Tensor:
     order = range(xs.shape[0] - 1, -1, -1) if reverse else range(xs.shape[0])
     for t in order:
         pre = xw[t] + h @ cell.w_h + cell.bias
-        i = pre[0:hd].sigmoid()
-        f = pre[hd : 2 * hd].sigmoid()
-        g = pre[2 * hd : 3 * hd].tanh()
-        o = pre[3 * hd : 4 * hd].sigmoid()
+        i = sigmoid(pre[0:hd])
+        f = sigmoid(pre[hd : 2 * hd])
+        g = tanh(pre[2 * hd : 3 * hd])
+        o = sigmoid(pre[3 * hd : 4 * hd])
         c = f * c + i * g
-        h = o * c.tanh()
+        h = o * tanh(c)
         out[t] = h
     return stack(out)
 
@@ -79,7 +147,7 @@ def graph_nll_loss(emissions, labels, params) -> Tensor:
         n = len(y)
         alpha = u[0] + params.start_scores
         for t in range(1, n):
-            alpha = (params.transitions.T + alpha).logsumexp(axis=1) + u[t]
+            alpha = (transpose(params.transitions) + alpha).logsumexp(axis=1) + u[t]
         log_z = (alpha + params.end_scores).logsumexp()
         score = u[np.arange(n), y].sum()
         if n > 1:

@@ -328,7 +328,8 @@ def test_missing_file_is_reported(tmp_path, capsys):
     "content, needle",
     [
         ("[]", "not a model checkpoint"),
-        ('{"format": "stimex-checkpoint", "version": 2}', "'config'"),
+        ('{"format": "stimex-checkpoint", "version": 3}', "'config'"),
+        ('{"format": "stimex-checkpoint", "version": 2, "config": {}}', "version 2"),
         ("{broken", "ckpt.json"),
     ],
 )
@@ -463,6 +464,23 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path, corpus_path, c
     capsys.readouterr()
     assert run(*argv, flag, bad) == 1
     assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"a,b\n1,2,3\n", "line 2: 3 cells, but the header has 2"),
+        (b"\na,b\n1,2\n3,4,5,6\n", "line 4: 4 cells, but the header has 2"),
+        (b"a,b\n\xff,2\n", "line 2: not UTF-8 text"),
+    ],
+)
+def test_report_on_a_bad_csv_exits_one_naming_its_line(tmp_path, capsys, content, message):
+    bad = tmp_path / "stats.csv"
+    bad.write_bytes(content)
+    out = tmp_path / "report.md"
+    assert run("report", "--stats", bad, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
 
 
 def test_train_with_nan_embedding_exits_one_without_checkpoint(tmp_path, corpus_path, capsys):

@@ -361,8 +361,41 @@ def test_crf_loss_is_one_graph_node(arch):
     assert (trans, start, end) == tuple(crf_params)
     sizes = [len(u.tokens) for u in units] if arch == "sl" else [len(doc) for doc, _ in units]
     assert [e.shape for e in emissions] == [(n, model.crf.num_labels) for n in sizes]
-    for e in emissions:  # each is the projection's output
-        assert any(parent is model.project.bias for parent in e._parents)
+    # the emissions are consecutive row blocks, in unit order, of one projection output
+    assert all(len(e._parents) == 1 for e in emissions)
+    (projected,) = {id(e._parents[0]): e._parents[0] for e in emissions}.values()
+    assert any(parent is model.project.bias for parent in projected._parents)
+    assert projected.shape == (sum(sizes), model.crf.num_labels)
+    assert np.array_equal(np.concatenate([e.data for e in emissions]), projected.data)
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_heads_run_once_per_batch(arch, monkeypatch):
+    """One attention node and one call of each projection per ``batch_loss``."""
+    model, units = _model(arch), ragged_units(arch)
+    attended, projections = [], []
+    original_attention, original_linear = models.attention, layers.Linear.__call__
+
+    def attention(h, lengths=None):
+        attended.append(original_attention(h, lengths))
+        return attended[-1]
+
+    def linear(layer, x):
+        projections.append(layer)
+        return original_linear(layer, x)
+
+    monkeypatch.setattr(models, "attention", attention)
+    monkeypatch.setattr(layers.Linear, "__call__", linear)
+    loss = model.batch_loss(units, training=True, rng=np.random.default_rng(2))
+    heads = [model.hidden, model.out] if arch == "icc" else [model.project]
+    assert projections == heads
+    (node,) = attended
+    if arch == "sl":
+        rows = sum(len(inst.tokens) for inst in units)
+    else:  # clause tokens (icc) or clauses (jcc)
+        rows = sum(len(seq) for seq, _ in units)
+    assert node.shape == (rows, 4 * BATCH_CFG.hidden_dim)
+    assert any(n is node for n in _graph_nodes(loss))
 
 
 def test_batch_with_an_empty_sequence_is_rejected():
@@ -615,7 +648,8 @@ def test_checkpoint_stores_exact_binary_payloads(tmp_path):
 
 
 def _legacy_payload(trained, version):
-    """The single JSON document a version-1 or version-2 checkpoint of ``trained`` holds."""
+    """The single JSON document that a version-1 or version-2 checkpoint of ``trained``
+    held, as one line."""
     if version == 1:
         encode = lambda arr: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
     else:
@@ -647,19 +681,14 @@ def _assert_same_model(loaded, trained, corpus):
     ]
 
 
-def test_checkpoint_version_1_still_loads(tmp_path):
-    corpus, trained = _small_trained()
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(_legacy_payload(trained, 1)), encoding="utf-8")
-    _assert_same_model(load_checkpoint(path), trained, corpus)
-
-
-@pytest.mark.parametrize("indent", [None, 2])
-def test_checkpoint_version_2_still_loads(tmp_path, indent):
-    corpus, trained = _small_trained()
-    path = tmp_path / "v2.json"
-    path.write_text(json.dumps(_legacy_payload(trained, 2), indent=indent), encoding="utf-8")
-    _assert_same_model(load_checkpoint(path), trained, corpus)
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_versions_1_and_2_are_refused(tmp_path, version):
+    _, trained = _small_trained()
+    path = tmp_path / f"v{version}.json"
+    path.write_text(json.dumps(_legacy_payload(trained, version)), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: unsupported checkpoint version {version} ")
 
 
 def test_loaded_checkpoint_owns_its_arrays(tmp_path):
@@ -670,30 +699,6 @@ def test_loaded_checkpoint_owns_its_arrays(tmp_path):
     _assert_same_model(loaded, trained, corpus)
     for arr in [loaded.model.embeddings.matrix] + [p.data for p in loaded.model.parameters()]:
         assert arr.flags.owndata and arr.flags.writeable
-
-
-def _corrupt(payload):
-    """Named ways to damage a valid version-2 payload, with the text the error must name."""
-    entry = payload["params"]["project.bias"]
-    yield "top level is a list", [], "not a model checkpoint"
-    yield "params missing", {k: v for k, v in payload.items() if k != "params"}, "'params'"
-    yield "config missing", {k: v for k, v in payload.items() if k != "config"}, "'config'"
-    short = dict(entry, float64_le=base64.b64encode(b"\0" * 16).decode())
-    yield "payload too short", _with_param(payload, short), "'project.bias'"
-    yield "bad base64", _with_param(payload, dict(entry, float64_le="@@not base64@@")), "base64"
-    yield "odd byte count", _with_param(
-        payload, dict(entry, float64_le=base64.b64encode(b"\0" * 5).decode())
-    ), "'project.bias'"
-    yield "shape not a list", _with_param(payload, dict(entry, shape="3")), "'project.bias'"
-    bad_emb = dict(payload["embedding"], shape=[1, 1])
-    yield "embedding wrong size", dict(payload, embedding=bad_emb), "'embedding'"
-    yield "vocab not strings", dict(payload, vocab=[1, 2]), "'vocab'"
-    yield "config bad key", dict(payload, config={"nope": 1}), "'config'"
-    yield "config wrong type", dict(payload, config={"hidden_dim": 6.5}), "'config'"
-
-
-def _with_param(payload, entry):
-    return dict(payload, params=dict(payload["params"], **{"project.bias": entry}))
 
 
 def _corrupt_v3(header, body):
@@ -731,8 +736,15 @@ def _corrupt_v3(header, body):
     yield "header not UTF-8", b"\xff" + good[1:], "header"
     yield "header not JSON", good[: head_len - 1] + good[head_len:], "header"
     yield "no payload", good[:head_len], "no payload"
+    yield "header not an object", _v3_bytes([], body), "not a model checkpoint"
+    yield "format wrong", _v3_bytes(dict(header, format="other"), body), "format"
     yield "vocab not strings", _v3_bytes(dict(header, vocab=[1, 2]), body), "'vocab'"
     yield "config missing", without("config"), "'config'"
+    yield "config bad key", _v3_bytes(dict(header, config={"nope": 1}), body), "'config'"
+    config = dict(header["config"], hidden_dim=6.5)
+    yield "config wrong type", _v3_bytes(dict(header, config=config), body), "'config'"
+    flat = [["embedding", [math.prod(arrays[0][1])]]] + arrays[1:]
+    yield "embedding of the wrong shape", with_arrays(flat), "'embedding'"
     huge = dict(header["config"], hidden_dim=2**40)  # would need petabytes of weights
     yield "hidden size beyond the arrays", _v3_bytes(dict(header, config=huge), body), "'config'"
 
@@ -755,14 +767,7 @@ def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
     _, trained = _small_trained()
     good = tmp_path / "good.json"
     save_checkpoint(trained, good)
-    cases = [
-        (label, json.dumps(bad).encode("utf-8"), needle)
-        for label, bad, needle in _corrupt(_legacy_payload(trained, 2))
-    ]
-    cases += list(_corrupt_v3(*_split_v3(good)))
-    v1 = _legacy_payload(trained, 1)
-    v1["params"]["project.bias"]["values"][0] = 10**400
-    cases.append(("v1 value beyond float64", json.dumps(v1).encode("utf-8"), "'project.bias'"))
+    cases = list(_corrupt_v3(*_split_v3(good)))
     _, jcc = _small_trained("jcc")
     save_checkpoint(jcc, good)
     narrow = _without_clause_attention(*_split_v3(good))

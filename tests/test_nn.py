@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import finite_difference, gradient_gap, lstm_states_per_step
+from _oracles import finite_difference, gradient_gap, graph_attention, lstm_states_per_step
 from stimex.nn import (
     Adam,
     BiLstm,
@@ -190,6 +190,29 @@ def test_attention_gradient():
     assert gradient_gap({"h": p.grad}, numeric) < 1e-6
 
 
+@pytest.mark.parametrize("lengths", [[5], [1, 4], [3, 1, 7, 1, 2], [1, 1, 1]])
+def test_attention_matches_graph_oracle(lengths):
+    rng = np.random.default_rng(len(lengths))
+    n = sum(lengths)
+    h = Parameter("h", rng.standard_normal((n, 6)))
+    weights = Tensor(rng.standard_normal((n, 12)))  # every output feeds the loss
+    ends = np.cumsum(lengths)
+
+    def per_block(h):
+        return concat([graph_attention(h[e - k : e]) for k, e in zip(lengths, ends)])
+
+    def run(attend):
+        h.grad = None
+        out = attend(h)
+        (out * weights).sum().backward()
+        return out.data, h.grad
+
+    fused, fused_grad = run(lambda h: attention(h, None if len(lengths) == 1 else lengths))
+    oracle, oracle_grad = run(per_block)
+    assert np.array_equal(fused, oracle)
+    assert np.max(np.abs(fused_grad - oracle_grad)) <= 1e-12 * np.max(np.abs(oracle_grad))
+
+
 # -- dropout -------------------------------------------------------------------
 
 
@@ -236,20 +259,40 @@ def test_linear_shapes_and_grad():
 
 
 def test_cross_entropy_uniform_logits():
-    logits = Tensor(np.zeros(4))
-    assert cross_entropy(logits, 2).item() == pytest.approx(np.log(4.0))
+    logits = Tensor(np.zeros((1, 4)))
+    assert cross_entropy(logits, [2]).item() == pytest.approx(np.log(4.0))
 
 
 def test_cross_entropy_peaked_is_small():
-    logits = Tensor(np.array([20.0, 0.0, 0.0]))
-    assert cross_entropy(logits, 0).item() < 1e-6
+    logits = Tensor(np.array([[20.0, 0.0, 0.0]]))
+    assert cross_entropy(logits, [0]).item() < 1e-6
+
+
+def test_cross_entropy_is_the_left_fold_of_row_losses():
+    rng = np.random.default_rng(4)
+    z = Parameter("z", 3.0 * rng.standard_normal((11, 2)))
+    targets = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0]
+    rows = [(Tensor(z.data[r]).logsumexp() - z.data[r, t]).item() for r, t in enumerate(targets)]
+    expected = rows[0]
+    for loss in rows[1:]:
+        expected = expected + loss
+    assert cross_entropy(z, targets).item() == expected
+
+    def loss():
+        return cross_entropy(z, targets)
+
+    z.grad = None
+    loss().backward()
+    assert gradient_gap({"z": z.grad}, finite_difference(loss, [z])) < 1e-6
 
 
 def test_cross_entropy_target_range():
     with pytest.raises(ValueError):
-        cross_entropy(Tensor(np.zeros(3)), 3)
+        cross_entropy(Tensor(np.zeros((1, 3))), [3])
     with pytest.raises(ValueError):
-        cross_entropy(Tensor(np.zeros(3)), -1)
+        cross_entropy(Tensor(np.zeros((1, 3))), [-1])
+    with pytest.raises(ValueError):
+        cross_entropy(Tensor(np.zeros((2, 3))), [0])
 
 
 # -- Adam ------------------------------------------------------------------------
