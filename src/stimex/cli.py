@@ -184,9 +184,7 @@ def cmd_clauses_eval(args) -> int:
 
 def cmd_split(args) -> int:
     instances = load_corpus(args.corpus)
-    ids = [inst.id for inst in instances]
-    if len(set(ids)) != len(ids):
-        raise CorpusError("instance ids must be unique to write a split file")
+    _by_id(instances, args.corpus)
     train, dev, test = split_corpus(instances, args.seed)
     payload = {
         "seed": args.seed,
@@ -207,20 +205,37 @@ def _read_json(path: str, what: str):
 
 
 def _read_splits(path: str) -> dict:
+    """The split file's id lists; an id may appear in only one place."""
     payload = _read_json(path, "split file")
     if not isinstance(payload, dict):
         raise CorpusError(f"{path}: split file must be a JSON object")
+    seen: dict[str, str] = {}
     for key in ("train", "dev", "test"):
         if key not in payload:
             raise CorpusError(f"{path}: split file is missing the {key!r} id list")
         ids = payload[key]
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise CorpusError(f"{path}: {key!r} must be a list of instance id strings")
+        for i in ids:
+            if i in seen:
+                raise CorpusError(
+                    f"{path}: instance id {i!r} is listed twice (in {seen[i]!r} and {key!r})"
+                )
+            seen[i] = key
     return payload
 
 
-def _select(instances: Sequence[Instance], ids: Sequence[str], path: str) -> list[Instance]:
-    by_id = {inst.id: inst for inst in instances}
+def _by_id(instances: Sequence[Instance], path: str) -> dict[str, Instance]:
+    """The corpus's instances by id; ids must be unique to select by them."""
+    by_id: dict[str, Instance] = {}
+    for inst in instances:
+        if inst.id in by_id:
+            raise CorpusError(f"{path}: instance id {inst.id!r} appears more than once")
+        by_id[inst.id] = inst
+    return by_id
+
+
+def _select(by_id: dict[str, Instance], ids: Sequence[str], path: str) -> list[Instance]:
     missing = [i for i in ids if i not in by_id]
     if missing:
         raise CorpusError(f"{path}: split references unknown instance ids: {missing[:5]}")
@@ -243,10 +258,10 @@ def _load_config(args) -> models.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    instances = load_corpus(args.corpus)
+    by_id = _by_id(load_corpus(args.corpus), args.corpus)
     splits = _read_splits(args.splits)
-    train_insts = _select(instances, splits["train"], args.splits)
-    dev_insts = _select(instances, splits["dev"], args.splits)
+    train_insts = _select(by_id, splits["train"], args.splits)
+    dev_insts = _select(by_id, splits["dev"], args.splits)
     config = _load_config(args)
     if args.embeddings:
         embeddings = models.EmbeddingTable.load_text(args.embeddings)
@@ -265,14 +280,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.subset and not args.splits:
+        raise CorpusError(f"{args.corpus}: --subset {args.subset} needs --splits")
     instances = load_corpus(args.corpus)
     if args.splits:
         splits = _read_splits(args.splits)
-        if args.subset == "all":
+        if args.subset in (None, "all"):
             ids = splits["train"] + splits["dev"] + splits["test"]
         else:
             ids = splits[args.subset]
-        instances = _select(instances, ids, args.splits)
+        instances = _select(_by_id(instances, args.corpus), ids, args.splits)
     model = models.load_checkpoint(args.checkpoint).model
     for inst in instances:
         model.store_prediction(inst, model.predict_instance(inst))
@@ -409,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--splits")
-    p.add_argument("--subset", choices=["train", "dev", "test", "all"], default="all")
+    p.add_argument("--subset", choices=["train", "dev", "test", "all"], help="which --splits list")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

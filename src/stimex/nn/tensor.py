@@ -33,8 +33,14 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _accum(t: "Tensor", g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy: `g` may be a read-only broadcast view, or an array another node reads.
+        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+    else:
+        t.grad += g
+
+
+def _used() -> None:
+    raise ValueError("graph node already used by backward(); run the forward pass again")
 
 
 class Tensor:
@@ -84,8 +90,6 @@ class Tensor:
 
         return out._attach((self, other), backward)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.data)
 
@@ -98,9 +102,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out = Tensor(self.data * other.data)
@@ -112,8 +113,6 @@ class Tensor:
                 _accum(other, _unbroadcast(out.grad * self.data, other.data.shape))
 
         return out._attach((self, other), backward)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -200,7 +199,12 @@ class Tensor:
     # -- backward pass ---------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar loss through the whole graph."""
+        """Backpropagate from a scalar loss through the whole graph, consuming it.
+
+        Each node drops its closure, and the arrays that holds, and its parent
+        links once it has passed its gradient on, so no node is a reference
+        cycle. A second backward through a used node raises ``ValueError``.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         # Iterative postorder DFS: recursion depth scales with sequence length.
@@ -223,6 +227,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+                node._backward, node._parents = _used, ()
 
 
 class Parameter(Tensor):

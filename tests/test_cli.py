@@ -441,6 +441,56 @@ def test_predict_with_a_bad_split_file_names_it(tmp_path, corpus_path, capsys):
     )
 
 
+@pytest.mark.parametrize("where", ["train", "dev", "test"])
+def test_train_refuses_an_id_listed_twice_in_a_split_file(
+    tmp_path, corpus_path, capsys, where
+):
+    args, splits, _ = train_args(tmp_path, corpus_path)
+    payload = json.loads(splits.read_text(encoding="utf-8"))
+    twice = payload["train"][0]
+    payload[where].append(twice)  # in one list for "train", across two lists otherwise
+    splits.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    ckpt = tmp_path / "model.json"
+    assert run("train", *args, "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == (
+        f"error: {splits}: instance id {twice!r} is listed twice (in 'train' and {where!r})\n"
+    )
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_selecting_from_a_corpus_with_a_duplicate_id_names_it(
+    tmp_path, corpus_path, capsys, command
+):
+    args, splits, _ = train_args(tmp_path, corpus_path)
+    instances = load_corpus(corpus_path)
+    twice = instances[2].id
+    instances[7].id = twice
+    save_corpus(instances, corpus_path)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    if command == "train":
+        argv = ["train", *args, "--checkpoint", out]
+    else:
+        ckpt = tmp_path / "none.json"
+        argv = ["predict", "--corpus", corpus_path, "--checkpoint", ckpt, "--splits", splits]
+        argv += ["--out", out]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus_path}: instance id {twice!r} appears more than once\n"
+    )
+    assert not out.exists()
+
+
+def test_predict_subset_needs_splits(tmp_path, corpus_path, capsys):
+    out = tmp_path / "preds.jsonl"
+    args = ["--corpus", corpus_path, "--checkpoint", tmp_path / "none.json", "--out", out]
+    assert run("predict", *args, "--subset", "test") == 1
+    assert capsys.readouterr().err == f"error: {corpus_path}: --subset test needs --splits\n"
+    assert not out.exists()
+
+
 def test_train_names_a_duplicate_embedding_token(tmp_path, corpus_path, capsys):
     args, _, _ = train_args(tmp_path, corpus_path)
     emb = tmp_path / "emb.txt"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import builtins
 import dataclasses
+import gc
 import json
 import math
 
@@ -333,6 +334,21 @@ def test_batch_loss_draws_the_same_dropout_masks(arch):
     single = sum(model.loss(u, True, rng_single).item() for u in units)
     assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
     assert rng_batch.random() == rng_single.random()  # both streams at the same point
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_training_step_leaves_no_cyclic_garbage(arch):
+    """``backward`` consumes the graph, so dropping the loss frees it by refcount."""
+    model, units = _model(arch), ragged_units(arch)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = model.batch_loss(units, training=True, rng=np.random.default_rng(2))
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _graph_nodes(loss):
