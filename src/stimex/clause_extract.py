@@ -53,12 +53,11 @@ def clause_gaps(
     tree: ConstTree, clause_labels: frozenset[str] | set[str] = DEFAULT_CLAUSE_LABELS
 ) -> list[int]:
     """Sorted segmentation points: sentence bounds plus clause-node boundaries."""
-    n = tree.leaf_span.end
-    gaps = {0, n}
+    gaps = {0, tree.end}
     for node in tree.iter_nodes():
         if node.label in clause_labels:
-            gaps.add(node.leaf_span.start)
-            gaps.add(node.leaf_span.end)
+            gaps.add(node.start)
+            gaps.add(node.end)
     return sorted(gaps)
 
 

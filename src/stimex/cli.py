@@ -82,9 +82,9 @@ def _trees_for(instances: Sequence[Instance], trees_path: str | None) -> list[Co
             tree = parse_bracket(text)
         except BracketParseError as exc:
             raise CorpusError(f"instance {inst.id!r}: {exc}") from None
-        if tree.leaf_span.end != len(inst.tokens):
+        if tree.end != len(inst.tokens):
             raise CorpusError(
-                f"instance {inst.id!r}: tree has {tree.leaf_span.end} leaves "
+                f"instance {inst.id!r}: tree has {tree.end} leaves "
                 f"but the instance has {len(inst.tokens)} tokens"
             )
         trees.append(tree)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 IOB_LABELS = ("B", "I", "O")
+_IOB_SET = frozenset(IOB_LABELS)
 
 STATS_COLUMNS = (
     "dataset",
@@ -81,7 +83,7 @@ class Instance:
             raise CorpusError("field 'id' must be a non-empty string")
         if not isinstance(self.dataset, str) or not self.dataset:
             raise CorpusError("field 'dataset' must be a non-empty string")
-        if not self.tokens or not all(isinstance(t, str) for t in self.tokens):
+        if not self.tokens or not all(map(isinstance, self.tokens, repeat(str))):
             raise CorpusError("field 'tokens' must be a non-empty list of strings")
         self._check_iob("iob", self.iob)
         if self.pred_iob is not None:
@@ -96,6 +98,11 @@ class Instance:
             raise CorpusError(
                 f"field '{field}' has {len(labels)} labels for {len(self.tokens)} tokens"
             )
+        try:
+            if _IOB_SET.issuperset(labels):
+                return
+        except TypeError:  # an unhashable label, which the loop below names
+            pass
         for i, lab in enumerate(labels):
             if lab not in IOB_LABELS:
                 raise CorpusError(f"field '{field}' has unknown label {lab!r} at position {i}")
@@ -173,7 +180,10 @@ def _field(obj: dict, field: str, kind: type):
     return value
 
 
-def _clause_list(obj: dict, field: str) -> list[ClauseAnnotation] | None:
+def _clause_list(
+    obj: dict, field: str, interned: dict[tuple, ClauseAnnotation]
+) -> list[ClauseAnnotation] | None:
+    """``obj[field]`` as clauses; equal entries share the ``interned`` annotation."""
     entries = _field(obj, field, list)
     if entries is None:
         return None
@@ -190,11 +200,15 @@ def _clause_list(obj: dict, field: str) -> list[ClauseAnnotation] | None:
         stimulus = entry.get("stimulus", False)
         if not isinstance(stimulus, bool):
             raise CorpusError(f"field '{field}' entry {k} has a non-boolean 'stimulus'")
-        clauses.append(ClauseAnnotation(Span(start, end), stimulus))
+        key = (start, end, stimulus)
+        clause = interned.get(key)
+        if clause is None:
+            clause = interned[key] = ClauseAnnotation(Span(start, end), stimulus)
+        clauses.append(clause)
     return clauses
 
 
-def _instance_from_obj(obj: dict) -> Instance:
+def _instance_from_obj(obj: dict, interned: dict[tuple, ClauseAnnotation]) -> Instance:
     for field in ("id", "dataset", "tokens", "iob"):
         if field not in obj:
             raise CorpusError(f"missing required field '{field}'")
@@ -205,13 +219,13 @@ def _instance_from_obj(obj: dict) -> Instance:
     inst = Instance(
         id=obj["id"],
         dataset=obj["dataset"],
-        tokens=list(obj["tokens"]),
-        iob=list(obj["iob"]),
-        clauses=_clause_list(obj, "clauses"),
+        tokens=obj["tokens"],
+        iob=obj["iob"],
+        clauses=_clause_list(obj, "clauses", interned),
         parse=_field(obj, "parse", str),
         emotion=_field(obj, "emotion", str),
-        pred_iob=None if pred_iob is None else list(pred_iob),
-        pred_clauses=_clause_list(obj, "pred_clauses"),
+        pred_iob=pred_iob,
+        pred_clauses=_clause_list(obj, "pred_clauses", interned),
     )
     inst.validate()
     return inst
@@ -235,6 +249,7 @@ def not_utf8(path: str | Path) -> str:
 def load_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus; errors name the file, the offending line and field."""
     instances = []
+    interned: dict[tuple, ClauseAnnotation] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -249,7 +264,7 @@ def load_corpus(path: str | Path) -> list[Instance]:
                 if not isinstance(obj, dict):
                     raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
                 try:
-                    instances.append(_instance_from_obj(obj))
+                    instances.append(_instance_from_obj(obj, interned))
                 except CorpusError as exc:
                     raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     except UnicodeDecodeError:

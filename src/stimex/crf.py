@@ -206,20 +206,3 @@ def brute_force_decode(u: Tensor | np.ndarray, params: CrfParams) -> tuple[list[
     assert best_path is not None
     return list(best_path), best_score
 
-
-def brute_force_log_partition(u: Tensor | np.ndarray, params: CrfParams) -> float:
-    """Exhaustive log-sum-exp over all label paths (oracle; small inputs only)."""
-    u, trans, start, end = _as_arrays(u, params)
-    n, num_labels = u.shape
-    if n == 0:
-        raise ValueError("empty emission sequence")
-    if num_labels**n > MAX_BRUTE_FORCE:
-        raise ValueError(f"search space {num_labels}**{n} exceeds {MAX_BRUTE_FORCE}")
-    scores = np.array(
-        [
-            _score_path(u, np.asarray(y), trans, start, end)
-            for y in itertools.product(range(num_labels), repeat=n)
-        ]
-    )
-    m = scores.max()
-    return float(m + np.log(np.exp(scores - m).sum()))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from stimex.corpus import Span
@@ -58,16 +59,12 @@ class Prf:
         return cls(precision, recall, f1, tp_p, tp_r, n_pred, n_gold)
 
 
-def span_match(pred: Span, gold: Span, mode: MatchMode) -> bool:
-    if mode is MatchMode.EXACT:
-        return pred == gold
-    if mode is MatchMode.RELAXED:
-        return pred.overlaps(gold)
-    if mode is MatchMode.LEFT_EXACT:
-        return pred.start == gold.start
-    if mode is MatchMode.RIGHT_EXACT:
-        return pred.end == gold.end
-    raise ValueError(f"{mode} is not a span-matching mode")
+# The key a span is matched by in the modes that compare boundaries.
+_MATCH_KEYS = {
+    MatchMode.EXACT: attrgetter("start", "end"),
+    MatchMode.LEFT_EXACT: attrgetter("start"),
+    MatchMode.RIGHT_EXACT: attrgetter("end"),
+}
 
 
 def span_prf(
@@ -78,12 +75,22 @@ def span_prf(
         raise ValueError(f"{mode} is not a span-matching mode")
     if len(pred) != len(gold):
         raise ValueError(f"mismatched instance sets: {len(pred)} predicted vs {len(gold)} gold")
+    key = _MATCH_KEYS.get(mode)
     tp_p = tp_r = n_pred = n_gold = 0
     for pred_spans, gold_spans in zip(pred, gold):
         n_pred += len(pred_spans)
         n_gold += len(gold_spans)
-        tp_p += sum(1 for p in pred_spans if any(span_match(p, g, mode) for g in gold_spans))
-        tp_r += sum(1 for g in gold_spans if any(span_match(p, g, mode) for p in pred_spans))
+        if key is None:  # relaxed: any overlap
+            tp_p += sum(
+                any(p.start < g.end and g.start < p.end for g in gold_spans) for p in pred_spans
+            )
+            tp_r += sum(
+                any(p.start < g.end and g.start < p.end for p in pred_spans) for g in gold_spans
+            )
+        else:
+            pred_keys, gold_keys = list(map(key, pred_spans)), list(map(key, gold_spans))
+            tp_p += sum(map(set(gold_keys).__contains__, pred_keys))
+            tp_r += sum(map(set(pred_keys).__contains__, gold_keys))
     return Prf.from_counts(tp_p, tp_r, n_pred, n_gold)
 
 
@@ -128,11 +135,16 @@ def clause_alignment(
         )
     exact = left = right = total = 0
     for spans, segs in zip(stimuli, clauses):
+        if not spans:
+            continue
+        bounds = {(c.start, c.end) for c in segs}
+        starts = {c.start for c in segs}
+        ends = {c.end for c in segs}
+        total += len(spans)
         for sp in spans:
-            total += 1
-            exact += any(sp == c for c in segs)
-            left += any(sp.start == c.start for c in segs)
-            right += any(sp.end == c.end for c in segs)
+            exact += (sp.start, sp.end) in bounds
+            left += sp.start in starts
+            right += sp.end in ends
     if total == 0:
         return AlignmentReport(0.0, 0.0, 0.0, 0)
     return AlignmentReport(exact / total, left / total, right / total, total)

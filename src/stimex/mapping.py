@@ -7,6 +7,7 @@ either model family comparable under both evaluations.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Sequence
 
 from stimex.corpus import Span
@@ -14,7 +15,7 @@ from stimex.corpus import Span
 
 def _check_clauses(clauses: Sequence[Span], n: int) -> None:
     prev_end = 0
-    for k, sp in enumerate(sorted(clauses)):
+    for k, sp in enumerate(sorted(clauses, key=attrgetter("start", "end"))):
         if sp.start < prev_end:
             raise ValueError(f"clause {k} overlaps its predecessor")
         if sp.end > n:
@@ -25,7 +26,7 @@ def _check_clauses(clauses: Sequence[Span], n: int) -> None:
 def tokens_to_clauses(iob: Sequence[str], clauses: Sequence[Span]) -> list[bool]:
     """A clause is a stimulus iff it contains at least one B/I token."""
     _check_clauses(clauses, len(iob))
-    return [any(lab != "O" for lab in iob[sp.start : sp.end]) for sp in clauses]
+    return [iob[sp.start : sp.end].count("O") < sp.end - sp.start for sp in clauses]
 
 
 def clauses_to_tokens(flags: Sequence[bool], clauses: Sequence[Span], n: int) -> list[str]:

@@ -3,15 +3,24 @@
 Trees use the Penn Treebank bracket format, e.g. ``(S (NP (PRP She)) ...)``.
 Literal parentheses inside tokens follow the Treebank ``-LRB-``/``-RRB-``
 convention and are kept verbatim.  Every node records the half-open interval
-of leaf indices it covers, which is what clause extraction operates on.
+``[start, end)`` of leaf indices it covers, which is what clause extraction
+operates on.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
 from stimex.corpus import Span
+
+# Trees nested deeper than this many nodes are rejected rather than parsed.
+MAX_DEPTH = 1000
+
+# A bracket, or a label or token; whitespace is what lies between matches.
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+_BRACKETS = ("(", ")")
 
 
 class BracketParseError(ValueError):
@@ -22,23 +31,33 @@ class BracketParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstTree:
-    """Constituency tree node: either internal (children) or pre-terminal (token)."""
+    """Constituency tree node: either internal (children) or pre-terminal (token).
+
+    ``start`` and ``end`` bound the half-open interval of leaf indices it covers.
+    """
 
     label: str
     children: tuple["ConstTree", ...] = ()
     token: str | None = None
-    leaf_span: Span = Span(0, 1)
+    start: int = 0
+    end: int = 1
+
+    @property
+    def leaf_span(self) -> Span:
+        return Span(self.start, self.end)
 
     def is_leaf(self) -> bool:
         return self.token is not None
 
     def iter_nodes(self) -> Iterator["ConstTree"]:
         """Pre-order traversal over all nodes including self."""
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def leaves(tree: ConstTree) -> list[str]:
@@ -46,77 +65,65 @@ def leaves(tree: ConstTree) -> list[str]:
     return [node.token for node in tree.iter_nodes() if node.token is not None]
 
 
-def to_bracket(tree: ConstTree) -> str:
-    if tree.is_leaf():
-        return f"({tree.label} {tree.token})"
-    return "(" + tree.label + " " + " ".join(to_bracket(c) for c in tree.children) + ")"
-
-
-_DELIMS = "()"
+def _offset(text: str, k: int) -> int:
+    """Character position of token ``k`` of ``text``; its length past the last token."""
+    for j, match in enumerate(_TOKEN.finditer(text)):
+        if j == k:
+            return match.start()
+    return len(text)
 
 
 def parse_bracket(text: str) -> ConstTree:
-    """Parse one bracketed tree, rejecting trailing garbage and imbalance."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws(p: int) -> int:
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    def read_atom(p: int) -> tuple[str, int]:
-        start = p
-        while p < n and not text[p].isspace() and text[p] not in _DELIMS:
-            p += 1
-        if p == start:
-            raise BracketParseError("expected a label or token", start)
-        return text[start:p], p
-
-    leaf_counter = [0]
-
-    def parse_node(p: int) -> tuple[ConstTree, int]:
-        if p >= n or text[p] != "(":
-            raise BracketParseError("expected '('", p)
-        open_at = p
-        p = skip_ws(p + 1)
-        label, p = read_atom(p)
-        children: list[ConstTree] = []
-        token: str | None = None
-        while True:
-            p = skip_ws(p)
-            if p >= n:
-                raise BracketParseError("unbalanced '('", open_at)
-            ch = text[p]
-            if ch == ")":
-                p += 1
-                break
-            if ch == "(":
-                if token is not None:
-                    raise BracketParseError("node mixes a token with children", p)
-                child, p = parse_node(p)
-                children.append(child)
+    """Parse one bracketed tree, rejecting trailing garbage, imbalance and excess depth."""
+    tokens = _TOKEN.findall(text)
+    n = len(tokens)
+    if not n:
+        raise BracketParseError("empty input", len(text))
+    if tokens[0] != "(":
+        raise BracketParseError("expected '('", _offset(text, 0))
+    stack: list[list] = []  # open nodes: [label, children, token, index of its '(']
+    done: list[ConstTree] = []  # receives the root once it closes
+    siblings = done  # the children of the innermost open node
+    leaf = 0
+    i = 0
+    while not done:
+        if i == n:
+            raise BracketParseError("unbalanced '('", _offset(text, stack[-1][3]))
+        tok = tokens[i]
+        if tok == "(":
+            if stack and stack[-1][2] is not None:
+                raise BracketParseError("node mixes a token with children", _offset(text, i))
+            if len(stack) == MAX_DEPTH:
+                raise BracketParseError("tree nested too deeply", _offset(text, i))
+            if i + 1 == n or tokens[i + 1] in _BRACKETS:
+                raise BracketParseError("expected a label or token", _offset(text, i + 1))
+            if i + 3 < n and tokens[i + 3] == ")" and tokens[i + 2] not in _BRACKETS:
+                # a pre-terminal, "(label token)", made without opening it
+                siblings.append(ConstTree(tokens[i + 1], (), tokens[i + 2], leaf, leaf + 1))
+                leaf += 1
+                i += 4
             else:
-                if children or token is not None:
-                    raise BracketParseError("node holds more than one token", p)
-                token, p = read_atom(p)
-        if token is not None:
-            k = leaf_counter[0]
-            leaf_counter[0] += 1
-            return ConstTree(label, (), token, Span(k, k + 1)), p
-        if not children:
-            raise BracketParseError("empty node", open_at)
-        span = Span(children[0].leaf_span.start, children[-1].leaf_span.end)
-        return ConstTree(label, tuple(children), None, span), p
-
-    pos = skip_ws(pos)
-    if pos >= n:
-        raise BracketParseError("empty input", pos)
-    try:
-        tree, pos = parse_node(pos)
-    except RecursionError:
-        raise BracketParseError("tree nested too deeply", pos) from None
-    pos = skip_ws(pos)
-    if pos != n:
-        raise BracketParseError("trailing content after tree", pos)
-    return tree
+                siblings = []
+                stack.append([tokens[i + 1], siblings, None, i])
+                i += 2
+        elif tok != ")":
+            top = stack[-1]
+            if top[1] or top[2] is not None:
+                raise BracketParseError("node holds more than one token", _offset(text, i))
+            top[2] = tok
+            i += 1
+        else:
+            label, children, token, opened = stack.pop()
+            if token is not None:
+                node = ConstTree(label, (), token, leaf, leaf + 1)
+                leaf += 1
+            elif children:
+                node = ConstTree(label, tuple(children), None, children[0].start, children[-1].end)
+            else:
+                raise BracketParseError("empty node", _offset(text, opened))
+            siblings = stack[-1][1] if stack else done
+            siblings.append(node)
+            i += 1
+    if i < n:
+        raise BracketParseError("trailing content after tree", _offset(text, i))
+    return done[0]

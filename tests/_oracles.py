@@ -1,12 +1,17 @@
-"""Shared test helpers: finite differences, independently coded recounts and damaged files."""
+"""Shared test helpers: finite differences, independently coded recounts and reference
+implementations (brute force, recursion, pairwise matching), and damaged files."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
+from stimex.corpus import Span
+from stimex.crf import MAX_BRUTE_FORCE, CrfParams, _as_arrays, _score_path
+from stimex.evaluation import MatchMode
 from stimex.nn import Tensor, as_tensor, concat
 from stimex.nn.tensor import _accum, stable_sigmoid
 
@@ -158,6 +163,24 @@ def graph_nll_loss(emissions, labels, params) -> Tensor:
     return total
 
 
+def brute_force_log_partition(u: Tensor | np.ndarray, params: CrfParams) -> float:
+    """Exhaustive log-sum-exp over all label paths (oracle; small inputs only)."""
+    u, trans, start, end = _as_arrays(u, params)
+    n, num_labels = u.shape
+    if n == 0:
+        raise ValueError("empty emission sequence")
+    if num_labels**n > MAX_BRUTE_FORCE:
+        raise ValueError(f"search space {num_labels}**{n} exceeds {MAX_BRUTE_FORCE}")
+    scores = np.array(
+        [
+            _score_path(u, np.asarray(y), trans, start, end)
+            for y in itertools.product(range(num_labels), repeat=n)
+        ]
+    )
+    m = scores.max()
+    return float(m + np.log(np.exp(scores - m).sum()))
+
+
 def random_tree_text(rng: np.random.Generator, max_depth: int = 4) -> str:
     """Random bracketed tree over a small label/word pool."""
     labels = ("S", "SBAR", "SBARQ", "NP", "VP", "X", "SQ", "ADJP")
@@ -173,6 +196,57 @@ def random_tree_text(rng: np.random.Generator, max_depth: int = 4) -> str:
         return "(" + pick(labels) + " " + " ".join(node(depth + 1) for _ in range(k)) + ")"
 
     return node(0)
+
+
+def to_bracket(tree) -> str:
+    """``tree`` written back in bracket form, one space between nodes."""
+    if tree.is_leaf():
+        return f"({tree.label} {tree.token})"
+    return "(" + tree.label + " " + " ".join(to_bracket(c) for c in tree.children) + ")"
+
+
+def preorder(tree) -> list:
+    """Nodes of ``tree`` in pre-order, by recursion."""
+    out = [tree]
+    for child in tree.children:
+        out += preorder(child)
+    return out
+
+
+def span_match(pred: Span, gold: Span, mode: MatchMode) -> bool:
+    """Whether one predicted span matches one gold span under ``mode``."""
+    if mode is MatchMode.EXACT:
+        return pred == gold
+    if mode is MatchMode.RELAXED:
+        return pred.overlaps(gold)
+    if mode is MatchMode.LEFT_EXACT:
+        return pred.start == gold.start
+    if mode is MatchMode.RIGHT_EXACT:
+        return pred.end == gold.end
+    raise ValueError(f"{mode} is not a span-matching mode")
+
+
+def pairwise_span_counts(pred, gold, mode: MatchMode) -> tuple[int, int, int, int]:
+    """(tp_p, tp_r, n_pred, n_gold) of ``span_prf``, by comparing every pair of spans."""
+    tp_p = tp_r = n_pred = n_gold = 0
+    for pred_spans, gold_spans in zip(pred, gold):
+        n_pred += len(pred_spans)
+        n_gold += len(gold_spans)
+        tp_p += sum(1 for p in pred_spans if any(span_match(p, g, mode) for g in gold_spans))
+        tp_r += sum(1 for g in gold_spans if any(span_match(p, g, mode) for p in pred_spans))
+    return tp_p, tp_r, n_pred, n_gold
+
+
+def pairwise_alignment(stimuli, clauses) -> tuple[int, int, int, int]:
+    """(exact, left, right, total) counts of ``clause_alignment``, pair by pair."""
+    exact = left = right = total = 0
+    for spans, segs in zip(stimuli, clauses):
+        for sp in spans:
+            total += 1
+            exact += any(span_match(sp, c, MatchMode.EXACT) for c in segs)
+            left += any(span_match(sp, c, MatchMode.LEFT_EXACT) for c in segs)
+            right += any(span_match(sp, c, MatchMode.RIGHT_EXACT) for c in segs)
+    return exact, left, right, total
 
 
 def spans_of(iob) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import _acceptance_log
-from _oracles import finite_difference, gradient_gap, naive_stats
+from _oracles import brute_force_log_partition, finite_difference, gradient_gap, naive_stats
 from stimex.clause_extract import (
     clause_gaps,
     is_punct_only,
@@ -27,7 +27,6 @@ from stimex.corpus import Instance, Span, compute_stats, generate_synthetic, iob
 from stimex.crf import (
     CrfParams,
     brute_force_decode,
-    brute_force_log_partition,
     log_partition,
     nll_loss,
     viterbi_decode,

@@ -3,12 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import finite_difference, gradient_gap, graph_nll_loss
+from _oracles import brute_force_log_partition, finite_difference, gradient_gap, graph_nll_loss
 from stimex.crf import (
     CrfParams,
     batch_nll_loss,
     brute_force_decode,
-    brute_force_log_partition,
     log_partition,
     nll_loss,
     score_sequence,

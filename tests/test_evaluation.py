@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import pairwise_alignment, pairwise_span_counts, span_match
 from stimex.corpus import Span
 from stimex.evaluation import (
     SPAN_MODES,
@@ -15,7 +18,6 @@ from stimex.evaluation import (
     clause_prf,
     cohen_kappa,
     format_eval_csv,
-    span_match,
     span_prf,
 )
 
@@ -124,6 +126,55 @@ def test_perfect_predictions_score_one():
         got = span_prf(gold, gold, mode)
         if got.n_gold:
             assert (got.precision, got.recall, got.f1) == (1.0, 1.0, 1.0)
+
+
+# Few distinct bounds, so that spans repeat, nest and share one end.
+SPAN = st.builds(lambda a, k: Span(a, a + k), st.integers(0, 6), st.integers(1, 4))
+PAIRED_SPAN_SETS = st.integers(0, 4).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.lists(SPAN, max_size=5), min_size=m, max_size=m),
+        st.lists(st.lists(SPAN, max_size=5), min_size=m, max_size=m),
+    )
+)
+DUPLICATES = ([[Span(0, 2), Span(0, 2), Span(1, 2)]], [[Span(0, 2), Span(0, 3), Span(0, 3)]])
+
+
+@given(PAIRED_SPAN_SETS)
+@example(DUPLICATES)
+@example(([[], [Span(0, 1)]], [[Span(0, 1)], []]))
+@example(([], []))
+@settings(max_examples=300, deadline=None)
+def test_span_prf_equals_the_pairwise_oracle(sets):
+    pred, gold = sets
+    for mode in SPAN_MODES:
+        assert span_prf(pred, gold, mode) == Prf.from_counts(*pairwise_span_counts(pred, gold, mode))
+    exact = Prf.from_counts(*pairwise_span_counts(pred, gold, MatchMode.EXACT))
+    assert clause_match_prf(pred, gold) == exact
+
+
+@given(PAIRED_SPAN_SETS)
+@example(DUPLICATES)
+@example(([[]], [[]]))
+@settings(max_examples=300, deadline=None)
+def test_clause_alignment_equals_the_pairwise_oracle(sets):
+    stimuli, clauses = sets
+    exact, left, right, total = pairwise_alignment(stimuli, clauses)
+    expected = (
+        AlignmentReport(exact / total, left / total, right / total, total)
+        if total
+        else AlignmentReport(0.0, 0.0, 0.0, 0)
+    )
+    assert clause_alignment(stimuli, clauses) == expected
+
+
+def test_duplicate_spans_each_count():
+    pred, gold = DUPLICATES
+    # Exact: both copies of [0, 2) match; one gold [0, 2) is matched, the two [0, 3) are not.
+    got = span_prf(pred, gold, MatchMode.EXACT)
+    assert (got.tp_p, got.tp_r, got.n_pred, got.n_gold) == (2, 1, 3, 3)
+    left = span_prf(pred, gold, MatchMode.LEFT_EXACT)
+    assert (left.tp_p, left.tp_r) == (2, 3)
+    assert clause_alignment(pred, gold) == AlignmentReport(2 / 3, 2 / 3, 1.0, 3)
 
 
 # -- clause-level P/R/F1 -----------------------------------------------------------

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
+import json
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 
-from _oracles import damaged_brackets, random_tree_text
+from _oracles import damaged_brackets, preorder, random_tree_text, to_bracket
+from stimex.cli import main
 from stimex.corpus import Span
-from stimex.parsetree import BracketParseError, ConstTree, leaves, parse_bracket, to_bracket
+from stimex.parsetree import MAX_DEPTH, BracketParseError, ConstTree, leaves, parse_bracket
 
 GOLDEN = "(S (NP (PRP I)) (VP (VBP am) (ADJP (JJ happy) (SBAR (IN because) (S (NP (PRP you)) (VP (VBD came)))))) (. .))"
 
@@ -96,3 +102,55 @@ def test_damaged_brackets_parse_or_raise_a_parse_error(text):
     except BracketParseError:
         return
     assert isinstance(tree, ConstTree)
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    rng = np.random.default_rng(2)
+    texts = [GOLDEN] + [random_tree_text(rng) for _ in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        trees = [parse_bracket(text) for text in texts]
+        del trees
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_iter_nodes_is_recursive_preorder():
+    rng = np.random.default_rng(3)
+    for text in [GOLDEN] + [random_tree_text(rng, max_depth=6) for _ in range(50)]:
+        tree = parse_bracket(text)
+        got, want = list(tree.iter_nodes()), preorder(tree)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+
+def nested(depth: int) -> str:
+    """A chain of ``depth`` nodes; the innermost ``(`` is at offset ``3 * (depth - 1)``."""
+    return "(S " * (depth - 1) + "(X x)" + ")" * (depth - 1)
+
+
+def test_depth_bound_is_exact():
+    tree = parse_bracket(nested(MAX_DEPTH))
+    assert leaves(tree) == ["x"]
+    assert sum(1 for _ in tree.iter_nodes()) == MAX_DEPTH
+    with pytest.raises(BracketParseError, match="tree nested too deeply") as err:
+        parse_bracket(nested(MAX_DEPTH + 1))
+    assert err.value.offset == 3 * MAX_DEPTH
+
+
+def test_depth_bound_is_the_same_through_the_cli(tmp_path):
+    def extract(depth):
+        corpus = tmp_path / f"deep{depth}.jsonl"
+        record = {"id": "deep", "dataset": "d", "tokens": ["x"], "iob": ["O"], "parse": nested(depth)}
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["clauses", "extract", "--corpus", str(corpus), "--out", str(tmp_path / "out.jsonl")])
+        return code, err.getvalue()
+
+    assert extract(MAX_DEPTH) == (0, "")
+    code, err = extract(MAX_DEPTH + 1)
+    assert code == 1
+    assert err == f"error: instance 'deep': tree nested too deeply (at offset {3 * MAX_DEPTH})\n"
