@@ -180,10 +180,7 @@ def _field(obj: dict, field: str, kind: type):
     return value
 
 
-def _clause_list(
-    obj: dict, field: str, interned: dict[tuple, ClauseAnnotation]
-) -> list[ClauseAnnotation] | None:
-    """``obj[field]`` as clauses; equal entries share the ``interned`` annotation."""
+def _clause_list(obj: dict, field: str) -> list[ClauseAnnotation] | None:
     entries = _field(obj, field, list)
     if entries is None:
         return None
@@ -200,15 +197,11 @@ def _clause_list(
         stimulus = entry.get("stimulus", False)
         if not isinstance(stimulus, bool):
             raise CorpusError(f"field '{field}' entry {k} has a non-boolean 'stimulus'")
-        key = (start, end, stimulus)
-        clause = interned.get(key)
-        if clause is None:
-            clause = interned[key] = ClauseAnnotation(Span(start, end), stimulus)
-        clauses.append(clause)
+        clauses.append(ClauseAnnotation(Span(start, end), stimulus))
     return clauses
 
 
-def _instance_from_obj(obj: dict, interned: dict[tuple, ClauseAnnotation]) -> Instance:
+def _instance_from_obj(obj: dict) -> Instance:
     for field in ("id", "dataset", "tokens", "iob"):
         if field not in obj:
             raise CorpusError(f"missing required field '{field}'")
@@ -221,11 +214,11 @@ def _instance_from_obj(obj: dict, interned: dict[tuple, ClauseAnnotation]) -> In
         dataset=obj["dataset"],
         tokens=obj["tokens"],
         iob=obj["iob"],
-        clauses=_clause_list(obj, "clauses", interned),
+        clauses=_clause_list(obj, "clauses"),
         parse=_field(obj, "parse", str),
         emotion=_field(obj, "emotion", str),
         pred_iob=pred_iob,
-        pred_clauses=_clause_list(obj, "pred_clauses", interned),
+        pred_clauses=_clause_list(obj, "pred_clauses"),
     )
     inst.validate()
     return inst
@@ -249,7 +242,6 @@ def not_utf8(path: str | Path) -> str:
 def load_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus; errors name the file, the offending line and field."""
     instances = []
-    interned: dict[tuple, ClauseAnnotation] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -264,7 +256,7 @@ def load_corpus(path: str | Path) -> list[Instance]:
                 if not isinstance(obj, dict):
                     raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
                 try:
-                    instances.append(_instance_from_obj(obj, interned))
+                    instances.append(_instance_from_obj(obj))
                 except CorpusError as exc:
                     raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     except UnicodeDecodeError:

@@ -113,14 +113,12 @@ def parse_bracket(text: str) -> ConstTree:
             top[2] = tok
             i += 1
         else:
-            label, children, token, opened = stack.pop()
-            if token is not None:
-                node = ConstTree(label, (), token, leaf, leaf + 1)
-                leaf += 1
-            elif children:
-                node = ConstTree(label, tuple(children), None, children[0].start, children[-1].end)
-            else:
+            # only nodes with children close here: "(label token)" took the
+            # pre-terminal branch, and anything else after a token raised
+            label, children, _, opened = stack.pop()
+            if not children:
                 raise BracketParseError("empty node", _offset(text, opened))
+            node = ConstTree(label, tuple(children), None, children[0].start, children[-1].end)
             siblings = stack[-1][1] if stack else done
             siblings.append(node)
             i += 1
