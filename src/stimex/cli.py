@@ -291,8 +291,8 @@ def cmd_predict(args) -> int:
             ids = splits[args.subset]
         instances = _select(_by_id(instances, args.corpus), ids, args.splits)
     model = models.load_checkpoint(args.checkpoint).model
-    for inst in instances:
-        model.store_prediction(inst, model.predict_instance(inst))
+    for inst, labels in zip(instances, model.predict(instances)):
+        model.store_prediction(inst, labels)
     save_corpus(instances, args.out)
     print(f"wrote predictions for {len(instances)} instances to {args.out}")
     return 0
@@ -304,14 +304,15 @@ def cmd_eval(args) -> int:
     rows = []
     for name, group in sorted(_by_dataset(instances).items()):
         gold_spans = [inst.stimulus_spans() for inst in group]
-        pred_spans = [iob_to_spans(_pred_iob(inst)) for inst in group]
+        pred_iob = [_pred_iob(inst) for inst in group]
+        pred_spans = [iob_to_spans(iob) for iob in pred_iob]
         for mode in modes:
             if mode is MatchMode.CLAUSE:
                 gold_flags, pred_flags = [], []
-                for inst in group:
+                for inst, iob in zip(group, pred_iob):
                     spans = models.clause_spans(inst)
                     gold_flags.append(tokens_to_clauses(inst.iob, spans))
-                    pred_flags.append(tokens_to_clauses(_pred_iob(inst), spans))
+                    pred_flags.append(tokens_to_clauses(iob, spans))
                 rows.append((name, args.model, mode, clause_prf(pred_flags, gold_flags)))
             else:
                 rows.append((name, args.model, mode, span_prf(pred_spans, gold_spans, mode)))

@@ -76,7 +76,7 @@ def _alphas(grid: np.ndarray, live: np.ndarray, params: CrfParams) -> tuple[np.n
     return alphas, _lse(alphas[-1] + params.end_scores.data, axis=1)
 
 
-def batch_nll_loss(emissions, labels, params: CrfParams) -> Tensor:
+def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
     """Summed negative log-likelihood of R gold label paths, as one graph node.
 
     The loss is the left fold, in sequence order, of ``logZ_r + (-score_r)``
@@ -143,11 +143,6 @@ def log_partition(u: Tensor | np.ndarray, params: CrfParams) -> Tensor:
     """log-sum-exp over all label paths, by the forward recursion, as a graph-free Tensor."""
     grid, _, live = _grid([u], params)
     return Tensor(_alphas(grid, live, params)[1][0])
-
-
-def nll_loss(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
-    """Negative log-likelihood of the gold path, ``logZ - score(y)``: the batch of one."""
-    return batch_nll_loss([u], [y], params)
 
 
 def _as_arrays(u, params: CrfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ Three architectures over frozen word embeddings:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -201,15 +202,16 @@ def clause_token_lists(instance: Instance) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 # Architectures
 #
-# Each model's ``batch_loss`` runs every layer once over the whole batch,
-# its units packed as consecutive rows (see ``Lstm.states``): the encoders,
-# attention, dropout and the projections.  One (N, d) dropout draw yields
-# the numbers that per-unit (n_r, d) draws would, in unit order.  The CRF
-# models cut the projection's rows into per-unit emission blocks for the
-# loss of the whole batch as one node (``crf.batch_nll_loss``); ``icc``
-# pools each clause's rows and takes one cross-entropy node over the
-# batch.  ``loss``, ``emissions``, ``logits`` and ``predict`` are that same
-# code on a batch of one.
+# Each model's ``loss`` runs every layer once over a mini-batch of units,
+# packed as consecutive rows (see ``Lstm.states``): the encoders, attention,
+# dropout and the projections.  One (N, d) dropout draw yields the numbers
+# that per-unit (n_r, d) draws would, in unit order.  The CRF models cut the
+# projection's rows into per-unit emission blocks for the loss of the whole
+# batch as one node (``crf.nll_loss``); ``icc`` pools each clause's rows and
+# takes one cross-entropy node over the batch.  ``predict`` runs the same
+# forward pass without dropout over chunks of ``config.batch_size``
+# instances, then decodes each unit: Viterbi for the CRF models, the argmax
+# of the two logits for ``icc``.
 
 
 def _flat(token_lists: Sequence[Sequence[str]]) -> list[str]:
@@ -224,6 +226,11 @@ def _blocks(rows: Tensor, lengths: Sequence[int]) -> list[Tensor]:
     return [rows[end - k : end] for k, end in zip(lengths, ends)]
 
 
+def _chunks(items: Sequence, size: int) -> list[Sequence]:
+    """Consecutive slices of ``items``, ``size`` long but for the last."""
+    return [items[k : k + size] for k in range(0, len(items), size)]
+
+
 def _encode(
     encoder: BiLstm, embeddings: EmbeddingTable, token_lists: Sequence[Sequence[str]]
 ) -> tuple[Tensor, list[int]]:
@@ -232,15 +239,20 @@ def _encode(
     return encoder(embeddings.lookup(_flat(token_lists)), lengths), lengths
 
 
+def _stimulus_flags(logits: Tensor) -> list[bool]:
+    """Whether each row of (R, 2) logits classifies its clause as a stimulus."""
+    return (np.argmax(logits.data, axis=1) == 1).tolist()
+
+
 class Model:
     """What ``train``, ``stimex predict`` and the checkpoints use of a model.
 
-    Besides ``parameters`` and ``batch_loss``, a model has ``units``, the
-    training units its ``batch_loss`` takes, built from instances;
-    ``predict_instance``, one instance's labels in the model's own unit (IOB
-    labels or clause flags); ``gold`` and ``f1``, the gold labels in that
-    unit and their F1 score; and ``store_prediction``, which puts labels on
-    an instance.  ``rng=None`` leaves the weights uninitialised, for a
+    Besides ``parameters`` and ``loss``, the summed loss of a mini-batch, a
+    model has ``units``, the training units its ``loss`` takes, built from
+    instances; ``predict``, each instance's labels in the model's own unit
+    (IOB labels or clause flags); ``gold`` and ``f1``, the gold labels in
+    that unit and their F1 score; and ``store_prediction``, which puts labels
+    on an instance.  ``rng=None`` leaves the weights uninitialised, for a
     checkpoint to fill.
     """
 
@@ -252,7 +264,7 @@ class Model:
 
     def dev_score(self, instances: Sequence[Instance], metric: str) -> float:
         """The selection ``metric`` on ``instances``: label accuracy or F1."""
-        preds = [self.predict_instance(inst) for inst in instances]
+        preds = self.predict(instances)
         golds = [self.gold(inst) for inst in instances]
         if metric == "accuracy":
             correct = sum(p == g for ps, gs in zip(preds, golds) for p, g in zip(ps, gs))
@@ -275,7 +287,7 @@ class SlModel(Model):
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.project.parameters() + self.crf.parameters()
 
-    def batch_emissions(
+    def emissions(
         self, token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
     ) -> list[Tensor]:
         """Emission scores per sentence, cut from one pass over the packed batch."""
@@ -283,27 +295,22 @@ class SlModel(Model):
         x = dropout(attention(h, lengths), self.config.dropout_p, training, rng)
         return _blocks(self.project(x), lengths)
 
-    def emissions(self, tokens: Sequence[str], training: bool = False, rng=None) -> Tensor:
-        return self.batch_emissions([tokens], training, rng)[0]
-
-    def batch_loss(self, units: Sequence[Instance], training: bool = True, rng=None) -> Tensor:
+    def loss(self, units: Sequence[Instance], training: bool = True, rng=None) -> Tensor:
         """Summed CRF loss of a batch of instances."""
-        emissions = self.batch_emissions([inst.tokens for inst in units], training, rng)
+        emissions = self.emissions([inst.tokens for inst in units], training, rng)
         labels = [[IOB_ALPHABET.index(lab) for lab in inst.iob] for inst in units]
-        return crf.batch_nll_loss(emissions, labels, self.crf)
+        return crf.nll_loss(emissions, labels, self.crf)
 
-    def loss(self, instance: Instance, training: bool = True, rng=None) -> Tensor:
-        return self.batch_loss([instance], training, rng)
-
-    def predict(self, tokens: Sequence[str]) -> list[str]:
-        path, _ = crf.viterbi_decode(self.emissions(tokens), self.crf)
-        return [IOB_ALPHABET[i] for i in path]
+    def predict(self, instances: Sequence[Instance]) -> list[list[str]]:
+        """IOB labels per instance."""
+        return [
+            [IOB_ALPHABET[i] for i in crf.viterbi_decode(u, self.crf)[0]]
+            for chunk in _chunks(instances, self.config.batch_size)
+            for u in self.emissions([inst.tokens for inst in chunk])
+        ]
 
     def units(self, instances: Sequence[Instance]) -> list[Instance]:
         return list(instances)
-
-    def predict_instance(self, instance: Instance) -> list[str]:
-        return self.predict(instance.tokens)
 
     def gold(self, instance: Instance) -> list[str]:
         return instance.iob
@@ -349,7 +356,7 @@ class IccModel(_ClauseModel):
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.hidden.parameters() + self.out.parameters()
 
-    def batch_logits(
+    def logits(
         self, clause_lists: Sequence[Sequence[str]], training: bool = False, rng=None
     ) -> Tensor:
         """(R, 2) class logits of R clauses, from one pass over the packed batch."""
@@ -358,21 +365,12 @@ class IccModel(_ClauseModel):
         z = dropout(self.hidden(s), self.config.dropout_p, training, rng).relu()
         return self.out(z)
 
-    def logits(self, clause_tokens: Sequence[str], training: bool = False, rng=None) -> Tensor:
-        return self.batch_logits([clause_tokens], training, rng)[0]
-
-    def batch_loss(
+    def loss(
         self, units: Sequence[tuple[Sequence[str], bool]], training: bool = True, rng=None
     ) -> Tensor:
         """Summed cross-entropy of a batch of (clause tokens, flag) units."""
-        logits = self.batch_logits([toks for toks, _ in units], training, rng)
+        logits = self.logits([toks for toks, _ in units], training, rng)
         return cross_entropy(logits, [int(flag) for _, flag in units])
-
-    def loss(self, unit: tuple[Sequence[str], bool], training: bool = True, rng=None) -> Tensor:
-        return self.batch_loss([unit], training, rng)
-
-    def predict(self, clause_tokens: Sequence[str]) -> bool:
-        return bool(np.argmax(self.logits(clause_tokens).data) == 1)
 
     def units(self, instances: Sequence[Instance]) -> list[tuple[list[str], bool]]:
         """One (clause tokens, gold flag) unit per clause."""
@@ -382,9 +380,14 @@ class IccModel(_ClauseModel):
             for unit in zip(clause_token_lists(inst), clause_gold_flags(inst))
         ]
 
-    def predict_instance(self, instance: Instance) -> list[bool]:
-        """Each clause classified on its own, one ``predict`` call per clause."""
-        return [self.predict(toks) for toks in clause_token_lists(instance)]
+    def predict(self, instances: Sequence[Instance]) -> list[list[bool]]:
+        """Clause flags per instance, each clause classified on its own."""
+        preds = []
+        for chunk in _chunks(instances, self.config.batch_size):
+            documents = [clause_token_lists(inst) for inst in chunk]
+            flags = iter(_stimulus_flags(self.logits(_flat(documents))))
+            preds += [list(itertools.islice(flags, len(doc))) for doc in documents]
+        return preds
 
 
 class JccModel(_ClauseModel):
@@ -410,7 +413,7 @@ class JccModel(_ClauseModel):
             + self.crf.parameters()
         )
 
-    def batch_emissions(
+    def emissions(
         self, documents: Sequence[Sequence[Sequence[str]]], training: bool = False, rng=None
     ) -> list[Tensor]:
         """Clause emission scores per document (a list of clause token lists).
@@ -431,40 +434,28 @@ class JccModel(_ClauseModel):
         x = dropout(attention(ms, counts), self.config.dropout_p, training, rng)
         return _blocks(self.project(x), counts)
 
-    def emissions(
-        self, clause_token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
-    ) -> Tensor:
-        return self.batch_emissions([clause_token_lists], training, rng)[0]
-
-    def batch_loss(
+    def loss(
         self,
         units: Sequence[tuple[Sequence[Sequence[str]], Sequence[bool]]],
         training: bool = True,
         rng=None,
     ) -> Tensor:
         """Summed clause-CRF loss of a batch of (clause token lists, flags) units."""
-        emissions = self.batch_emissions([doc for doc, _ in units], training, rng)
+        emissions = self.emissions([doc for doc, _ in units], training, rng)
         labels = [[int(f) for f in flags] for _, flags in units]
-        return crf.batch_nll_loss(emissions, labels, self.crf)
-
-    def loss(
-        self,
-        unit: tuple[Sequence[Sequence[str]], Sequence[bool]],
-        training: bool = True,
-        rng=None,
-    ) -> Tensor:
-        return self.batch_loss([unit], training, rng)
-
-    def predict(self, clause_token_lists: Sequence[Sequence[str]]) -> list[bool]:
-        path, _ = crf.viterbi_decode(self.emissions(clause_token_lists), self.crf)
-        return [bool(i) for i in path]
+        return crf.nll_loss(emissions, labels, self.crf)
 
     def units(self, instances: Sequence[Instance]) -> list[tuple[list[list[str]], list[bool]]]:
         """One (clause token lists, gold flags) unit per instance."""
         return [(clause_token_lists(inst), clause_gold_flags(inst)) for inst in instances]
 
-    def predict_instance(self, instance: Instance) -> list[bool]:
-        return self.predict(clause_token_lists(instance))
+    def predict(self, instances: Sequence[Instance]) -> list[list[bool]]:
+        """Clause flags per instance, decoded jointly."""
+        return [
+            [bool(i) for i in crf.viterbi_decode(u, self.crf)[0]]
+            for chunk in _chunks(instances, self.config.batch_size)
+            for u in self.emissions([clause_token_lists(inst) for inst in chunk])
+        ]
 
 
 MODELS: dict[str, type[Model]] = {cls.architecture: cls for cls in (SlModel, IccModel, JccModel)}
@@ -538,11 +529,10 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(units))
         loss_sum = 0.0
-        for offset in range(0, len(units), config.batch_size):
-            batch = order[offset : offset + config.batch_size]
-            total = model.batch_loss([units[i] for i in batch], training=True, rng=rng)
+        for k, batch in enumerate(_chunks(order, config.batch_size), start=1):
+            total = model.loss([units[i] for i in batch], training=True, rng=rng)
             mean_loss = total * (1.0 / len(batch))
-            where = f"epoch {epoch}, batch {offset // config.batch_size + 1}"
+            where = f"epoch {epoch}, batch {k}"
             if not np.isfinite(total.data):
                 raise ValueError(f"training diverged at {where}: batch loss is {total.item()}")
             optimizer.zero_grad()
@@ -578,17 +568,16 @@ def _unwrap(model: TrainedModel | Model) -> Model:
     return model.model if isinstance(model, TrainedModel) else model
 
 
-def sl_predict(model: TrainedModel | SlModel, instance: Instance | Sequence[str]) -> list[str]:
-    tokens = instance.tokens if isinstance(instance, Instance) else instance
-    return _unwrap(model).predict(tokens)
+def sl_predict(model: TrainedModel | SlModel, instance: Instance) -> list[str]:
+    return _unwrap(model).predict([instance])[0]
 
 
 def icc_predict(model: TrainedModel | IccModel, clause_tokens: Sequence[str]) -> bool:
-    return _unwrap(model).predict(list(clause_tokens))
+    return _stimulus_flags(_unwrap(model).logits([clause_tokens]))[0]
 
 
 def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool]:
-    return _unwrap(model).predict_instance(instance)
+    return _unwrap(model).predict([instance])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,8 @@ def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int) -> np.
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _packed_spans(n: int, lengths=None) -> list[tuple[int, int]]:
-    """(start, size) of each of R sequences laid end to end as ``n`` rows.
-
-    ``lengths=None`` means one sequence of all ``n`` rows.
-    """
-    lengths = [n] if lengths is None else lengths
+def _packed_spans(n: int, lengths) -> list[tuple[int, int]]:
+    """(start, size) of each of R sequences laid end to end as ``n`` rows."""
     if n == 0 or min(lengths, default=0) < 1:
         raise ValueError("empty sequence among the packed rows")
     if sum(lengths) != n:
@@ -52,19 +48,19 @@ class Lstm:
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.bias]
 
-    def states(self, xs: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+    def states(self, xs: Tensor, lengths, reverse: bool = False) -> Tensor:
         """Hidden states of sequences laid end to end, as one (N, h) graph node.
 
-        ``xs`` holds R sequences of the given ``lengths`` as consecutive rows
-        (``lengths=None`` means one sequence); output row k is the state at
-        input row k, in either direction.  The recurrence runs over
-        max(lengths) steps on step-major (T, R, .) arrays, one GEMM per step
-        for all R sequences.  Each sequence is right-padded, and reversed
-        within its own length when ``reverse`` is set, so all of them start
-        at step 0; padded rows compute on zero input, are never read, and
-        their gradient is exactly zero, so the loop needs no masks.  The
-        input projection and the ``w_x``, ``w_h``, ``bias`` and ``xs``
-        gradients work on the N packed rows, where padding costs nothing.
+        ``xs`` holds R sequences of the given ``lengths`` as consecutive rows;
+        output row k is the state at input row k, in either direction.  The
+        recurrence runs over max(lengths) steps on step-major (T, R, .)
+        arrays, one GEMM per step for all R sequences.  Each sequence is
+        right-padded, and reversed within its own length when ``reverse`` is
+        set, so all of them start at step 0; padded rows compute on zero
+        input, are never read, and their gradient is exactly zero, so the
+        loop needs no masks.  The input projection and the ``w_x``, ``w_h``,
+        ``bias`` and ``xs`` gradients work on the N packed rows, where
+        padding costs nothing.
 
         The forward pass runs in plain NumPy, in the operation order of the
         per-step graph it replaces, ``(xw[t] + h @ w_h) + bias``, so for one
@@ -163,26 +159,22 @@ class BiLstm:
     def parameters(self) -> list[Parameter]:
         return self.fwd.parameters() + self.bwd.parameters()
 
-    def run(self, xs: Tensor, lengths=None) -> tuple[Tensor, Tensor]:
+    def run(self, xs: Tensor, lengths) -> tuple[Tensor, Tensor]:
         """Forward and backward hidden states, each (N, h), of packed sequences."""
-        return (
-            self.fwd.states(xs, lengths=lengths),
-            self.bwd.states(xs, reverse=True, lengths=lengths),
-        )
+        return self.fwd.states(xs, lengths), self.bwd.states(xs, lengths, reverse=True)
 
-    def __call__(self, xs: Tensor, lengths=None) -> Tensor:
+    def __call__(self, xs: Tensor, lengths) -> Tensor:
         return concat(self.run(xs, lengths), axis=1)  # (N, 2h)
 
 
-def attention(h: Tensor, lengths=None) -> Tensor:
+def attention(h: Tensor, lengths) -> Tensor:
     """Dot-product self-attention over packed sequences, as one (N, 2d) graph node.
 
     ``h`` holds R sequences of the given ``lengths`` as consecutive (N, d)
-    rows (``lengths=None`` means one sequence), as for ``Lstm.states``.
-    Output row i is ``[h_i ; sum_j a_ij h_j]``, j running over row i's own
-    sequence only.  The weights are a softmax over scores against every
-    position of that sequence, ``j = i`` included, so a sequence of one row
-    has its input as its context.
+    rows, as for ``Lstm.states``.  Output row i is ``[h_i ; sum_j a_ij h_j]``,
+    j running over row i's own sequence only.  The weights are a softmax over
+    scores against every position of that sequence, ``j = i`` included, so a
+    sequence of one row has its input as its context.
 
     Per sequence, the forward pass runs the NumPy operations of the graph
     ``concat([h, softmax(h @ h.T) @ h])``: the scores ``h @ h.T``, their
@@ -219,7 +211,7 @@ def attention(h: Tensor, lengths=None) -> Tensor:
     return out._attach((h,), backward)
 
 
-def segment_mean(x: Tensor, lengths=None) -> Tensor:
+def segment_mean(x: Tensor, lengths) -> Tensor:
     """Mean of the rows of each of R packed sequences, as one (R, d) graph node.
 
     Row r is ``block.sum(axis=0) * (1.0 / k)`` over the k rows of sequence r,

@@ -31,11 +31,14 @@ class BracketParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ConstTree:
     """Constituency tree node: either internal (children) or pre-terminal (token).
 
     ``start`` and ``end`` bound the half-open interval of leaf indices it covers.
+    Nodes compare and hash by identity: the generated ``__eq__``, ``__hash__``
+    and ``__repr__`` would recurse through ``children`` and fail on trees far
+    shallower than ``MAX_DEPTH``.
     """
 
     label: str

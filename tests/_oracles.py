@@ -142,7 +142,7 @@ def graph_nll_loss(emissions, labels, params) -> Tensor:
 
     The summed negative log-likelihood of each ``(u, y)`` pair, added in order:
     the forward recursion ``lse(alpha + trans, over the previous label) + u[t]``
-    as graph nodes, minus the gold path score.  ``crf.batch_nll_loss`` must
+    as graph nodes, minus the gold path score.  ``crf.nll_loss`` must
     reproduce its value and its gradients to rounding.
     """
     total = None

@@ -41,7 +41,6 @@ from stimex.models import (
     SlModel,
     TrainConfig,
     clause_gold_flags,
-    clause_token_lists,
     jcc_predict,
     sl_predict,
     train,
@@ -119,7 +118,7 @@ def test_03_gradient_checks():
             n = int(rng.integers(1, 6))
             u = Parameter("u", rng.standard_normal((n, 3)))
             y = rng.integers(0, 3, size=n)
-            _check_grads(lambda: nll_loss(u, y, params), [u, *params.parameters()])
+            _check_grads(lambda: nll_loss([u], [y], params), [u, *params.parameters()])
 
         def random_tokens(rng, n):
             return [vocab[int(k)] for k in rng.integers(0, len(vocab), size=n)]
@@ -131,14 +130,14 @@ def test_03_gradient_checks():
             n = int(rng.integers(1, 6))
             iob = ["O"] + [["B", "I", "O"][int(k)] for k in rng.integers(0, 3, size=n - 1)]
             inst = Instance("g", "d", random_tokens(rng, n), iob)
-            _check_grads(lambda: model.loss(inst, training=False), model.parameters())
+            _check_grads(lambda: model.loss([inst], training=False), model.parameters())
 
         for draw in range(20):  # independent clause classifier
             rng = np.random.default_rng(200 + draw)
             emb = EmbeddingTable.random(vocab, 4, seed=draw)
             model = IccModel(emb, cfg, rng)
             unit = (random_tokens(rng, int(rng.integers(1, 6))), bool(rng.integers(0, 2)))
-            _check_grads(lambda: model.loss(unit, training=False), model.parameters())
+            _check_grads(lambda: model.loss([unit], training=False), model.parameters())
 
         for draw in range(20):  # joint clause classifier
             rng = np.random.default_rng(300 + draw)
@@ -148,7 +147,7 @@ def test_03_gradient_checks():
             clauses = [random_tokens(rng, int(rng.integers(1, 3))) for _ in range(n_clauses)]
             flags = [bool(rng.integers(0, 2)) for _ in range(n_clauses)]
             _check_grads(
-                lambda: model.loss((clauses, flags), training=False), model.parameters()
+                lambda: model.loss([(clauses, flags)], training=False), model.parameters()
             )
 
 
@@ -230,9 +229,7 @@ def test_06_overfit_capability():
         assert sl_f1 >= 0.95, f"sequence labeler exact span F1 {sl_f1:.3f}"
 
         icc = train("icc", corpus, corpus, emb, cfg)
-        pred_flags = [
-            [icc.model.predict(toks) for toks in clause_token_lists(inst)] for inst in corpus
-        ]
+        pred_flags = icc.model.predict(corpus)
         gold_flags = [clause_gold_flags(inst) for inst in corpus]
         icc_f1 = clause_prf(pred_flags, gold_flags).f1
         assert icc_f1 >= 0.95, f"independent clause classifier F1 {icc_f1:.3f}"

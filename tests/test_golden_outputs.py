@@ -17,8 +17,16 @@ import hashlib
 
 import pytest
 
+from stimex import cli
 from stimex.cli import main
-from stimex.corpus import ClauseAnnotation, Span, generate_synthetic, save_corpus, spans_to_iob
+from stimex.corpus import (
+    ClauseAnnotation,
+    Span,
+    generate_synthetic,
+    load_corpus,
+    save_corpus,
+    spans_to_iob,
+)
 
 GOLDEN = {
     "stats.csv": "e6367f8a4952732320608f9e1d86d65ebb9c16be78d8cdb95de96d4dc395b36a",
@@ -96,3 +104,20 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_walkthrough_outputs_match_their_golden_digests(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+def test_eval_maps_each_clause_prediction_to_tokens_once(tmp_path, monkeypatch):
+    _, preds = golden_corpora(tmp_path)
+    calls = []
+    original = cli.clauses_to_tokens
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "clauses_to_tokens", counting)
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--corpus", str(preds), "--model", "sl", "--out", str(out)]) == 0
+    with_clauses = sum(inst.pred_clauses is not None for inst in load_corpus(preds))
+    assert len(calls) == with_clauses == 15
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["eval.csv"]

@@ -225,8 +225,9 @@ def test_sl_emission_shape_and_prediction_labels():
     corpus = toy_corpus()
     model = SlModel(toy_embeddings(corpus), TOY, np.random.default_rng(0))
     tokens = corpus[0].tokens
-    assert model.emissions(tokens).shape == (len(tokens), 3)
-    pred = model.predict(tokens)
+    (u,) = model.emissions([tokens])
+    assert u.shape == (len(tokens), 3)
+    (pred,) = model.predict(corpus[:1])
     assert len(pred) == len(tokens)
     assert set(pred) <= {"B", "I", "O"}
 
@@ -234,36 +235,41 @@ def test_sl_emission_shape_and_prediction_labels():
 def test_icc_logits_and_probability():
     corpus = toy_corpus()
     model = IccModel(toy_embeddings(corpus), TOY, np.random.default_rng(0))
-    logits = model.logits(["because", "he", "left"])
-    assert logits.shape == (2,)
-    assert isinstance(model.predict(["because"]), bool)
+    logits = model.logits([["because", "he", "left"], ["."]])
+    assert logits.shape == (2, 2)
+    assert isinstance(icc_predict(model, ["because"]), bool)
+    (flags,) = model.predict([clause_instance()])
+    assert len(flags) == 3 and all(isinstance(f, bool) for f in flags)
 
 
 def test_jcc_emissions_and_prediction():
     corpus = toy_corpus()
     model = JccModel(toy_embeddings(corpus), TOY, np.random.default_rng(0))
-    clauses = [["I", "cried"], ["because", "he", "left"], ["."]]
-    assert model.emissions(clauses).shape == (3, 2)
-    flags = model.predict(clauses)
+    inst = clause_instance()
+    (u,) = model.emissions([clause_token_lists(inst)])
+    assert u.shape == (3, 2)
+    (flags,) = model.predict([inst])
     assert len(flags) == 3 and all(isinstance(f, bool) for f in flags)
     with pytest.raises(ValueError):
-        model.emissions([])
+        model.emissions([[]])
 
 
 def test_jcc_single_clause_decodes_by_local_score():
     corpus = toy_corpus()
     model = JccModel(toy_embeddings(corpus), TOY, np.random.default_rng(1))
-    u = model.emissions([["because", "he", "left"]]).data
-    expected = np.argmax(u[0] + model.crf.start_scores.data + model.crf.end_scores.data)
-    assert model.predict([["because", "he", "left"]]) == [bool(expected)]
+    inst = Instance("one", "d", ["because", "he", "left"], ["B", "I", "I"])
+    inst.clauses = [ClauseAnnotation(Span(0, 3), True)]
+    (u,) = model.emissions([clause_token_lists(inst)])
+    expected = np.argmax(u.data[0] + model.crf.start_scores.data + model.crf.end_scores.data)
+    assert model.predict([inst]) == [[bool(expected)]]
 
 
 def test_jcc_is_sensitive_to_clause_order():
     corpus = toy_corpus()
     model = JccModel(toy_embeddings(corpus), TOY, np.random.default_rng(2))
-    a = model.emissions([["happy"], ["because", "he", "left"]]).data
-    b = model.emissions([["because", "he", "left"], ["happy"]]).data
-    assert not np.allclose(a, b[::-1])  # clause context matters, not just content
+    (a,) = model.emissions([[["happy"], ["because", "he", "left"]]])
+    (b,) = model.emissions([[["because", "he", "left"], ["happy"]]])
+    assert not np.allclose(a.data, b.data[::-1])  # clause context matters, not just content
 
 
 # -- packed batches ----------------------------------------------------------------------
@@ -314,12 +320,12 @@ def test_batch_loss_equals_sum_of_unit_losses(arch):
     model, units = _model(arch), ragged_units(arch)
 
     def one_by_one():
-        total = model.loss(units[0], training=False)
+        total = model.loss(units[:1], training=False)
         for unit in units[1:]:
-            total = total + model.loss(unit, training=False)
+            total = total + model.loss([unit], training=False)
         return total
 
-    batched, batched_grads = _loss_and_grads(model, lambda: model.batch_loss(units, False))
+    batched, batched_grads = _loss_and_grads(model, lambda: model.loss(units, False))
     single, single_grads = _loss_and_grads(model, one_by_one)
     assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
     for name, g in single_grads.items():
@@ -330,8 +336,8 @@ def test_batch_loss_equals_sum_of_unit_losses(arch):
 def test_batch_loss_draws_the_same_dropout_masks(arch):
     model, units = _model(arch), ragged_units(arch)
     rng_batch, rng_single = np.random.default_rng(9), np.random.default_rng(9)
-    batched = model.batch_loss(units, True, rng_batch).item()
-    single = sum(model.loss(u, True, rng_single).item() for u in units)
+    batched = model.loss(units, True, rng_batch).item()
+    single = sum(model.loss([u], True, rng_single).item() for u in units)
     assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
     assert rng_batch.random() == rng_single.random()  # both streams at the same point
 
@@ -343,7 +349,7 @@ def test_training_step_leaves_no_cyclic_garbage(arch):
     gc.collect()
     gc.disable()
     try:
-        loss = model.batch_loss(units, training=True, rng=np.random.default_rng(2))
+        loss = model.loss(units, training=True, rng=np.random.default_rng(2))
         loss.backward()
         del loss
         assert gc.collect() == 0
@@ -365,7 +371,7 @@ def _graph_nodes(loss):
 @pytest.mark.parametrize("arch", ["sl", "jcc"])
 def test_crf_loss_is_one_graph_node(arch):
     model, units = _model(arch), ragged_units(arch)
-    loss = model.batch_loss(units, training=True, rng=np.random.default_rng(2))
+    loss = model.loss(units, training=True, rng=np.random.default_rng(2))
     crf_params = model.crf.parameters()
     crf_nodes = [
         node
@@ -387,12 +393,12 @@ def test_crf_loss_is_one_graph_node(arch):
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
 def test_heads_run_once_per_batch(arch, monkeypatch):
-    """One attention node and one call of each projection per ``batch_loss``."""
+    """One attention node and one call of each projection per ``loss``."""
     model, units = _model(arch), ragged_units(arch)
     attended, projections = [], []
     original_attention, original_linear = models.attention, layers.Linear.__call__
 
-    def attention(h, lengths=None):
+    def attention(h, lengths):
         attended.append(original_attention(h, lengths))
         return attended[-1]
 
@@ -402,7 +408,7 @@ def test_heads_run_once_per_batch(arch, monkeypatch):
 
     monkeypatch.setattr(models, "attention", attention)
     monkeypatch.setattr(layers.Linear, "__call__", linear)
-    loss = model.batch_loss(units, training=True, rng=np.random.default_rng(2))
+    loss = model.loss(units, training=True, rng=np.random.default_rng(2))
     heads = [model.hidden, model.out] if arch == "icc" else [model.project]
     assert projections == heads
     (node,) = attended
@@ -417,13 +423,38 @@ def test_heads_run_once_per_batch(arch, monkeypatch):
 def test_batch_with_an_empty_sequence_is_rejected():
     sl, icc, jcc = (_model(arch) for arch in ("sl", "icc", "jcc"))
     with pytest.raises(ValueError, match="empty"):
-        sl.batch_loss([Instance("a", "d", ["i", "cried"], ["O", "O"]), Instance("b", "d", [], [])])
+        sl.loss([Instance("a", "d", ["i", "cried"], ["O", "O"]), Instance("b", "d", [], [])])
     with pytest.raises(ValueError, match="empty"):
-        icc.batch_loss([(["i"], True), ([], False)])
+        icc.loss([(["i"], True), ([], False)])
     with pytest.raises(ValueError, match="empty"):
-        jcc.batch_loss([([["i"]], [True]), ([["he"], []], [False, False])])
+        jcc.loss([([["i"]], [True]), ([["he"], []], [False, False])])
     with pytest.raises(ValueError, match="at least one clause"):
-        jcc.batch_loss([([["i"]], [True]), ([], [])])
+        jcc.loss([([["i"]], [True]), ([], [])])
+
+
+def ragged_instances(n):
+    """``n`` instances of 1 to 12 tokens, each tiled by 1 to 4 clauses: the first is one
+    token (and one clause) long, the second one clause of several tokens."""
+    rng = np.random.default_rng(11)
+    out = []
+    for k in range(n):
+        size = 1 if k == 0 else int(rng.integers(2, 13))
+        cuts = rng.integers(1, size, size=0 if k < 2 else int(rng.integers(1, 4)))
+        bounds = [0, *sorted(set(cuts.tolist())), size]
+        tokens = [WORDS[i] for i in rng.integers(0, len(WORDS), size)]
+        inst = Instance(f"r{k}", "d", tokens, ["O"] * size)
+        inst.clauses = [ClauseAnnotation(Span(a, b), False) for a, b in zip(bounds, bounds[1:])]
+        out.append(inst)
+    return out
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_batched_prediction_equals_prediction_one_by_one(arch):
+    model, instances = _model(arch), ragged_instances(23)
+    assert len(instances) > 2 * model.config.batch_size  # two full chunks and a partial one
+    batched = model.predict(instances)
+    assert batched == [model.predict([inst])[0] for inst in instances]
+    assert batched == _predictions(arch, model, instances)  # icc_predict: one clause at a time
 
 
 # -- training ----------------------------------------------------------------------------
@@ -864,13 +895,13 @@ def test_non_finite_gradient_stops_training_before_the_step(monkeypatch):
     corpus = toy_corpus(4, seed=14)
     steps = []
     monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
-    original = SlModel.batch_loss
+    original = SlModel.loss
 
     def poisoned(self, units, training=True, rng=None):
         # the bias is still zero, so the loss stays finite; its gradient overflows to inf
         return original(self, units, training, rng) + (self.project.bias * 1e308).sum() * 1e308
 
-    monkeypatch.setattr(SlModel, "batch_loss", poisoned)
+    monkeypatch.setattr(SlModel, "loss", poisoned)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="epoch 1, batch 1: gradient of 'project.bias'"):
             train("sl", corpus, corpus, toy_embeddings(corpus, 8), TOY)

@@ -35,7 +35,7 @@ def test_lstm_zero_weights_fixed_point():
     cell = Lstm("z", 3, 2, np.random.default_rng(0))
     for p in cell.parameters():
         p.data[...] = 0.0
-    states = cell.states(Tensor(np.ones((4, 3))))
+    states = cell.states(Tensor(np.ones((4, 3))), [4])
     for h in states:
         assert np.allclose(h.data, 0.0)  # output gate 0.5 * tanh(0) = 0
 
@@ -43,15 +43,15 @@ def test_lstm_zero_weights_fixed_point():
 def test_lstm_rejects_empty_sequence():
     cell = Lstm("z", 3, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        cell.states(Tensor(np.zeros((0, 3))))
+        cell.states(Tensor(np.zeros((0, 3))), [0])
 
 
 def test_lstm_state_shapes_and_order_dependence():
     cell = Lstm("c", 3, 5, np.random.default_rng(1))
     xs = np.random.default_rng(2).standard_normal((4, 3))
-    fwd = cell.states(Tensor(xs))
+    fwd = cell.states(Tensor(xs), [4])
     assert fwd.shape == (4, 5)
-    swapped = cell.states(Tensor(xs[[1, 0, 2, 3]]))
+    swapped = cell.states(Tensor(xs[[1, 0, 2, 3]]), [4])
     assert not np.allclose(fwd[3].data, swapped[3].data)
 
 
@@ -61,8 +61,8 @@ def test_bilstm_backward_equals_forward_on_reversed_input():
     for src, dst in zip(bi.fwd.parameters(), bi.bwd.parameters()):
         dst.data[...] = src.data
     xs = np.random.default_rng(8).standard_normal((5, 3))
-    fwd_rev = bi.fwd.states(Tensor(xs[::-1].copy()))
-    bwd = bi.bwd.states(Tensor(xs), reverse=True)
+    fwd_rev = bi.fwd.states(Tensor(xs[::-1].copy()), [5])
+    bwd = bi.bwd.states(Tensor(xs), [5], reverse=True)
     for t in range(5):
         assert np.array_equal(bwd[t].data, fwd_rev[4 - t].data)
 
@@ -70,9 +70,9 @@ def test_bilstm_backward_equals_forward_on_reversed_input():
 def test_bilstm_output_layout():
     bi = BiLstm("b", 3, 4, np.random.default_rng(0))
     xs = Tensor(np.random.default_rng(1).standard_normal((6, 3)))
-    out = bi(xs)
+    out = bi(xs, [6])
     assert out.shape == (6, 8)
-    f, b = bi.run(xs)
+    f, b = bi.run(xs, [6])
     assert np.array_equal(out.data[2, :4], f[2].data)
     assert np.array_equal(out.data[2, 4:], b[2].data)
 
@@ -84,7 +84,7 @@ def test_lstm_gradients():
     target = Tensor(rng.standard_normal(3))
 
     def loss():
-        h = cell.states(xs)[-1]
+        h = cell.states(xs, [4])[-1]
         return ((h - target) * (h - target)).sum()
 
     loss().backward()
@@ -112,7 +112,7 @@ def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
         (h * weights).sum().backward()
         return h.data, {p.name: p.grad for p in params}
 
-    fused, fused_grads = run(Lstm.states)
+    fused, fused_grads = run(lambda c, x, r: c.states(x, [n], r))
     oracle, oracle_grads = run(lstm_states_per_step)
     assert np.array_equal(fused, oracle)
     assert (fused_grads["xs"] is None) == (not xs_grad)
@@ -145,7 +145,7 @@ def test_packed_lstm_matches_per_step_oracle(lengths, reverse):
         (h * weights).sum().backward()
         return h.data, {p.name: p.grad for p in params}
 
-    packed, packed_grads = run(lambda c, x, r: c.states(x, r, lengths=lengths))
+    packed, packed_grads = run(lambda c, x, r: c.states(x, lengths, r))
     oracle, oracle_grads = run(per_sequence)
     assert np.max(np.abs(packed - oracle)) < 1e-12
     for name, g in oracle_grads.items():
@@ -157,7 +157,7 @@ def test_packed_lstm_rejects_bad_lengths():
     xs = Tensor(np.zeros((5, 3)))
     for lengths in ([3, 0, 2], [2, 2], [6]):
         with pytest.raises(ValueError):
-            cell.states(xs, lengths=lengths)
+            cell.states(xs, lengths)
 
 
 # -- attention -----------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_packed_lstm_rejects_bad_lengths():
 
 def test_attention_matches_numpy_oracle():
     h = np.random.default_rng(3).standard_normal((4, 3))
-    out = attention(Tensor(h)).data
+    out = attention(Tensor(h), [4]).data
     scores = h @ h.T
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     weights = e / e.sum(axis=1, keepdims=True)
@@ -175,7 +175,7 @@ def test_attention_matches_numpy_oracle():
 
 def test_attention_single_row_context_is_input():
     h = np.array([[1.0, -2.0]])
-    out = attention(Tensor(h)).data
+    out = attention(Tensor(h), [1]).data
     assert np.allclose(out, [[1.0, -2.0, 1.0, -2.0]])
 
 
@@ -183,7 +183,7 @@ def test_attention_gradient():
     p = Parameter("h", np.random.default_rng(9).standard_normal((3, 2)))
 
     def loss():
-        return attention(p).logsumexp()
+        return attention(p, [3]).logsumexp()
 
     loss().backward()
     numeric = finite_difference(loss, [p])
@@ -207,7 +207,7 @@ def test_attention_matches_graph_oracle(lengths):
         (out * weights).sum().backward()
         return out.data, h.grad
 
-    fused, fused_grad = run(lambda h: attention(h, None if len(lengths) == 1 else lengths))
+    fused, fused_grad = run(lambda h: attention(h, lengths))
     oracle, oracle_grad = run(per_block)
     assert np.array_equal(fused, oracle)
     assert np.max(np.abs(fused_grad - oracle_grad)) <= 1e-12 * np.max(np.abs(oracle_grad))

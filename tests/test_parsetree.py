@@ -41,7 +41,8 @@ def test_escaped_parens_kept_verbatim():
 
 
 def test_whitespace_is_flexible():
-    assert parse_bracket("( S ( NN  x )\n\t( NN y ) )") == parse_bracket("(S (NN x) (NN y))")
+    spaced = parse_bracket("( S ( NN  x )\n\t( NN y ) )")
+    assert to_bracket(spaced) == to_bracket(parse_bracket("(S (NN x) (NN y))"))
 
 
 @pytest.mark.parametrize(
@@ -79,7 +80,9 @@ def test_round_trip_on_random_trees():
     for _ in range(100):
         text = random_tree_text(rng)
         tree = parse_bracket(text)
-        assert parse_bracket(to_bracket(tree)) == tree
+        again = parse_bracket(to_bracket(tree))
+        assert to_bracket(again) == to_bracket(tree) == text
+        assert [n.leaf_span for n in again.iter_nodes()] == [n.leaf_span for n in tree.iter_nodes()]
 
 
 def test_parent_span_is_hull_of_children():
@@ -138,6 +141,13 @@ def test_depth_bound_is_exact():
     with pytest.raises(BracketParseError, match="tree nested too deeply") as err:
         parse_bracket(nested(MAX_DEPTH + 1))
     assert err.value.offset == 3 * MAX_DEPTH
+
+
+def test_deepest_tree_can_be_hashed_compared_and_printed():
+    tree, twin = parse_bracket(nested(MAX_DEPTH)), parse_bracket(nested(MAX_DEPTH))
+    assert tree == tree and tree != twin  # identity, not a walk over the children
+    assert hash(tree) == hash(tree) and len({tree, twin}) == 2
+    assert "ConstTree" in repr(tree)
 
 
 def test_depth_bound_is_the_same_through_the_cli(tmp_path):
