@@ -152,11 +152,7 @@ def cmd_clauses_eval(args) -> int:
     lines = [header]
     for name, group in sorted(pairs.items()):
         stimuli = [inst.stimulus_spans() for inst, _ in group]
-        annotated = []
-        for inst, _ in group:
-            if inst.clauses is None:
-                raise CorpusError(f"instance {inst.id!r} has no clause annotations")
-            annotated.append([c.span for c in inst.clauses])
+        annotated = [models.clause_spans(inst) for inst, _ in group]
         extracted = [list(extract_clauses(tree, labels).segments) for _, tree in group]
         anno = clause_alignment(stimuli, annotated)
         match = clause_match_prf(extracted, annotated)

@@ -11,7 +11,7 @@ tools, only by model prediction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,20 +20,6 @@ import numpy as np
 
 IOB_LABELS = ("B", "I", "O")
 _IOB_SET = frozenset(IOB_LABELS)
-
-STATS_COLUMNS = (
-    "dataset",
-    "size",
-    "with_stimuli",
-    "mu_len",
-    "sigma_len",
-    "mu_s_per_i",
-    "mu_s_per_c",
-    "clauses_total",
-    "clauses_with_s",
-    "mu_clauses_per_i",
-    "mu_all_s_per_i",
-)
 
 
 class CorpusError(ValueError):
@@ -402,28 +388,12 @@ def compute_stats(instances: Iterable[Instance]) -> CorpusStats:
 
 
 def format_stats_csv(stats_by_dataset: dict[str, CorpusStats]) -> str:
-    """One row per dataset, columns fixed by ``STATS_COLUMNS``."""
-
-    def cell(value: object) -> str:
-        return "" if value is None else str(value)
-
-    lines = [",".join(STATS_COLUMNS)]
+    """A header, then one row per dataset: its name and the ``CorpusStats``
+    fields in declaration order, ``None`` as an empty cell."""
+    lines = [",".join(["dataset"] + [field.name for field in fields(CorpusStats)])]
     for name in sorted(stats_by_dataset):
-        st = stats_by_dataset[name]
-        row = [
-            name,
-            cell(st.size),
-            cell(st.with_stimuli),
-            cell(st.mu_len),
-            cell(st.sigma_len),
-            cell(st.mu_s_per_i),
-            cell(st.mu_s_per_c),
-            cell(st.clauses_total),
-            cell(st.clauses_with_s),
-            cell(st.mu_clauses_per_i),
-            cell(st.mu_all_s_per_i),
-        ]
-        lines.append(",".join(row))
+        values = astuple(stats_by_dataset[name])
+        lines.append(",".join([name] + ["" if v is None else str(v) for v in values]))
     return "\n".join(lines) + "\n"
 
 

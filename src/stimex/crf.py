@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from stimex.nn.layers import _packed_spans, _pad, _unpad
 from stimex.nn.tensor import Parameter, Tensor, _accum, as_tensor
 
 MAX_BRUTE_FORCE = 1_000_000
@@ -43,20 +44,15 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)), axis=axis)
 
 
-def _grid(emissions, params: CrfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R (n_r, L) emission arrays, right-padded into a step-major (T, R, L) grid,
-    T = max(n_r); with the lengths and the (T, R) mask of the steps within them."""
-    arrays = [as_tensor(u).data for u in emissions]
-    for u in arrays:
-        if u.ndim != 2 or u.shape[1] != params.num_labels:
-            raise ValueError(f"emissions of shape {u.shape} for {params.num_labels} labels")
-        if len(u) == 0:
-            raise ValueError("empty emission sequence")
-    lengths = np.array([len(u) for u in arrays])
-    grid = np.zeros((lengths.max(), len(arrays), params.num_labels))
-    for r, u in enumerate(arrays):
-        grid[: len(u), r] = u
-    return grid, lengths, np.arange(len(grid))[:, None] < lengths
+def _grid(u: np.ndarray, lengths, params: CrfParams) -> tuple[np.ndarray, list, np.ndarray]:
+    """Packed (N, L) emission rows of sequences of the given lengths, padded into
+    a step-major (T, R, L) grid by ``_pad``; with the sequences' (start, size)
+    spans and the (T, R) mask of the steps within their lengths."""
+    if u.ndim != 2 or u.shape[1] != params.num_labels:
+        raise ValueError(f"emissions of shape {u.shape} for {params.num_labels} labels")
+    spans = _packed_spans(len(u), lengths)
+    grid = _pad(u, spans)
+    return grid, spans, np.arange(len(grid))[:, None] < np.array(lengths)
 
 
 def _alphas(grid: np.ndarray, live: np.ndarray, params: CrfParams) -> tuple[np.ndarray, ...]:
@@ -79,28 +75,30 @@ def _alphas(grid: np.ndarray, live: np.ndarray, params: CrfParams) -> tuple[np.n
 def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
     """Summed negative log-likelihood of R gold label paths, as one graph node.
 
-    The loss is the left fold, in sequence order, of ``logZ_r + (-score_r)``
-    (see ``_alphas``), so it equals summing the per-sequence graph losses
-    bit for bit.  The backward pass is forward-backward (Lafferty et al.
-    2001; Sutton and McCallum, arXiv 1011.4088): the beta recursion on the
-    same grid gives the node and pairwise marginals.  The gradient of the
-    emissions and of the start and end scores is the node marginals minus
-    the gold one-hots; that of the transitions is the pairwise marginals
-    summed over the steps within each length, minus the gold transition
-    counts.
+    ``emissions`` holds the R sequences' emission scores as consecutive
+    (N, L) rows, as the ``nn`` layers lay out a batch; the label sequences
+    say where each one ends.  The loss is the left fold, in sequence order,
+    of ``logZ_r + (-score_r)`` (see ``_alphas``), so it equals summing the
+    per-sequence graph losses bit for bit.  The backward pass is
+    forward-backward (Lafferty et al. 2001; Sutton and McCallum, arXiv
+    1011.4088): the beta recursion on the same grid gives the node and
+    pairwise marginals.  The gradient of the emissions and of the start and
+    end scores is the node marginals minus the gold one-hots; that of the
+    transitions is the pairwise marginals summed over the steps within each
+    length, minus the gold transition counts.
     """
-    emissions = [as_tensor(u) for u in emissions]
-    if not emissions or len(labels) != len(emissions):
-        raise ValueError(f"{len(labels)} label sequences for {len(emissions)} emission sequences")
-    grid, lengths, live = _grid(emissions, params)
+    emissions = as_tensor(emissions)
     labels = [np.asarray(y, dtype=int) for y in labels]
-    for y, n in zip(labels, lengths):
-        _check_labels(y, n, params.num_labels)
+    lengths = [len(y) for y in labels]
+    grid, spans, live = _grid(emissions.data, lengths, params)
+    for y, (_, size) in zip(labels, spans):
+        _check_labels(y, size, params.num_labels)
     trans, start, end = params.parameters()
     alphas, log_z = _alphas(grid, live, params)
     total = None
-    for u, y, z in zip(emissions, labels, log_z):
-        loss = z + (-_score_path(u.data, y, trans.data, start.data, end.data))
+    for y, z, (first, size) in zip(labels, log_z, spans):
+        u = emissions.data[first : first + size]
+        loss = z + (-_score_path(u, y, trans.data, start.data, end.data))
         total = loss if total is None else total + loss
     out = Tensor(total)
 
@@ -116,19 +114,18 @@ def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
         pair = np.exp(alphas[:-1, :, :, None] + trans.data + into - log_z[:, None, None])
         d_trans = np.where(live[1:, :, None, None], pair, 0.0).sum(axis=(0, 1))
         d_start = node[0].sum(axis=0)
-        d_end = node[lengths - 1, np.arange(len(lengths))].sum(axis=0)
+        d_end = node[np.array(lengths) - 1, np.arange(len(lengths))].sum(axis=0)
         for r, y in enumerate(labels):
             node[np.arange(len(y)), r, y] -= 1.0
             np.add.at(d_trans, (y[:-1], y[1:]), -1.0)
             d_start[y[0]] -= 1.0
             d_end[y[-1]] -= 1.0
-        for r, u in enumerate(emissions):
-            if u.requires_grad:
-                _accum(u, out.grad * node[: lengths[r], r])
+        if emissions.requires_grad:
+            _accum(emissions, out.grad * _unpad(node, spans))
         for p, d in ((trans, d_trans), (start, d_start), (end, d_end)):
             _accum(p, out.grad * d)
 
-    return out._attach((*emissions, trans, start, end), backward)
+    return out._attach((emissions, trans, start, end), backward)
 
 
 def score_sequence(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
@@ -141,7 +138,8 @@ def score_sequence(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
 
 def log_partition(u: Tensor | np.ndarray, params: CrfParams) -> Tensor:
     """log-sum-exp over all label paths, by the forward recursion, as a graph-free Tensor."""
-    grid, _, live = _grid([u], params)
+    u = as_tensor(u).data
+    grid, _, live = _grid(u, u.shape[:1], params)  # one sequence of all the rows
     return Tensor(_alphas(grid, live, params)[1][0])
 
 

@@ -45,22 +45,6 @@ class ErrorType(enum.Enum):
     FALSE_POSITIVE = "false_positive"
 
 
-ERROR_ROW_ORDER = (
-    ErrorType.TRUE_POSITIVE,
-    ErrorType.EARLY_STOP,
-    ErrorType.LATE_STOP,
-    ErrorType.EARLY_START_STOP,
-    ErrorType.EARLY_START,
-    ErrorType.LATE_START,
-    ErrorType.LATE_START_STOP,
-    ErrorType.CONTAINED,
-    ErrorType.SURROUNDED,
-    ErrorType.MULTIPLE,
-    ErrorType.FALSE_NEGATIVE,
-    ErrorType.FALSE_POSITIVE,
-)
-
-
 def classify_gold(gold: Span, overlapping_preds: Sequence[Span]) -> ErrorType:
     """Type one gold span given the predictions that overlap it."""
     for p in overlapping_preds:
@@ -105,7 +89,7 @@ def format_errors_csv(counts_by_column: dict[str, dict[ErrorType, int]]) -> str:
     """Rows are error types (plus an All total excluding TruePositive), one column per run."""
     columns = sorted(counts_by_column)
     lines = [",".join(["error_type"] + columns)]
-    for etype in ERROR_ROW_ORDER:
+    for etype in ErrorType:
         cells = [str(counts_by_column[c].get(etype, 0)) for c in columns]
         lines.append(",".join([etype.value] + cells))
     totals = [

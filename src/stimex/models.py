@@ -18,14 +18,14 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from stimex import crf
-from stimex.corpus import ClauseAnnotation, Instance, Span, iob_to_spans, not_utf8
+from stimex.corpus import IOB_LABELS, ClauseAnnotation, Instance, Span, iob_to_spans, not_utf8
 from stimex.evaluation import MatchMode, clause_prf, span_prf
 from stimex.mapping import tokens_to_clauses
 from stimex.nn import (
@@ -41,7 +41,6 @@ from stimex.nn import (
     segment_mean,
 )
 
-IOB_ALPHABET = ("B", "I", "O")
 SELECTION_METRICS = ("accuracy", "f1")
 CHECKPOINT_FORMAT = "stimex-checkpoint"
 CHECKPOINT_VERSION = 3
@@ -83,21 +82,11 @@ class TrainConfig:
             raise ValueError(f"selection_metric must be one of {SELECTION_METRICS}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "dropout_p": self.dropout_p,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "embedding_dim": self.embedding_dim,
-            "hidden_dim": self.hidden_dim,
-            "seed": self.seed,
-            "selection_metric": self.selection_metric,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        known = cls().to_dict().keys()
+        known = {field.name for field in fields(cls)}
         for key in obj:
             if key not in known:
                 raise ValueError(f"unknown training config key {key!r}")
@@ -205,25 +194,24 @@ def clause_token_lists(instance: Instance) -> list[list[str]]:
 # Each model's ``loss`` runs every layer once over a mini-batch of units,
 # packed as consecutive rows (see ``Lstm.states``): the encoders, attention,
 # dropout and the projections.  One (N, d) dropout draw yields the numbers
-# that per-unit (n_r, d) draws would, in unit order.  The CRF models cut the
-# projection's rows into per-unit emission blocks for the loss of the whole
-# batch as one node (``crf.nll_loss``); ``icc`` pools each clause's rows and
-# takes one cross-entropy node over the batch.  ``predict`` runs the same
-# forward pass without dropout over chunks of ``config.batch_size``
-# instances, then decodes each unit: Viterbi for the CRF models, the argmax
-# of the two logits for ``icc``.
+# that per-unit (n_r, d) draws would, in unit order.  The CRF models hand the
+# projection's packed rows to ``crf.nll_loss``, the loss of the whole batch
+# as one node; ``icc`` pools each clause's rows and takes one cross-entropy
+# node over the batch.  ``predict`` runs the same forward pass without
+# dropout over chunks of ``config.batch_size`` instances, then decodes each
+# unit: Viterbi for the CRF models, the argmax of the two logits for ``icc``.
 
 
 def _flat(token_lists: Sequence[Sequence[str]]) -> list[str]:
     return [tok for toks in token_lists for tok in toks]
 
 
-def _blocks(rows: Tensor, lengths: Sequence[int]) -> list[Tensor]:
-    """Consecutive row blocks of ``rows``, one per length."""
-    if len(lengths) == 1:
-        return [rows]
-    ends = np.cumsum(lengths)
-    return [rows[end - k : end] for k, end in zip(lengths, ends)]
+def _viterbi_paths(
+    emissions: Tensor, lengths: Sequence[int], params: crf.CrfParams
+) -> list[list[int]]:
+    """Best label path of each of the packed sequences, decoded one by one."""
+    blocks = np.split(emissions.data, np.cumsum(lengths[:-1]))
+    return [crf.viterbi_decode(u, params)[0] for u in blocks]
 
 
 def _chunks(items: Sequence, size: int) -> list[Sequence]:
@@ -281,32 +269,32 @@ class SlModel(Model):
         super().__init__(embeddings, config)
         h = config.hidden_dim
         self.encoder = BiLstm("encoder", embeddings.dim, h, rng)
-        self.project = Linear("project", 4 * h, len(IOB_ALPHABET), rng)
-        self.crf = crf.CrfParams("crf", len(IOB_ALPHABET))
+        self.project = Linear("project", 4 * h, len(IOB_LABELS), rng)
+        self.crf = crf.CrfParams("crf", len(IOB_LABELS))
 
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.project.parameters() + self.crf.parameters()
 
     def emissions(
         self, token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
-    ) -> list[Tensor]:
-        """Emission scores per sentence, cut from one pass over the packed batch."""
+    ) -> tuple[Tensor, list[int]]:
+        """Packed (N, 3) emission scores of the sentences, and their lengths."""
         h, lengths = _encode(self.encoder, self.embeddings, token_lists)
         x = dropout(attention(h, lengths), self.config.dropout_p, training, rng)
-        return _blocks(self.project(x), lengths)
+        return self.project(x), lengths
 
     def loss(self, units: Sequence[Instance], training: bool = True, rng=None) -> Tensor:
         """Summed CRF loss of a batch of instances."""
-        emissions = self.emissions([inst.tokens for inst in units], training, rng)
-        labels = [[IOB_ALPHABET.index(lab) for lab in inst.iob] for inst in units]
+        emissions, _ = self.emissions([inst.tokens for inst in units], training, rng)
+        labels = [[IOB_LABELS.index(lab) for lab in inst.iob] for inst in units]
         return crf.nll_loss(emissions, labels, self.crf)
 
     def predict(self, instances: Sequence[Instance]) -> list[list[str]]:
         """IOB labels per instance."""
         return [
-            [IOB_ALPHABET[i] for i in crf.viterbi_decode(u, self.crf)[0]]
+            [IOB_LABELS[i] for i in path]
             for chunk in _chunks(instances, self.config.batch_size)
-            for u in self.emissions([inst.tokens for inst in chunk])
+            for path in _viterbi_paths(*self.emissions([inst.tokens for inst in chunk]), self.crf)
         ]
 
     def units(self, instances: Sequence[Instance]) -> list[Instance]:
@@ -415,8 +403,9 @@ class JccModel(_ClauseModel):
 
     def emissions(
         self, documents: Sequence[Sequence[Sequence[str]]], training: bool = False, rng=None
-    ) -> list[Tensor]:
-        """Clause emission scores per document (a list of clause token lists).
+    ) -> tuple[Tensor, list[int]]:
+        """Packed (N, 2) clause emission scores of the documents (each a list of
+        clause token lists), and their clause counts.
 
         The word encoder runs once over every clause of the batch and each
         clause encoder once over every document's clause sequence.
@@ -432,7 +421,7 @@ class JccModel(_ClauseModel):
         counts = [len(doc) for doc in documents]
         ms = self.clause_encoder2(self.clause_encoder1(vectors, counts), counts)
         x = dropout(attention(ms, counts), self.config.dropout_p, training, rng)
-        return _blocks(self.project(x), counts)
+        return self.project(x), counts
 
     def loss(
         self,
@@ -441,7 +430,7 @@ class JccModel(_ClauseModel):
         rng=None,
     ) -> Tensor:
         """Summed clause-CRF loss of a batch of (clause token lists, flags) units."""
-        emissions = self.emissions([doc for doc, _ in units], training, rng)
+        emissions, _ = self.emissions([doc for doc, _ in units], training, rng)
         labels = [[int(f) for f in flags] for _, flags in units]
         return crf.nll_loss(emissions, labels, self.crf)
 
@@ -452,9 +441,11 @@ class JccModel(_ClauseModel):
     def predict(self, instances: Sequence[Instance]) -> list[list[bool]]:
         """Clause flags per instance, decoded jointly."""
         return [
-            [bool(i) for i in crf.viterbi_decode(u, self.crf)[0]]
+            [bool(i) for i in path]
             for chunk in _chunks(instances, self.config.batch_size)
-            for u in self.emissions([clause_token_lists(inst) for inst in chunk])
+            for path in _viterbi_paths(
+                *self.emissions([clause_token_lists(inst) for inst in chunk]), self.crf
+            )
         ]
 
 

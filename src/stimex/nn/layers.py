@@ -28,6 +28,26 @@ def _packed_spans(n: int, lengths) -> list[tuple[int, int]]:
     return list(zip(itertools.accumulate(lengths, initial=0), lengths))
 
 
+def _pad(rows: np.ndarray, spans, reverse: bool = False) -> np.ndarray:
+    """Packed (N, d) rows to a zero-padded step-major (T, R, d) grid, T the
+    longest of the R ``spans``, each sequence from step 0 and, with
+    ``reverse``, reversed within its own length."""
+    flip = slice(None, None, -1) if reverse else slice(None)
+    grid = np.zeros((max(size for _, size in spans), len(spans), rows.shape[1]))
+    for r, (start, size) in enumerate(spans):
+        grid[:size, r] = rows[start : start + size][flip]
+    return grid
+
+
+def _unpad(grid: np.ndarray, spans, reverse: bool = False) -> np.ndarray:
+    """The packed rows of a grid laid out by ``_pad`` with the same arguments."""
+    flip = slice(None, None, -1) if reverse else slice(None)
+    rows = np.empty((sum(size for _, size in spans), grid.shape[2]))
+    for r, (start, size) in enumerate(spans):
+        rows[start : start + size] = grid[:size, r][flip]
+    return rows
+
+
 class Lstm:
     """Single-direction LSTM cell applied over a sequence.
 
@@ -70,23 +90,14 @@ class Lstm:
         ``cs`` and its ``tanh``, ``tcs``; with the outputs ``hs`` these are
         everything the backward pass needs.
         """
-        n = xs.shape[0]
-        spans = list(enumerate(_packed_spans(n, lengths)))
-        steps, width = max(size for _, (_, size) in spans), len(spans)
-        flip = slice(None, None, -1) if reverse else slice(None)
+        spans = _packed_spans(xs.shape[0], lengths)
+        steps, width = max(size for _, size in spans), len(spans)
 
         def to_steps(rows):
-            """Packed rows to a zero-padded (T, R, .) grid, each sequence from step 0."""
-            grid = np.zeros((steps, width, rows.shape[1]))
-            for r, (start, size) in spans:
-                grid[:size, r] = rows[start : start + size][flip]
-            return grid
+            return _pad(rows, spans, reverse)
 
         def to_rows(grid):
-            rows = np.empty((n, grid.shape[2]))
-            for r, (start, size) in spans:
-                rows[start : start + size] = grid[:size, r][flip]
-            return rows
+            return _unpad(grid, spans, reverse)
 
         hd = self.hidden_dim
         w_x, w_h, bias = self.w_x, self.w_h, self.bias

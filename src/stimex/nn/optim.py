@@ -7,23 +7,18 @@ import numpy as np
 from stimex.nn.tensor import Parameter
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 0.003,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Parameter], lr: float = 0.003):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -42,11 +37,9 @@ class Adam:
         one more the update.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         m_scale, v_scale = 1 - b1**self.t, 1 - b2**self.t
         for p in self.params:
-            if not p.trainable:
-                continue
             grad = p.grad
             if grad is None:
                 grad = np.zeros_like(p.data)
@@ -65,7 +58,7 @@ class Adam:
             v += scratch
             np.divide(v, v_scale, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += self.eps  # sqrt(v_hat) + eps
+            scratch += EPS  # sqrt(v_hat) + eps
             update = m / m_scale
             update *= self.lr
             update /= scratch

@@ -233,12 +233,11 @@ class Tensor:
 class Parameter(Tensor):
     """Named trainable tensor."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, data, trainable: bool = True):
-        super().__init__(data, requires_grad=trainable)
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"

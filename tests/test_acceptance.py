@@ -118,7 +118,7 @@ def test_03_gradient_checks():
             n = int(rng.integers(1, 6))
             u = Parameter("u", rng.standard_normal((n, 3)))
             y = rng.integers(0, 3, size=n)
-            _check_grads(lambda: nll_loss([u], [y], params), [u, *params.parameters()])
+            _check_grads(lambda: nll_loss(u, [y], params), [u, *params.parameters()])
 
         def random_tokens(rng, n):
             return [vocab[int(k)] for k in rng.integers(0, len(vocab), size=n)]

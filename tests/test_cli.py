@@ -182,6 +182,19 @@ def test_clauses_eval_reports_alignment(tmp_path, corpus_path):
     assert float(cells[2]) == 1.0
 
 
+def test_clauses_eval_names_an_instance_without_clauses(tmp_path, capsys):
+    instances = generate_synthetic(6, seed=2)
+    instances[3].clauses = None
+    path = tmp_path / "noclauses.jsonl"
+    save_corpus(instances, path)
+    out = tmp_path / "clause_eval.csv"
+    assert run("clauses", "eval", "--corpus", path, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: instance {instances[3].id!r} has no clause annotations\n"
+    )
+    assert not out.exists()
+
+
 def test_split_partitions_ids(tmp_path, corpus_path):
     out = tmp_path / "splits.json"
     assert run("split", "--corpus", corpus_path, "--seed", 3, "--out", out) == 0

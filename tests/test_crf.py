@@ -12,7 +12,7 @@ from stimex.crf import (
     score_sequence,
     viterbi_decode,
 )
-from stimex.nn import Parameter, Tensor
+from stimex.nn import Parameter, Tensor, concat
 
 
 def fresh_params(num_labels=2, seed=None):
@@ -51,7 +51,7 @@ def test_log_partition_single_position():
 def test_uniform_nll_is_path_count():
     params = fresh_params(2)
     u = np.zeros((2, 2))
-    assert nll_loss([u], [[0, 1]], params).item() == pytest.approx(2 * np.log(2.0))
+    assert nll_loss(u, [[0, 1]], params).item() == pytest.approx(2 * np.log(2.0))
 
 
 def test_peaked_emissions_give_tiny_nll():
@@ -60,7 +60,7 @@ def test_peaked_emissions_give_tiny_nll():
     gold = [0, 1, 1, 2]
     for t, y in enumerate(gold):
         u[t, y] = 30.0
-    assert nll_loss([u], [gold], params).item() < 1e-6
+    assert nll_loss(u, [gold], params).item() < 1e-6
 
 
 def test_nll_is_nonnegative():
@@ -70,7 +70,7 @@ def test_nll_is_nonnegative():
         n = int(rng.integers(1, 6))
         u = rng.standard_normal((n, 3))
         y = rng.integers(0, 3, size=n)
-        assert nll_loss([u], [y], params).item() >= -1e-12
+        assert nll_loss(u, [y], params).item() >= -1e-12
 
 
 def test_decoders_agree_with_enumeration():
@@ -117,7 +117,7 @@ def test_nll_gradients():
     tensors = [u, *params.parameters()]
 
     def loss():
-        return nll_loss([u], [y], params)
+        return nll_loss(u, [y], params)
 
     loss().backward()
     numeric = finite_difference(loss, tensors)
@@ -146,7 +146,7 @@ def test_batch_nll_matches_graph_oracle(num_labels, emission_grad):
             us = [Parameter(f"u{r}", u) for r, u in enumerate(us)]
         ys = [rng.integers(0, num_labels, size=n) for n in lengths]
         tensors = [*params.parameters(), *(us if emission_grad else [])]
-        fused, fused_grads = _loss_and_grads(lambda: nll_loss(us, ys, params), tensors)
+        fused, fused_grads = _loss_and_grads(lambda: nll_loss(concat(us), ys, params), tensors)
         graph, graph_grads = _loss_and_grads(lambda: graph_nll_loss(us, ys, params), tensors)
         assert fused == graph, (trial, lengths)  # same operations in the same order
         for t, a, b in zip(tensors, fused_grads, graph_grads):
@@ -157,24 +157,26 @@ def test_batch_nll_scales_its_gradient_by_the_upstream_one():
     params = fresh_params(3, seed=8)
     u = Parameter("u", np.random.default_rng(8).standard_normal((4, 3)))
     tensors = [u, *params.parameters()]
-    _, once = _loss_and_grads(lambda: nll_loss([u], [[0, 2, 2, 1]], params), tensors)
-    _, thrice = _loss_and_grads(lambda: nll_loss([u], [[0, 2, 2, 1]], params) * 3.0, tensors)
+    _, once = _loss_and_grads(lambda: nll_loss(u, [[0, 2, 2, 1]], params), tensors)
+    _, thrice = _loss_and_grads(lambda: nll_loss(u, [[0, 2, 2, 1]], params) * 3.0, tensors)
     for a, b in zip(once, thrice):
         assert np.allclose(3.0 * a, b, rtol=1e-12, atol=0.0)
 
 
 def test_batch_nll_validation():
     params = fresh_params(2)
-    with pytest.raises(ValueError, match="0 label sequences for 0"):
-        nll_loss([], [], params)
-    with pytest.raises(ValueError, match="1 label sequences for 2"):
-        nll_loss([np.zeros((1, 2)), np.zeros((2, 2))], [[0]], params)
-    with pytest.raises(ValueError, match="empty emission"):
-        nll_loss([np.zeros((1, 2)), np.zeros((0, 2))], [[0], []], params)
-    with pytest.raises(ValueError, match="does not match"):
-        nll_loss([np.zeros((1, 2)), np.zeros((2, 2))], [[0], [1]], params)
+    with pytest.raises(ValueError, match="sum to 1, not to the 3 input rows"):
+        nll_loss(np.zeros((3, 2)), [[0]], params)
+    with pytest.raises(ValueError, match="sum to 4, not to the 3 input rows"):
+        nll_loss(np.zeros((3, 2)), [[0], [1, 0, 1]], params)
+    with pytest.raises(ValueError, match="empty sequence"):
+        nll_loss(np.zeros((1, 2)), [[0], []], params)
+    with pytest.raises(ValueError, match="out of range"):
+        nll_loss(np.zeros((3, 2)), [[0], [1, 2]], params)
     with pytest.raises(ValueError, match=r"shape \(2, 3\) for 2 labels"):
-        nll_loss([np.zeros((2, 3))], [[0, 1]], params)
+        nll_loss(np.zeros((2, 3)), [[0, 1]], params)
+    with pytest.raises(ValueError, match="empty sequence"):
+        nll_loss(np.zeros((0, 2)), [], params)
 
 
 def test_input_validation():
@@ -205,6 +207,6 @@ def test_accepts_tensor_emissions():
     params = fresh_params(2, seed=1)
     u = Tensor(np.random.default_rng(2).standard_normal((3, 2)))
     assert viterbi_decode(u, params)[0] == viterbi_decode(u.data, params)[0]
-    assert nll_loss([u], [[0, 1, 0]], params).item() == pytest.approx(
-        nll_loss([u.data], [[0, 1, 0]], params).item()
+    assert nll_loss(u, [[0, 1, 0]], params).item() == pytest.approx(
+        nll_loss(u.data, [[0, 1, 0]], params).item()
     )

@@ -5,7 +5,6 @@ import pytest
 
 from stimex.corpus import Span
 from stimex.error_analysis import (
-    ERROR_ROW_ORDER,
     ErrorType,
     classify_corpus,
     classify_gold,
@@ -153,4 +152,4 @@ def test_errors_csv_layout():
     assert rows["true_positive"] == ["0", "1"]
     assert rows["multiple"] == ["3", "1"]
     assert rows["all"] == ["3", "11"]  # everything except true positives
-    assert [line.split(",")[0] for line in lines[1:-1]] == [t.value for t in ERROR_ROW_ORDER]
+    assert [line.split(",")[0] for line in lines[1:-1]] == [t.value for t in ErrorType]

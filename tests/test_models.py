@@ -225,7 +225,8 @@ def test_sl_emission_shape_and_prediction_labels():
     corpus = toy_corpus()
     model = SlModel(toy_embeddings(corpus), TOY, np.random.default_rng(0))
     tokens = corpus[0].tokens
-    (u,) = model.emissions([tokens])
+    u, lengths = model.emissions([tokens])
+    assert lengths == [len(tokens)]
     assert u.shape == (len(tokens), 3)
     (pred,) = model.predict(corpus[:1])
     assert len(pred) == len(tokens)
@@ -246,8 +247,8 @@ def test_jcc_emissions_and_prediction():
     corpus = toy_corpus()
     model = JccModel(toy_embeddings(corpus), TOY, np.random.default_rng(0))
     inst = clause_instance()
-    (u,) = model.emissions([clause_token_lists(inst)])
-    assert u.shape == (3, 2)
+    u, counts = model.emissions([clause_token_lists(inst)])
+    assert u.shape == (3, 2) and counts == [3]
     (flags,) = model.predict([inst])
     assert len(flags) == 3 and all(isinstance(f, bool) for f in flags)
     with pytest.raises(ValueError):
@@ -259,7 +260,7 @@ def test_jcc_single_clause_decodes_by_local_score():
     model = JccModel(toy_embeddings(corpus), TOY, np.random.default_rng(1))
     inst = Instance("one", "d", ["because", "he", "left"], ["B", "I", "I"])
     inst.clauses = [ClauseAnnotation(Span(0, 3), True)]
-    (u,) = model.emissions([clause_token_lists(inst)])
+    u, _ = model.emissions([clause_token_lists(inst)])
     expected = np.argmax(u.data[0] + model.crf.start_scores.data + model.crf.end_scores.data)
     assert model.predict([inst]) == [[bool(expected)]]
 
@@ -267,8 +268,8 @@ def test_jcc_single_clause_decodes_by_local_score():
 def test_jcc_is_sensitive_to_clause_order():
     corpus = toy_corpus()
     model = JccModel(toy_embeddings(corpus), TOY, np.random.default_rng(2))
-    (a,) = model.emissions([[["happy"], ["because", "he", "left"]]])
-    (b,) = model.emissions([[["because", "he", "left"], ["happy"]]])
+    a, _ = model.emissions([[["happy"], ["because", "he", "left"]]])
+    b, _ = model.emissions([[["because", "he", "left"], ["happy"]]])
     assert not np.allclose(a.data, b.data[::-1])  # clause context matters, not just content
 
 
@@ -379,16 +380,12 @@ def test_crf_loss_is_one_graph_node(arch):
         if any(parent is p for parent in node._parents for p in crf_params)
     ]
     assert len(crf_nodes) == 1 and crf_nodes[0] is loss
-    *emissions, trans, start, end = loss._parents
+    projected, trans, start, end = loss._parents
     assert (trans, start, end) == tuple(crf_params)
-    sizes = [len(u.tokens) for u in units] if arch == "sl" else [len(doc) for doc, _ in units]
-    assert [e.shape for e in emissions] == [(n, model.crf.num_labels) for n in sizes]
-    # the emissions are consecutive row blocks, in unit order, of one projection output
-    assert all(len(e._parents) == 1 for e in emissions)
-    (projected,) = {id(e._parents[0]): e._parents[0] for e in emissions}.values()
+    # the loss reads the projection's packed output itself
     assert any(parent is model.project.bias for parent in projected._parents)
+    sizes = [len(u.tokens) for u in units] if arch == "sl" else [len(doc) for doc, _ in units]
     assert projected.shape == (sum(sizes), model.crf.num_labels)
-    assert np.array_equal(np.concatenate([e.data for e in emissions]), projected.data)
 
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])

