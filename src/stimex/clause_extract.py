@@ -24,7 +24,7 @@ _PUNCT_TOKEN = re.compile(r"^[^A-Za-z0-9]+$")
 MAX_SHORT = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentList:
     """A tiling of a token sequence into contiguous segments."""
 

@@ -26,7 +26,7 @@ class CorpusError(ValueError):
     """Malformed corpus file or annotation violating a format invariant."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Half-open token interval ``[start, end)``, 0-based."""
 
@@ -44,7 +44,7 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClauseAnnotation:
     span: Span
     is_stimulus: bool = False
@@ -183,7 +183,11 @@ def _clause_list(obj: dict, field: str) -> list[ClauseAnnotation] | None:
         stimulus = entry.get("stimulus", False)
         if not isinstance(stimulus, bool):
             raise CorpusError(f"field '{field}' entry {k} has a non-boolean 'stimulus'")
-        clauses.append(ClauseAnnotation(Span(start, end), stimulus))
+        try:
+            span = Span(start, end)
+        except CorpusError as exc:  # "invalid span [s, e)"
+            raise CorpusError(f"field '{field}' entry {k} has {exc}") from None
+        clauses.append(ClauseAnnotation(span, stimulus))
     return clauses
 
 

@@ -10,6 +10,7 @@ operates on.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -100,14 +101,15 @@ def parse_bracket(text: str) -> ConstTree:
                 raise BracketParseError("tree nested too deeply", _offset(text, i))
             if i + 1 == n or tokens[i + 1] in _BRACKETS:
                 raise BracketParseError("expected a label or token", _offset(text, i + 1))
+            label = sys.intern(tokens[i + 1])  # one string object per distinct label
             if i + 3 < n and tokens[i + 3] == ")" and tokens[i + 2] not in _BRACKETS:
                 # a pre-terminal, "(label token)", made without opening it
-                siblings.append(ConstTree(tokens[i + 1], (), tokens[i + 2], leaf, leaf + 1))
+                siblings.append(ConstTree(label, (), tokens[i + 2], leaf, leaf + 1))
                 leaf += 1
                 i += 4
             else:
                 siblings = []
-                stack.append([tokens[i + 1], siblings, None, i])
+                stack.append([label, siblings, None, i])
                 i += 2
         elif tok != ")":
             top = stack[-1]

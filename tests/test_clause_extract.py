@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,20 @@ def test_segment_list_must_tile():
         seg_list([(0, 1), (2, 3)], ["a", "b", "c"])
     with pytest.raises(ValueError):
         seg_list([(0, 2)], ["a", "b", "c"])
+
+
+def test_segment_list_is_a_frozen_slotted_value():
+    segs = seg_list([(0, 1), (1, 3)], ["a", "b", "c"])
+    assert segs == seg_list([(0, 1), (1, 3)], ["a", "b", "c"])
+    assert segs != seg_list([(0, 3)], ["a", "b", "c"])
+    assert hash(segs) == hash(((Span(0, 1), Span(1, 3)), ("a", "b", "c")))
+    assert repr(segs) == (
+        "SegmentList(segments=(Span(start=0, end=1), Span(start=1, end=3)), "
+        "tokens=('a', 'b', 'c'))"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        segs.tokens = ("x",)
+    assert not hasattr(segs, "__dict__")
 
 
 def test_is_punct_only():

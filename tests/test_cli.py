@@ -95,6 +95,19 @@ def test_validate_ok_and_failure(tmp_path, corpus_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_names_the_entry_of_an_invalid_clause_span(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"id": "a", "dataset": "d", "tokens": ["x", "y"], "iob": ["O", "O"], '
+        '"clauses": [{"start": 0, "end": 1}, {"start": 1, "end": 1}]}\n',
+        encoding="utf-8",
+    )
+    assert run("validate", "--corpus", bad) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == f"error: {bad}: line 1: field 'clauses' entry 1 has invalid span [1, 1)\n"
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_validate_on_a_damaged_corpus_exits_zero_or_one_with_one_error_line(

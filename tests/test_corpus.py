@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,28 @@ def test_span_len_and_overlap():
     assert Span(0, 3).overlaps(Span(2, 4))
     assert not Span(0, 3).overlaps(Span(3, 4))  # touching is not overlap
     assert Span(1, 2).overlaps(Span(0, 5))
+
+
+def test_span_is_a_frozen_slotted_value():
+    assert Span(1, 3) == Span(1, 3) and Span(1, 3) != Span(1, 4)
+    spans = [Span(2, 4), Span(0, 5), Span(0, 2), Span(1, 3)]
+    assert sorted(spans) == [Span(0, 2), Span(0, 5), Span(1, 3), Span(2, 4)]
+    assert hash(Span(1, 3)) == hash((1, 3)) and hash(Span(4, 9)) == hash((4, 9))
+    assert repr(Span(1, 3)) == "Span(start=1, end=3)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Span(1, 3).start = 0
+    assert not hasattr(Span(1, 3), "__dict__")
+
+
+def test_clause_annotation_is_a_frozen_slotted_value():
+    clause = ClauseAnnotation(Span(1, 3), True)
+    assert clause == ClauseAnnotation(Span(1, 3), True)
+    assert clause != ClauseAnnotation(Span(1, 3), False) == ClauseAnnotation(Span(1, 3))
+    assert hash(clause) == hash((Span(1, 3), True))
+    assert repr(clause) == "ClauseAnnotation(span=Span(start=1, end=3), is_stimulus=True)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        clause.is_stimulus = False
+    assert not hasattr(clause, "__dict__")
 
 
 # -- IOB conversion ----------------------------------------------------------
@@ -179,6 +203,14 @@ GOOD_LINE = '{"id": "a", "dataset": "d", "tokens": ["x", "y"], "iob": ["O", "O"]
         ('"clauses": [{"start": 0, "end": 2, "stimulus": "no"}]', "'clauses' entry 0"),
         ('"pred_clauses": [{"start": 0, "end": 2, "stimulus": 1}]', "'pred_clauses' entry 0"),
         ('"clauses": [{"start": false, "end": 2}]', "'clauses' entry 0 has non-integer"),
+        (
+            '"clauses": [{"start": 0, "end": 1}, {"start": 1, "end": 1}]',
+            "field 'clauses' entry 1 has invalid span [1, 1)",
+        ),
+        (
+            '"pred_clauses": [{"start": -1, "end": 1}]',
+            "field 'pred_clauses' entry 0 has invalid span [-1, 1)",
+        ),
     ],
 )
 def test_load_rejects_a_field_of_the_wrong_type(tmp_path, extra, needle):

@@ -35,6 +35,23 @@ def test_leaf_spans_are_consecutive():
     assert spans == [Span(k, k + 1) for k in range(7)]
 
 
+def test_labels_are_shared_between_parses():
+    # "NP" is opened and "NN" is a pre-terminal; two-letter strings are not
+    # otherwise cached, so only interning makes the two parses share them
+    first = parse_bracket("(S (NP (NN dog)) (VP (VBD ran)))")
+    second = parse_bracket("(S (VP (VBD sat)) (NP (DT the) (NN cat)))")
+    assert first.children[0].label is second.children[1].label
+    assert first.children[0].children[0].label is second.children[1].children[1].label
+
+
+def test_labels_keep_function_tags_and_non_ascii_text():
+    tree = parse_bracket("(S (NP-SBJ-1 (NN x)) (VP-ÉTÉ (VBD-Ü y)))")
+    assert [n.label for n in tree.iter_nodes()] == ["S", "NP-SBJ-1", "NN", "VP-ÉTÉ", "VBD-Ü"]
+    again = parse_bracket("(VP-ÉTÉ (VBD-Ü y))")
+    assert again.label is tree.children[1].label
+    assert again.children[0].label is tree.children[1].children[0].label
+
+
 def test_escaped_parens_kept_verbatim():
     tree = parse_bracket("(NP (-LRB- -LRB-) (NN x) (-RRB- -RRB-))")
     assert leaves(tree) == ["-LRB-", "x", "-RRB-"]
