@@ -102,7 +102,7 @@ def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
         total = loss if total is None else total + loss
     out = Tensor(total)
 
-    def backward():
+    def backward(grad):
         # betas[t, r, i] sums (in log space) the continuations of label i after step t
         betas = np.empty_like(grid)
         betas[-1] = end.data
@@ -121,9 +121,9 @@ def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
             d_start[y[0]] -= 1.0
             d_end[y[-1]] -= 1.0
         if emissions.requires_grad:
-            _accum(emissions, out.grad * _unpad(node, spans))
+            _accum(emissions, grad * _unpad(node, spans))
         for p, d in ((trans, d_trans), (start, d_start), (end, d_end)):
-            _accum(p, out.grad * d)
+            _accum(p, grad * d)
 
     return out._attach((emissions, trans, start, end), backward)
 

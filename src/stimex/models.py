@@ -414,10 +414,11 @@ class JccModel(_ClauseModel):
             raise ValueError("need at least one clause")
         clauses = _flat(documents)
         widths = [len(toks) for toks in clauses]
-        fwd, bwd = self.word_encoder.run(self.embeddings.lookup(_flat(clauses)), widths)
+        h = self.config.hidden_dim
+        words = self.word_encoder(self.embeddings.lookup(_flat(clauses)), widths)
         ends = np.cumsum(widths)
         # final forward state and first backward state of each clause
-        vectors = concat([fwd[ends - 1], bwd[ends - widths]], axis=1)
+        vectors = concat([words[ends - 1, :h], words[ends - widths, h:]], axis=1)
         counts = [len(doc) for doc in documents]
         ms = self.clause_encoder2(self.clause_encoder1(vectors, counts), counts)
         x = dropout(attention(ms, counts), self.config.dropout_p, training, rng)
@@ -547,6 +548,7 @@ def train(
             stale += 1
             if stale >= config.patience:
                 break
+    optimizer.zero_grad()  # the returned parameters carry no gradient arrays
     _load_state(model, best_state)
     return TrainedModel(architecture, model, config, history)
 

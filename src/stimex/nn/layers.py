@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from stimex.nn.tensor import Parameter, Tensor, _accum, concat, stable_sigmoid
+from stimex.nn.tensor import Parameter, Tensor, _accum, stable_sigmoid
 
 
 def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int) -> np.ndarray:
@@ -28,28 +28,107 @@ def _packed_spans(n: int, lengths) -> list[tuple[int, int]]:
     return list(zip(itertools.accumulate(lengths, initial=0), lengths))
 
 
-def _pad(rows: np.ndarray, spans, reverse: bool = False) -> np.ndarray:
-    """Packed (N, d) rows to a zero-padded step-major (T, R, d) grid, T the
-    longest of the R ``spans``, each sequence from step 0 and, with
-    ``reverse``, reversed within its own length."""
+def _pad(rows: np.ndarray, spans, reverse: bool = False, grid=None) -> np.ndarray:
+    """Packed (N, d) rows to a zero-padded step-major (T, R, d) ``grid``, new
+    if not given, T the longest of the R ``spans``, each sequence from step 0
+    and, with ``reverse``, reversed within its own length."""
     flip = slice(None, None, -1) if reverse else slice(None)
-    grid = np.zeros((max(size for _, size in spans), len(spans), rows.shape[1]))
+    if grid is None:
+        grid = np.zeros((max(size for _, size in spans), len(spans), rows.shape[1]))
     for r, (start, size) in enumerate(spans):
         grid[:size, r] = rows[start : start + size][flip]
     return grid
 
 
-def _unpad(grid: np.ndarray, spans, reverse: bool = False) -> np.ndarray:
-    """The packed rows of a grid laid out by ``_pad`` with the same arguments."""
+def _unpad(grid: np.ndarray, spans, reverse: bool = False, rows=None) -> np.ndarray:
+    """The packed ``rows``, new if not given, of a grid laid out by ``_pad``."""
     flip = slice(None, None, -1) if reverse else slice(None)
-    rows = np.empty((sum(size for _, size in spans), grid.shape[2]))
+    if rows is None:
+        rows = np.empty((sum(size for _, size in spans), grid.shape[2]))
     for r, (start, size) in enumerate(spans):
         rows[start : start + size] = grid[:size, r][flip]
     return rows
 
 
+def _lstm(cells, reverse, xs: Tensor, lengths) -> Tensor:
+    """Hidden states of D LSTM ``cells`` over the same packed sequences, as one
+    (N, D*h) graph node whose columns ``d*h:(d+1)*h`` are cell d's states.
+
+    ``xs`` holds R sequences of the given ``lengths`` as consecutive rows.
+    All D cells run in one loop over max(lengths) steps on step-major
+    (T, D, R, .) arrays: one stacked (D, R, h) @ (D, h, 4h) matmul per step,
+    and each elementwise operation covers every cell.  Each sequence is
+    right-padded, and reversed within its own length where ``reverse[d]`` is
+    set; padded rows compute on zero input, are never read and get an exactly
+    zero gradient, so the loop needs no masks.  The input projection and the
+    parameter and ``xs`` gradients take one matmul or sum per cell.
+
+    The forward pass keeps the per-step graph's operation order,
+    ``(xw[t] + h @ w_h) + bias``, so a cell's values are bit-identical to
+    that graph's, whatever cells run beside it.  It caches what
+    backpropagation through time needs: the gate activations ``acts``, the
+    cell states ``cs``, their tanh ``tcs`` and the outputs ``hs``.
+    """
+    spans = _packed_spans(xs.shape[0], lengths)
+    steps, depth, width = max(size for _, size in spans), len(cells), len(spans)
+    hd = cells[0].hidden_dim
+    w_h = np.stack([cell.w_h.data for cell in cells])  # (D, h, 4h)
+    bias = np.stack([cell.bias.data for cell in cells])[:, None]  # (D, 1, 4h)
+    xw = np.zeros((steps, depth, width, 4 * hd))
+    for d, (cell, rev) in enumerate(zip(cells, reverse)):
+        _pad(xs.data @ cell.w_x.data, spans, rev, xw[:, d])
+    acts = np.empty((steps, depth, width, 4 * hd))
+    cs, tcs, hs = np.empty((3, steps, depth, width, hd))
+    i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
+    h, c = np.zeros((2, depth, width, hd))
+    for t in range(steps):
+        pre = xw[t] + h @ w_h
+        pre += bias
+        acts[t] = stable_sigmoid(pre)
+        np.tanh(pre[..., 2 * hd : 3 * hd], out=g[t])
+        c = np.multiply(f[t], c, out=cs[t])
+        c += i[t] * g[t]
+        h = np.multiply(o[t], np.tanh(c, out=tcs[t]), out=hs[t])
+    out = np.empty((xs.shape[0], depth * hd))
+    for d, rev in enumerate(reverse):
+        _unpad(hs[:, d], spans, rev, out[:, d * hd : (d + 1) * hd])
+
+    def backward(grad):
+        h_prev, c_prev = np.zeros((2, *hs.shape))
+        h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
+        # d pre / d (dc) for the i, f, g blocks and d pre / d (dh) for o,
+        # each with its nonlinearity's derivative folded in.
+        by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=3)
+        by_dh = tcs * o * (1.0 - o)
+        dc_by_dh = o * (1.0 - tcs * tcs)
+        d_pre = np.empty((steps, depth, width, 4, hd))
+        dh_out = np.zeros_like(hs)
+        for d, rev in enumerate(reverse):
+            _pad(grad[:, d * hd : (d + 1) * hd], spans, rev, dh_out[:, d])
+        w_h_t = w_h.transpose(0, 2, 1)
+        dh, dc = np.zeros((2, depth, width, hd))
+        for t in reversed(range(steps)):
+            dh = dh_out[t] + dh
+            dc = dc + dh * dc_by_dh[t]
+            d_pre[t, :, :, :3] = by_dc[t] * dc[:, :, None]
+            d_pre[t, :, :, 3] = dh * by_dh[t]
+            dh = d_pre[t].reshape(depth, width, 4 * hd) @ w_h_t
+            dc = dc * f[t]
+        d_pre = d_pre.reshape(steps, depth, width, 4 * hd)
+        for d, (cell, rev) in enumerate(zip(cells, reverse)):
+            rows = _unpad(d_pre[:, d], spans, rev)
+            if xs.requires_grad:
+                _accum(xs, rows @ cell.w_x.data.T)
+            _accum(cell.w_x, xs.data.T @ rows)
+            _accum(cell.w_h, _unpad(h_prev[:, d], spans, rev).T @ rows)
+            _accum(cell.bias, rows.sum(axis=0))
+
+    params = (p for cell in cells for p in cell.parameters())
+    return Tensor(out)._attach((xs, *params), backward)
+
+
 class Lstm:
-    """Single-direction LSTM cell applied over a sequence.
+    """Single-direction LSTM cell applied over packed sequences.
 
     Gates are ordered (input, forget, cell, output) in the packed weight
     matrices; the forget-gate bias is initialized to 1.
@@ -69,98 +148,14 @@ class Lstm:
         return [self.w_x, self.w_h, self.bias]
 
     def states(self, xs: Tensor, lengths, reverse: bool = False) -> Tensor:
-        """Hidden states of sequences laid end to end, as one (N, h) graph node.
-
-        ``xs`` holds R sequences of the given ``lengths`` as consecutive rows;
-        output row k is the state at input row k, in either direction.  The
-        recurrence runs over max(lengths) steps on step-major (T, R, .)
-        arrays, one GEMM per step for all R sequences.  Each sequence is
-        right-padded, and reversed within its own length when ``reverse`` is
-        set, so all of them start at step 0; padded rows compute on zero
-        input, are never read, and their gradient is exactly zero, so the
-        loop needs no masks.  The input projection and the ``w_x``, ``w_h``,
-        ``bias`` and ``xs`` gradients work on the N packed rows, where
-        padding costs nothing.
-
-        The forward pass runs in plain NumPy, in the operation order of the
-        per-step graph it replaces, ``(xw[t] + h @ w_h) + bias``, so for one
-        sequence its values are bit-identical to that graph's.  It caches,
-        per step, the gate activations ``acts`` (input, forget and output
-        gates after the sigmoid, cell candidate after tanh), the cell state
-        ``cs`` and its ``tanh``, ``tcs``; with the outputs ``hs`` these are
-        everything the backward pass needs.
-        """
-        spans = _packed_spans(xs.shape[0], lengths)
-        steps, width = max(size for _, size in spans), len(spans)
-
-        def to_steps(rows):
-            return _pad(rows, spans, reverse)
-
-        def to_rows(grid):
-            return _unpad(grid, spans, reverse)
-
-        hd = self.hidden_dim
-        w_x, w_h, bias = self.w_x, self.w_h, self.bias
-        xw = to_steps(xs.data @ w_x.data)  # projection of the packed rows in one shot
-        w_h_data, bias_data = w_h.data, bias.data
-        acts = np.empty((steps, width, 4 * hd))
-        cs = np.empty((steps, width, hd))
-        tcs = np.empty((steps, width, hd))
-        hs = np.empty((steps, width, hd))
-        i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
-        h = np.zeros((width, hd))
-        c = np.zeros((width, hd))
-        for t in range(steps):
-            pre = xw[t] + h @ w_h_data + bias_data
-            acts[t] = stable_sigmoid(pre)
-            np.tanh(pre[:, 2 * hd : 3 * hd], out=g[t])
-            c = np.multiply(f[t], c, out=cs[t])
-            c += i[t] * g[t]
-            h = np.multiply(o[t], np.tanh(c, out=tcs[t]), out=hs[t])
-        out = Tensor(to_rows(hs))
-
-        def backward():
-            """Backpropagation through time over the cached steps.
-
-            Only ``dh`` and ``dc`` flow between steps; the loop writes each
-            step's pre-activation gradient into one (T, R, 4h) array, whose N
-            real rows give the gradients of ``w_x``, ``w_h``, ``bias`` and
-            ``xs`` in a single matmul or sum each.
-            """
-            h_prev = np.zeros_like(hs)
-            c_prev = np.zeros_like(cs)
-            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
-            # d pre / d (dc) for the i, f, g blocks and d pre / d (dh) for o,
-            # each with its nonlinearity's derivative folded in.
-            by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
-            by_dh = tcs * o * (1.0 - o)
-            dc_by_dh = o * (1.0 - tcs * tcs)
-            d_pre = np.empty((steps, width, 4, hd))
-            dh_out = to_steps(out.grad)
-            w_h_t = w_h_data.T
-            dh = np.zeros((width, hd))
-            dc = np.zeros((width, hd))
-            for t in reversed(range(steps)):
-                dh = dh_out[t] + dh
-                dc = dc + dh * dc_by_dh[t]
-                d_pre[t, :, :3] = by_dc[t] * dc[:, None]
-                d_pre[t, :, 3] = dh * by_dh[t]
-                dh = d_pre[t].reshape(width, 4 * hd) @ w_h_t
-                dc = dc * f[t]
-            d_pre = to_rows(d_pre.reshape(steps, width, 4 * hd))
-            if xs.requires_grad:
-                _accum(xs, d_pre @ w_x.data.T)
-            if w_x.requires_grad:
-                _accum(w_x, xs.data.T @ d_pre)
-            if w_h.requires_grad:
-                _accum(w_h, to_rows(h_prev).T @ d_pre)
-            if bias.requires_grad:
-                _accum(bias, d_pre.sum(axis=0))
-
-        return out._attach((xs, w_x, w_h, bias), backward)
+        """(N, h) hidden states of packed sequences, each read backwards when
+        ``reverse`` is set: ``_lstm`` with one cell."""
+        return _lstm((self,), (reverse,), xs, lengths)
 
 
 class BiLstm:
+    """A forward and a backward ``Lstm``, run in one time loop by ``_lstm``."""
+
     def __init__(
         self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator | None
     ):
@@ -172,10 +167,11 @@ class BiLstm:
 
     def run(self, xs: Tensor, lengths) -> tuple[Tensor, Tensor]:
         """Forward and backward hidden states, each (N, h), of packed sequences."""
-        return self.fwd.states(xs, lengths), self.bwd.states(xs, lengths, reverse=True)
+        out, hd = self(xs, lengths), self.fwd.hidden_dim
+        return out[:, :hd], out[:, hd:]
 
     def __call__(self, xs: Tensor, lengths) -> Tensor:
-        return concat(self.run(xs, lengths), axis=1)  # (N, 2h)
+        return _lstm((self.fwd, self.bwd), (False, True), xs, lengths)  # (N, 2h)
 
 
 def attention(h: Tensor, lengths) -> Tensor:
@@ -209,11 +205,11 @@ def attention(h: Tensor, lengths) -> Tensor:
         weights.append(w)
     out = Tensor(out_data)
 
-    def backward():
-        dh = out.grad[:, :d].copy()
+    def backward(grad):
+        dh = grad[:, :d].copy()
         for (start, size), w in zip(spans, weights):
             rows = slice(start, start + size)
-            hb, d_ctx = x[rows], out.grad[rows, d:]
+            hb, d_ctx = x[rows], grad[rows, d:]
             d_w = d_ctx @ hb.T
             d_scores = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
             dh[rows] += w.T @ d_ctx + d_scores @ hb + d_scores.T @ hb
@@ -233,8 +229,8 @@ def segment_mean(x: Tensor, lengths) -> Tensor:
     sums = np.stack([x.data[start : start + size].sum(axis=0) for start, size in spans])
     out = Tensor(sums * scale)
 
-    def backward():
-        _accum(x, np.repeat(out.grad * scale, [size for _, size in spans], axis=0))
+    def backward(grad):
+        _accum(x, np.repeat(grad * scale, [size for _, size in spans], axis=0))
 
     return out._attach((x,), backward)
 
@@ -286,9 +282,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     losses = (log_z[:, 0] - z[rows, targets]).tolist()
     out = Tensor(sum(losses[1:], start=losses[0]))
 
-    def backward():
+    def backward(grad):
         d = np.exp(z - log_z)
         d[rows, targets] -= 1.0
-        _accum(logits, out.grad * d)
+        _accum(logits, grad * d)
 
     return out._attach((logits,), backward)

@@ -39,12 +39,14 @@ def _accum(t: "Tensor", g: np.ndarray) -> None:
         t.grad += g
 
 
-def _used() -> None:
+def _used(grad: np.ndarray) -> None:
     raise ValueError("graph node already used by backward(); run the forward pass again")
 
 
 class Tensor:
-    """One node in a reverse-mode computation graph."""
+    """One node in a reverse-mode computation graph.  ``_backward(grad)`` is
+    handed the node's gradient instead of holding the node, so no graph is a
+    reference cycle: dropping its output frees it."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -82,20 +84,20 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data + other.data)
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                _accum(self, _unbroadcast(out.grad, self.data.shape))
+                _accum(self, _unbroadcast(grad, self.data.shape))
             if other.requires_grad:
-                _accum(other, _unbroadcast(out.grad, other.data.shape))
+                _accum(other, _unbroadcast(grad, other.data.shape))
 
         return out._attach((self, other), backward)
 
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.data)
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                _accum(self, -out.grad)
+                _accum(self, -grad)
 
         return out._attach((self,), backward)
 
@@ -106,11 +108,11 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data * other.data)
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                _accum(self, _unbroadcast(out.grad * other.data, self.data.shape))
+                _accum(self, _unbroadcast(grad * other.data, self.data.shape))
             if other.requires_grad:
-                _accum(other, _unbroadcast(out.grad * self.data, other.data.shape))
+                _accum(other, _unbroadcast(grad * self.data, other.data.shape))
 
         return out._attach((self, other), backward)
 
@@ -119,8 +121,7 @@ class Tensor:
         a, b = self.data, other.data
         out = Tensor(a @ b)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.ndim == 2 and b.ndim == 2:
                 ga, gb = g @ b.T, a.T @ g
             elif a.ndim == 1 and b.ndim == 2:
@@ -143,12 +144,12 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         out = Tensor(self.data[idx])
 
-        def backward():
+        def backward(grad):
             g = np.zeros_like(self.data)
             if isinstance(idx, (int, np.integer, slice)):
-                g[idx] += out.grad
+                g[idx] += grad
             else:
-                np.add.at(g, idx, out.grad)
+                np.add.at(g, idx, grad)
             _accum(self, g)
 
         return out._attach((self,), backward)
@@ -158,13 +159,13 @@ class Tensor:
     def sum(self, axis: int | None = None) -> "Tensor":
         out = Tensor(self.data.sum(axis=axis))
 
-        def backward():
+        def backward(grad):
             if not self.requires_grad:
                 return
             if axis is None:
-                _accum(self, np.broadcast_to(out.grad, self.data.shape))
+                _accum(self, np.broadcast_to(grad, self.data.shape))
             else:
-                _accum(self, np.broadcast_to(np.expand_dims(out.grad, axis), self.data.shape))
+                _accum(self, np.broadcast_to(np.expand_dims(grad, axis), self.data.shape))
 
         return out._attach((self,), backward)
 
@@ -173,14 +174,14 @@ class Tensor:
         y_keep = m + np.log(np.sum(np.exp(self.data - m), axis=axis, keepdims=True))
         out = Tensor(y_keep.reshape(()) if axis is None else np.squeeze(y_keep, axis=axis))
 
-        def backward():
+        def backward(grad):
             if not self.requires_grad:
                 return
             soft = np.exp(self.data - y_keep)
             if axis is None:
-                _accum(self, soft * out.grad)
+                _accum(self, soft * grad)
             else:
-                _accum(self, soft * np.expand_dims(out.grad, axis))
+                _accum(self, soft * np.expand_dims(grad, axis))
 
         return out._attach((self,), backward)
 
@@ -190,9 +191,9 @@ class Tensor:
         mask = self.data > 0
         out = Tensor(np.where(mask, self.data, 0.0))
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                _accum(self, mask * out.grad)
+                _accum(self, mask * grad)
 
         return out._attach((self,), backward)
 
@@ -202,8 +203,9 @@ class Tensor:
         """Backpropagate from a scalar loss through the whole graph, consuming it.
 
         Each node drops its closure, and the arrays that holds, and its parent
-        links once it has passed its gradient on, so no node is a reference
-        cycle. A second backward through a used node raises ``ValueError``.
+        links once it has passed its gradient on, so the graph's memory goes
+        during the pass. A second backward through a used node raises
+        ``ValueError``.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
@@ -226,7 +228,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
                 node._backward, node._parents = _used, ()
 
 
@@ -248,13 +250,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.data.shape[axis] for t in tensors]
 
-    def backward():
+    def backward(grad):
         offset = 0
         for t, size in zip(tensors, sizes):
             if t.requires_grad:
-                sl = [slice(None)] * out.grad.ndim
+                sl = [slice(None)] * grad.ndim
                 sl[axis] = slice(offset, offset + size)
-                _accum(t, out.grad[tuple(sl)])
+                _accum(t, grad[tuple(sl)])
             offset += size
 
     return out._attach(tuple(tensors), backward)

@@ -53,8 +53,8 @@ def _unary(x: Tensor, y: np.ndarray, dy_dx) -> Tensor:
     """Elementwise ``y = f(x)`` as a graph node, with ``dy_dx(y)`` its derivative."""
     out = Tensor(y)
 
-    def backward():
-        _accum(x, dy_dx(y) * out.grad)
+    def backward(grad):
+        _accum(x, dy_dx(y) * grad)
 
     return out._attach((x,), backward)
 
@@ -70,8 +70,8 @@ def tanh(x: Tensor) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     out = Tensor(x.data.T)
 
-    def backward():
-        _accum(x, out.grad.T)
+    def backward(grad):
+        _accum(x, grad.T)
 
     return out._attach((x,), backward)
 
@@ -83,9 +83,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     s = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(s)
 
-    def backward():
-        inner = (out.grad * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (out.grad - inner))
+    def backward(grad):
+        inner = (grad * s).sum(axis=axis, keepdims=True)
+        _accum(x, s * (grad - inner))
 
     return out._attach((x,), backward)
 
@@ -95,10 +95,10 @@ def stack(tensors) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.stack([t.data for t in tensors]))
 
-    def backward():
+    def backward(grad):
         for k, t in enumerate(tensors):
             if t.requires_grad:
-                _accum(t, out.grad[k])
+                _accum(t, grad[k])
 
     return out._attach(tuple(tensors), backward)
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,25 @@ def test_backward_twice_raises():
     a.grad = b.grad = None
     loss_fn().backward()
     assert np.array_equal(a.grad, grads[0]) and np.array_equal(b.grad, grads[1])
+
+
+def test_forward_only_graph_is_freed_with_its_output():
+    """No closure holds its own node, so reference counting frees a graph that
+    ``backward`` never ran on as soon as its output goes.  (A ``Tensor`` has no
+    weakref slot; its data array lives exactly as long as the node here.)"""
+    a = param((3, 4), "a")
+    gc.collect()
+    gc.disable()
+    try:
+        hidden = a * 2.0
+        out = concat([hidden.relu(), a], axis=0)[1:5].logsumexp()
+        ref = weakref.ref(hidden.data)
+        del hidden
+        assert ref() is not None  # still a parent in the graph of ``out``
+        del out
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_backward_requires_scalar():

@@ -358,6 +358,20 @@ def test_training_step_leaves_no_cyclic_garbage(arch):
         gc.enable()
 
 
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_prediction_leaves_no_cyclic_garbage(arch):
+    """No graph node is a reference cycle, so a forward-only graph goes by refcount."""
+    model, instances = _model(arch), ragged_instances(12)
+    gc.collect()
+    gc.disable()
+    try:
+        preds = model.predict(instances)
+        del preds
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _graph_nodes(loss):
     """Every node reachable from ``loss``, itself included."""
     seen, todo = {id(loss): loss}, [loss]
@@ -502,6 +516,13 @@ def test_jcc_overfits_small_corpus():
     trained = train("jcc", corpus, corpus, toy_embeddings(corpus, 16), overfit_config())
     for inst in corpus:
         assert jcc_predict(trained, inst) == clause_gold_flags(inst)
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_trained_parameters_carry_no_gradients(arch):
+    corpus = toy_corpus(8, seed=10)
+    trained = train(arch, corpus, corpus, toy_embeddings(corpus, 8), TOY)
+    assert all(p.grad is None for p in trained.model.parameters())
 
 
 def test_training_is_deterministic():

@@ -68,13 +68,64 @@ def test_bilstm_backward_equals_forward_on_reversed_input():
 
 
 def test_bilstm_output_layout():
+    """``BiLstm`` gives one (N, 2h) node, forward states first; ``run`` slices it."""
     bi = BiLstm("b", 3, 4, np.random.default_rng(0))
-    xs = Tensor(np.random.default_rng(1).standard_normal((6, 3)))
-    out = bi(xs, [6])
-    assert out.shape == (6, 8)
-    f, b = bi.run(xs, [6])
-    assert np.array_equal(out.data[2, :4], f[2].data)
-    assert np.array_equal(out.data[2, 4:], b[2].data)
+    xs = Parameter("xs", np.random.default_rng(1).standard_normal((6, 3)))
+    params = bi.parameters() + [xs]
+    weights = np.random.default_rng(2).standard_normal((6, 8))
+
+    def grads(loss):
+        for p in params:
+            p.grad = None
+        loss.backward()
+        return [p.grad for p in params]
+
+    for lengths in ([6], [2, 4]):
+        out = bi(xs, lengths)
+        assert out.shape == (6, 8)
+        f, b = bi.run(xs, lengths)
+        assert f.shape == b.shape == (6, 4)
+        assert np.array_equal(out.data, np.concatenate([f.data, b.data], axis=1))
+        assert np.array_equal(f.data, bi.fwd.states(xs, lengths).data)
+        assert np.array_equal(b.data, bi.bwd.states(xs, lengths, reverse=True).data)
+        by_run = grads((f * Tensor(weights[:, :4])).sum() + (b * Tensor(weights[:, 4:])).sum())
+        by_call = grads((out * Tensor(weights)).sum())
+        for g_run, g_call in zip(by_run, by_call):
+            assert np.max(np.abs(g_run - g_call)) < 1e-12
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 7, 2, 5], [58]])
+@pytest.mark.parametrize("xs_grad", [False, True])
+def test_bilstm_equals_its_two_single_direction_recurrences(lengths, xs_grad):
+    """One time loop for both directions changes no value and, to rounding, no gradient."""
+    rng = np.random.default_rng(len(lengths))
+    bi = BiLstm("b", 6, 7, rng)
+    for p in bi.parameters():  # nonzero biases, so that state leaking across padding shows
+        p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+    n = sum(lengths)
+    xs = Parameter("xs", 2.0 * rng.standard_normal((n, 6)))
+    xs.requires_grad = xs_grad
+    weights = Tensor(rng.standard_normal((n, 14)))  # every output feeds the loss
+    params = bi.parameters() + [xs]
+
+    def run(states_fn):
+        for p in params:
+            p.grad = None
+        h = states_fn()
+        (h * weights).sum().backward()
+        return h.data, {p.name: p.grad for p in params}
+
+    fused, fused_grads = run(lambda: bi(xs, lengths))
+    apart, apart_grads = run(
+        lambda: concat(
+            [bi.fwd.states(xs, lengths), bi.bwd.states(xs, lengths, reverse=True)], axis=1
+        )
+    )
+    assert np.array_equal(fused, apart)
+    assert (fused_grads["xs"] is None) == (not xs_grad)
+    for name, g in apart_grads.items():
+        if g is not None:
+            assert np.max(np.abs(fused_grads[name] - g)) < 1e-10, name
 
 
 def test_lstm_gradients():
