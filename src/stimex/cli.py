@@ -9,7 +9,9 @@ by explicit seeds, so identical invocations produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -22,6 +24,7 @@ from stimex.corpus import (
     CorpusError,
     Instance,
     compute_stats,
+    csv_text,
     format_stats_csv,
     iob_to_spans,
     load_corpus,
@@ -139,17 +142,20 @@ def cmd_clauses_extract(args) -> int:
     return 0
 
 
+CLAUSE_EVAL_COLUMNS = (
+    "dataset", "stimuli", "anno_exact", "anno_left", "anno_right",
+    "extract_precision", "extract_recall", "extract_f1",
+    "extr_exact", "extr_left", "extr_right",
+)
+
+
 def cmd_clauses_eval(args) -> int:
     instances = load_corpus(args.corpus)
     labels = _clause_labels(args)
     pairs: dict[str, list[tuple[Instance, ConstTree]]] = {}
     for inst, tree in zip(instances, _trees_for(instances, args.trees)):
         pairs.setdefault(inst.dataset, []).append((inst, tree))
-    header = (
-        "dataset,stimuli,anno_exact,anno_left,anno_right,"
-        "extract_precision,extract_recall,extract_f1,extr_exact,extr_left,extr_right"
-    )
-    lines = [header]
+    rows = []
     for name, group in sorted(pairs.items()):
         stimuli = [inst.stimulus_spans() for inst, _ in group]
         annotated = [models.clause_spans(inst) for inst, _ in group]
@@ -157,24 +163,11 @@ def cmd_clauses_eval(args) -> int:
         anno = clause_alignment(stimuli, annotated)
         match = clause_match_prf(extracted, annotated)
         extr = clause_alignment(stimuli, extracted)
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    str(anno.n_stimuli),
-                    str(anno.exact),
-                    str(anno.left),
-                    str(anno.right),
-                    str(match.precision),
-                    str(match.recall),
-                    str(match.f1),
-                    str(extr.exact),
-                    str(extr.left),
-                    str(extr.right),
-                ]
-            )
+        rows.append(
+            [name, anno.n_stimuli, anno.exact, anno.left, anno.right]
+            + [match.precision, match.recall, match.f1, extr.exact, extr.left, extr.right]
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text(CLAUSE_EVAL_COLUMNS, rows), args.out)
     return 0
 
 
@@ -327,22 +320,25 @@ def cmd_errors(args) -> int:
     return 0
 
 
-def _markdown_table(csv_text: str, path: str) -> str:
-    """The CSV text of ``path`` as a Markdown table; a row with more cells than
-    the header raises ``ValueError`` naming its line."""
-    first = csv_text[: len(csv_text) - len(csv_text.lstrip())].count("\n") + 1
-    rows = [line.split(",") for line in csv_text.strip().splitlines()]
+def _markdown_table(text: str, path: str) -> str:
+    """The CSV ``text`` of ``path`` as a Markdown table, one line per row, with ``|``
+    escaped and line breaks as spaces; a row the CSV reader refuses, or one whose
+    cells differ in number from the header's, raises ``ValueError`` naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    rows: list[list[str]] = []
+    try:
+        for row in filter(None, reader):  # blank lines are skipped
+            if rows and len(row) != len(rows[0]):
+                raise csv.Error(f"{len(row)} cells, but the header has {len(rows[0])}")
+            rows.append([c.replace("|", r"\|").replace("\n", " ") for c in row])
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         return "(empty)\n"
-    for lineno, row in enumerate(rows[1:], start=first + 1):
-        if len(row) > len(rows[0]):
-            raise ValueError(
-                f"{path}: line {lineno}: {len(row)} cells, but the header has {len(rows[0])}"
-            )
-    widths = [max(len(r[i]) if i < len(r) else 0 for r in rows) for i in range(len(rows[0]))]
+    widths = [max(map(len, column)) for column in zip(*rows)]
     out = []
     for k, row in enumerate(rows):
-        cells = [c.ljust(widths[i]) for i, c in enumerate(row)]
+        cells = [c.ljust(w) for c, w in zip(row, widths)]
         out.append("| " + " | ".join(cells) + " |")
         if k == 0:
             out.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")

@@ -10,6 +10,8 @@ tools, only by model prediction.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import astuple, dataclass, fields
 from itertools import repeat
@@ -391,14 +393,22 @@ def compute_stats(instances: Iterable[Instance]) -> CorpusStats:
     )
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """``header`` and ``rows`` as CSV lines ending in ``\\n``: a cell is quoted only
+    when it holds a comma, a double quote or a newline, and ``None`` is an empty cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def format_stats_csv(stats_by_dataset: dict[str, CorpusStats]) -> str:
     """A header, then one row per dataset: its name and the ``CorpusStats``
     fields in declaration order, ``None`` as an empty cell."""
-    lines = [",".join(["dataset"] + [field.name for field in fields(CorpusStats)])]
-    for name in sorted(stats_by_dataset):
-        values = astuple(stats_by_dataset[name])
-        lines.append(",".join([name] + ["" if v is None else str(v) for v in values]))
-    return "\n".join(lines) + "\n"
+    header = ["dataset"] + [field.name for field in fields(CorpusStats)]
+    rows = [[name, *astuple(stats_by_dataset[name])] for name in sorted(stats_by_dataset)]
+    return csv_text(header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from stimex.corpus import Span
+from stimex.corpus import Span, csv_text
 
 
 class ErrorType(enum.Enum):
@@ -88,19 +88,7 @@ def classify_corpus(
 def format_errors_csv(counts_by_column: dict[str, dict[ErrorType, int]]) -> str:
     """Rows are error types (plus an All total excluding TruePositive), one column per run."""
     columns = sorted(counts_by_column)
-    lines = [",".join(["error_type"] + columns)]
-    for etype in ErrorType:
-        cells = [str(counts_by_column[c].get(etype, 0)) for c in columns]
-        lines.append(",".join([etype.value] + cells))
-    totals = [
-        str(
-            sum(
-                counts_by_column[c].get(t, 0)
-                for t in ErrorType
-                if t is not ErrorType.TRUE_POSITIVE
-            )
-        )
-        for c in columns
-    ]
-    lines.append(",".join(["all"] + totals))
-    return "\n".join(lines) + "\n"
+    rows = [[t.value] + [counts_by_column[c].get(t, 0) for c in columns] for t in ErrorType]
+    errors = [t for t in ErrorType if t is not ErrorType.TRUE_POSITIVE]
+    rows.append(["all"] + [sum(counts_by_column[c].get(t, 0) for t in errors) for c in columns])
+    return csv_text(["error_type"] + columns, rows)

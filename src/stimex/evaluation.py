@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
-from stimex.corpus import Span
+from stimex.corpus import Span, csv_text
 
 
 class MatchMode(enum.Enum):
@@ -191,21 +191,12 @@ def cohen_kappa(a1: Sequence[int], a2: Sequence[int]) -> float:
 
 def format_eval_csv(rows: Sequence[tuple[str, str, MatchMode, Prf]]) -> str:
     """One row per (dataset, model, mode): integer-percent and full-precision P/R/F1."""
-    lines = [",".join(EVAL_COLUMNS)]
-    for dataset, model, mode, prf in rows:
-        lines.append(
-            ",".join(
-                [
-                    dataset,
-                    model,
-                    mode.value,
-                    str(round(prf.precision * 100)),
-                    str(round(prf.recall * 100)),
-                    str(round(prf.f1 * 100)),
-                    str(prf.precision),
-                    str(prf.recall),
-                    str(prf.f1),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        EVAL_COLUMNS,
+        [
+            [dataset, model, mode.value]
+            + [round(v * 100) for v in (prf.precision, prf.recall, prf.f1)]
+            + [prf.precision, prf.recall, prf.f1]
+            for dataset, model, mode, prf in rows
+        ],
+    )

@@ -466,9 +466,7 @@ def _model_class(architecture: str) -> type[Model]:
 
 @dataclass
 class TrainedModel:
-    architecture: str
     model: Model
-    config: TrainConfig
     history: list[dict]
 
 
@@ -550,7 +548,7 @@ def train(
                 break
     optimizer.zero_grad()  # the returned parameters carry no gradient arrays
     _load_state(model, best_state)
-    return TrainedModel(architecture, model, config, history)
+    return TrainedModel(model, history)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +589,8 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "architecture": trained.architecture,
-        "config": trained.config.to_dict(),
+        "architecture": model.architecture,
+        "config": model.config.to_dict(),
         "history": trained.history,
         "vocab": model.embeddings.tokens,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
@@ -703,7 +701,7 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
         raise ValueError(f"'embedding': {exc}") from None
     model = _model_class(architecture)(embeddings, config, None)
     _load_state(model, state)
-    return TrainedModel(architecture, model, config, payload.get("history", []))
+    return TrainedModel(model, payload.get("history", []))
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:

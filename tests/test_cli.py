@@ -1,17 +1,25 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import CORPUS_RECORD, damaged, damaged_corpus
+from _oracles import CORPUS_RECORD, damaged, damaged_bytes, damaged_corpus
 from stimex.cli import main
-from stimex.corpus import generate_synthetic, load_corpus, save_corpus
+from stimex.corpus import (
+    compute_stats,
+    format_stats_csv,
+    generate_synthetic,
+    load_corpus,
+    save_corpus,
+)
 from stimex.models import (
     EmbeddingTable,
     TrainConfig,
@@ -548,6 +556,12 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path, corpus_path, c
         (b"a,b\n1,2,3\n", "line 2: 3 cells, but the header has 2"),
         (b"\na,b\n1,2\n3,4,5,6\n", "line 4: 4 cells, but the header has 2"),
         (b"a,b\n\xff,2\n", "line 2: not UTF-8 text"),
+        (b"a,b,c\n1,2\n", "line 2: 2 cells, but the header has 3"),
+        pytest.param(
+            b'a,b\n"' + b"x" * 200_000 + b'",2\n',
+            "line 2: field larger than field limit (131072)",
+            id="a-200000-character-cell",
+        ),
     ],
 )
 def test_report_on_a_bad_csv_exits_one_naming_its_line(tmp_path, capsys, content, message):
@@ -557,6 +571,70 @@ def test_report_on_a_bad_csv_exits_one_naming_its_line(tmp_path, capsys, content
     assert run("report", "--stats", bad, "--out", out) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not out.exists()
+
+
+GOOD_STATS = format_stats_csv({"synthetic": compute_stats(generate_synthetic(8, seed=1))})
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_report_on_a_damaged_csv_exits_zero_or_one_with_one_error_line(tmp_path_factory, data):
+    stats = tmp_path_factory.getbasetemp() / "damaged_stats.csv"
+    stats.write_bytes(data.draw(damaged_bytes(GOOD_STATS.encode("utf-8"))))
+    out = tmp_path_factory.getbasetemp() / "damaged_report.md"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run("report", "--stats", stats, "--out", out)
+    if code == 1:
+        message = err.getvalue()
+        assert message.startswith(f"error: {stats}: ") and message.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert code == 0 and err.getvalue() == "" and out.exists()
+
+
+FREE_TEXT_NAME = 'news, 2019 "late" | a\nb'
+
+
+def test_free_text_names_round_trip_through_every_table_and_the_report(tmp_path):
+    instances = generate_synthetic(12, seed=4)
+    for k, inst in enumerate(instances):
+        inst.dataset = FREE_TEXT_NAME if k % 2 else "plain"
+        inst.pred_iob = inst.iob
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(instances, corpus)
+    model = "sl,v2"
+    paths = {name: tmp_path / f"{name}.csv" for name in ("stats", "clause_eval", "eval", "errors")}
+    assert run("stats", "--corpus", corpus, "--out", paths["stats"]) == 0
+    assert run("clauses", "eval", "--corpus", corpus, "--out", paths["clause_eval"]) == 0
+    for command in ("eval", "errors"):
+        assert run(command, "--corpus", corpus, "--model", model, "--out", paths[command]) == 0
+    tables = {}
+    for name, path in paths.items():
+        with open(path, encoding="utf-8", newline="") as handle:
+            tables[name] = list(csv.reader(handle))
+    for name, rows in tables.items():
+        assert [len(row) for row in rows] == [len(rows[0])] * len(rows), name
+    names = sorted(["plain", FREE_TEXT_NAME])
+    assert [row[0] for row in tables["stats"][1:]] == names
+    assert [row[0] for row in tables["clause_eval"][1:]] == names
+    assert {(row[0], row[1]) for row in tables["eval"][1:]} == {(n, model) for n in names}
+    assert tables["errors"][0] == ["error_type"] + [f"{model}/{n}" for n in names]
+
+    report = tmp_path / "report.md"
+    argv = ["--stats", paths["stats"], "--eval", paths["eval"], "--errors", paths["errors"]]
+    assert run("report", *argv, "--out", report) == 0
+    text = report.read_text(encoding="utf-8")
+    assert 'news, 2019 "late" \\| a b' in text
+    assert all(ln == "" or ln.startswith(("#", "|")) for ln in text.splitlines())
+    # one Markdown line per CSV row, plus the rule under each header, with unescaped
+    # bars only between cells
+    lines = [ln for ln in text.splitlines() if ln.startswith("|")]
+    expected = []
+    for name in ("stats", "eval", "errors"):
+        expected += [len(tables[name][0])] * (len(tables[name]) + 1)
+    assert [len(re.split(r"(?<!\\)\|", ln)) - 2 for ln in lines] == expected
 
 
 def test_train_with_nan_embedding_exits_one_without_checkpoint(tmp_path, corpus_path, capsys):

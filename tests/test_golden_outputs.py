@@ -8,7 +8,8 @@ gold spans with a boundary moved by instance number; every fourth instance
 stores clause flags (``pred_clauses``) instead of token labels.  The
 digests were computed before the bracket parser, the span matching and the
 corpus loader were rewritten for speed; a change to any of them changed what
-a command computes.
+a command computes.  The ``report.md`` digest was computed before the CSV
+writers and the report's CSV reader moved to Python's ``csv`` module.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ GOLDEN = {
     "clause_eval.csv": "1efe789c8c03c9cb87aad882e33c169a6ba28d392fba5db95e805e51f8d7f75e",
     "eval.csv": "5f54ac9104d39c5ed0a2b639c60faf709e7743db92715e90e686586f2bc9cc45",
     "errors.csv": "640970a169eafc6809a382f4e7830053459a46afbd6e9dfb7a32e7f98e0a76fa",
+    "report.md": "a8adb493cd196ad4c246f9ffd6296b849d55367ffc4c41281bd3d5c01a2f9448",
 }
 
 
@@ -90,6 +92,8 @@ def run_walkthrough(tmp_path) -> dict[str, str]:
         ["clauses", "eval", "--corpus", corpus, "--out", out["clause_eval.csv"]],
         ["eval", "--corpus", preds, "--model", "sl", "--out", out["eval.csv"]],
         ["errors", "--corpus", preds, "--model", "sl", "--out", out["errors.csv"]],
+        ["report", "--stats", out["stats.csv"], "--eval", out["eval.csv"]]
+        + ["--errors", out["errors.csv"], "--out", out["report.md"]],
     ]
     for argv in steps:
         assert main([str(a) for a in argv]) == 0, argv

@@ -624,8 +624,8 @@ def test_checkpoint_round_trip(arch, tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(trained, path)
     loaded = load_checkpoint(path)
-    assert loaded.architecture == arch
-    assert loaded.config == cfg
+    assert loaded.model.architecture == arch
+    assert loaded.model.config == cfg
     assert loaded.history == trained.history
     for pa, pb in zip(trained.model.parameters(), loaded.model.parameters()):
         assert pa.name == pb.name
@@ -726,8 +726,8 @@ def _legacy_payload(trained, version):
     return {
         "format": "stimex-checkpoint",
         "version": version,
-        "architecture": trained.architecture,
-        "config": trained.config.to_dict(),
+        "architecture": model.architecture,
+        "config": model.config.to_dict(),
         "clause_attention": True,
         "history": trained.history,
         "vocab": model.embeddings.tokens,
