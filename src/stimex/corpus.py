@@ -11,11 +11,11 @@ tools, only by model prediction.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import astuple, dataclass, fields
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -395,12 +395,14 @@ def compute_stats(instances: Iterable[Instance]) -> CorpusStats:
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """``header`` and ``rows`` as CSV lines ending in ``\\n``: a cell is quoted only
-    when it holds a comma, a double quote or a newline, and ``None`` is an empty cell."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    when it holds a comma, a double quote, ``\\n`` or ``\\r``, and ``None`` is an
+    empty cell.  The writer ends each line in ``\\r\\n``, cut here to ``\\n``, because
+    Python 3.11's writer quotes a ``\\r`` only when its line terminator holds one."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return out.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def format_stats_csv(stats_by_dataset: dict[str, CorpusStats]) -> str:

@@ -64,8 +64,10 @@ def _lstm(cells, reverse, xs: Tensor, lengths) -> Tensor:
     parameter and ``xs`` gradients take one matmul or sum per cell.
 
     The forward pass keeps the per-step graph's operation order,
-    ``(xw[t] + h @ w_h) + bias``, so a cell's values are bit-identical to
-    that graph's, whatever cells run beside it.  It caches what
+    ``(xw[t] + h @ w_h) + bias`` (added to ``h @ w_h`` in place, as addition
+    commutes), so a cell's values are bit-identical to that graph's, whatever
+    cells run beside it.  Every step, forward and backward, writes into
+    arrays allocated once per call.  It caches what
     backpropagation through time needs: the gate activations ``acts``, the
     cell states ``cs``, their tanh ``tcs`` and the outputs ``hs``.
     """
@@ -80,14 +82,16 @@ def _lstm(cells, reverse, xs: Tensor, lengths) -> Tensor:
     acts = np.empty((steps, depth, width, 4 * hd))
     cs, tcs, hs = np.empty((3, steps, depth, width, hd))
     i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
+    pre, ig = np.empty((depth, width, 4 * hd)), np.empty((depth, width, hd))
     h, c = np.zeros((2, depth, width, hd))
     for t in range(steps):
-        pre = xw[t] + h @ w_h
+        np.matmul(h, w_h, out=pre)
+        pre += xw[t]
         pre += bias
-        acts[t] = stable_sigmoid(pre)
+        stable_sigmoid(pre, out=acts[t])
         np.tanh(pre[..., 2 * hd : 3 * hd], out=g[t])
         c = np.multiply(f[t], c, out=cs[t])
-        c += i[t] * g[t]
+        c += np.multiply(i[t], g[t], out=ig)
         h = np.multiply(o[t], np.tanh(c, out=tcs[t]), out=hs[t])
     out = np.empty((xs.shape[0], depth * hd))
     for d, rev in enumerate(reverse):
@@ -106,14 +110,14 @@ def _lstm(cells, reverse, xs: Tensor, lengths) -> Tensor:
         for d, rev in enumerate(reverse):
             _pad(grad[:, d * hd : (d + 1) * hd], spans, rev, dh_out[:, d])
         w_h_t = w_h.transpose(0, 2, 1)
-        dh, dc = np.zeros((2, depth, width, hd))
+        dh, dc, dc_step = np.zeros((3, depth, width, hd))
         for t in reversed(range(steps)):
-            dh = dh_out[t] + dh
-            dc = dc + dh * dc_by_dh[t]
-            d_pre[t, :, :, :3] = by_dc[t] * dc[:, :, None]
-            d_pre[t, :, :, 3] = dh * by_dh[t]
-            dh = d_pre[t].reshape(depth, width, 4 * hd) @ w_h_t
-            dc = dc * f[t]
+            dh += dh_out[t]
+            dc += np.multiply(dh, dc_by_dh[t], out=dc_step)
+            np.multiply(by_dc[t], dc[:, :, None], out=d_pre[t, :, :, :3])
+            np.multiply(dh, by_dh[t], out=d_pre[t, :, :, 3])
+            np.matmul(d_pre[t].reshape(depth, width, 4 * hd), w_h_t, out=dh)
+            dc *= f[t]
         d_pre = d_pre.reshape(steps, depth, width, 4 * hd)
         for d, (cell, rev) in enumerate(zip(cells, reverse)):
             rows = _unpad(d_pre[:, d], spans, rev)

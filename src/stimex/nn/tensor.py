@@ -23,11 +23,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function whose exponent is never positive, so it never overflows."""
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function whose exponent is never positive, so it never overflows:
+    ``where(x >= 0, 1, e) / (1 + e)`` with ``e = exp(-|x|)``, into ``out`` if given.
+    The numerator is ``max(e, x >= 0)``, exact because ``e`` lies in [0, 1]."""
+    e = np.copysign(x, -1.0)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -108,12 +108,24 @@ def test_sigmoid_is_stable_at_extremes():
 
 
 def test_stable_sigmoid_equals_the_two_branch_formula_exactly():
-    special = [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan]
-    for x in (RNG.standard_normal(400) * 8.0, RNG.standard_normal((10, 40)), np.array(special)):
+    """Also into ``out``, a strided gate block of a (D, R, 4h) array as the LSTM
+    loop writes it, leaving the rest of that array as it was."""
+
+    def two_branch(x):
         e = np.exp(-np.abs(x))
         d = 1.0 + e
-        old = np.where(x >= 0, 1.0 / d, e / d)
-        assert np.array_equal(stable_sigmoid(x), old, equal_nan=True)
+        return np.where(x >= 0, 1.0 / d, e / d)
+
+    special = [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan]
+    for x in (RNG.standard_normal(400) * 8.0, RNG.standard_normal((10, 40)), np.array(special)):
+        assert np.array_equal(stable_sigmoid(x), two_branch(x), equal_nan=True)
+    for x in (RNG.standard_normal((2, 3, 7)) * 8.0, np.tile(special, (2, 3, 1))):
+        pre = np.full((2, 3, 28), 7.0)
+        out = pre[..., 7:14]
+        assert stable_sigmoid(x, out=out) is out
+        assert np.array_equal(out, two_branch(x), equal_nan=True)
+        pre[..., 7:14] = 7.0
+        assert np.all(pre == 7.0)
 
 
 def test_softmax_rows_and_grad():

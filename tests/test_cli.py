@@ -595,12 +595,13 @@ def test_report_on_a_damaged_csv_exits_zero_or_one_with_one_error_line(tmp_path_
 
 
 FREE_TEXT_NAME = 'news, 2019 "late" | a\nb'
+CR_NAME = "plain\rtext"  # quoted for its lone \r alone
 
 
 def test_free_text_names_round_trip_through_every_table_and_the_report(tmp_path):
     instances = generate_synthetic(12, seed=4)
     for k, inst in enumerate(instances):
-        inst.dataset = FREE_TEXT_NAME if k % 2 else "plain"
+        inst.dataset = FREE_TEXT_NAME if k % 2 else CR_NAME
         inst.pred_iob = inst.iob
     corpus = tmp_path / "corpus.jsonl"
     save_corpus(instances, corpus)
@@ -616,7 +617,7 @@ def test_free_text_names_round_trip_through_every_table_and_the_report(tmp_path)
             tables[name] = list(csv.reader(handle))
     for name, rows in tables.items():
         assert [len(row) for row in rows] == [len(rows[0])] * len(rows), name
-    names = sorted(["plain", FREE_TEXT_NAME])
+    names = sorted([CR_NAME, FREE_TEXT_NAME])
     assert [row[0] for row in tables["stats"][1:]] == names
     assert [row[0] for row in tables["clause_eval"][1:]] == names
     assert {(row[0], row[1]) for row in tables["eval"][1:]} == {(n, model) for n in names}
@@ -626,7 +627,7 @@ def test_free_text_names_round_trip_through_every_table_and_the_report(tmp_path)
     argv = ["--stats", paths["stats"], "--eval", paths["eval"], "--errors", paths["errors"]]
     assert run("report", *argv, "--out", report) == 0
     text = report.read_text(encoding="utf-8")
-    assert 'news, 2019 "late" \\| a b' in text
+    assert 'news, 2019 "late" \\| a b' in text and "| plain text " in text
     assert all(ln == "" or ln.startswith(("#", "|")) for ln in text.splitlines())
     # one Markdown line per CSV row, plus the rule under each header, with unescaped
     # bars only between cells

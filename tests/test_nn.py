@@ -146,43 +146,43 @@ def test_lstm_gradients():
     assert gradient_gap({"xs": xs.grad}, {"xs": numeric["xs"]}) < 1e-6
 
 
+# (input, hidden) sizes: small ones, and the paper's, for which BLAS takes other kernels
+DIMS = [(6, 7), (300, 100)]
+RAGGED_10 = [3, 1, 7, 2, 5, 9, 4, 6, 1, 8]  # a mini-batch of 10 sequences
+
+
 @pytest.mark.parametrize("n", [1, 2, 17, 58])
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("xs_grad", [False, True])
 def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
-    rng = np.random.default_rng(n)
-    cell = Lstm("c", 6, 7, rng)
-    xs = Parameter("xs", 2.0 * rng.standard_normal((n, 6)))
-    xs.requires_grad = xs_grad
-    weights = Tensor(rng.standard_normal((n, 7)))  # every position feeds the loss
-    params = cell.parameters() + [xs]
+    for input_dim, hidden_dim in DIMS:
+        rng = np.random.default_rng(n)
+        cell = Lstm("c", input_dim, hidden_dim, rng)
+        xs = Parameter("xs", 2.0 * rng.standard_normal((n, input_dim)))
+        xs.requires_grad = xs_grad
+        weights = Tensor(rng.standard_normal((n, hidden_dim)))  # every position feeds the loss
+        params = cell.parameters() + [xs]
 
-    def run(states_fn):
-        for p in params:
-            p.grad = None
-        h = states_fn(cell, xs, reverse)
-        (h * weights).sum().backward()
-        return h.data, {p.name: p.grad for p in params}
+        def run(states_fn):
+            for p in params:
+                p.grad = None
+            h = states_fn(cell, xs, reverse)
+            (h * weights).sum().backward()
+            return h.data, {p.name: p.grad for p in params}
 
-    fused, fused_grads = run(lambda c, x, r: c.states(x, [n], r))
-    oracle, oracle_grads = run(lstm_states_per_step)
-    assert np.array_equal(fused, oracle)
-    assert (fused_grads["xs"] is None) == (not xs_grad)
-    for name, g in oracle_grads.items():
-        if g is not None:
-            assert np.max(np.abs(fused_grads[name] - g)) < 1e-10, name
+        fused, fused_grads = run(lambda c, x, r: c.states(x, [n], r))
+        oracle, oracle_grads = run(lstm_states_per_step)
+        assert np.array_equal(fused, oracle)
+        assert (fused_grads["xs"] is None) == (not xs_grad)
+        for name, g in oracle_grads.items():
+            if g is not None:
+                assert np.max(np.abs(fused_grads[name] - g)) < 1e-10, name
 
 
-@pytest.mark.parametrize("lengths", [[1, 4], [3, 1, 7, 2, 5], [6, 6, 1]])
+@pytest.mark.parametrize("lengths", [[1, 4], [3, 1, 7, 2, 5], [6, 6, 1], RAGGED_10])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_packed_lstm_matches_per_step_oracle(lengths, reverse):
-    rng = np.random.default_rng(len(lengths))
-    cell = Lstm("c", 6, 7, rng)
-    cell.bias.data = rng.standard_normal(cell.bias.data.shape)  # so that padding leaks would show
     n = sum(lengths)
-    xs = Parameter("xs", 2.0 * rng.standard_normal((n, 6)))
-    weights = Tensor(rng.standard_normal((n, 7)))
-    params = cell.parameters() + [xs]
     ends = np.cumsum(lengths)
 
     def per_sequence(cell, xs, reverse):
@@ -190,18 +190,50 @@ def test_packed_lstm_matches_per_step_oracle(lengths, reverse):
             [lstm_states_per_step(cell, xs[e - k : e], reverse) for k, e in zip(lengths, ends)]
         )
 
-    def run(states_fn):
+    for input_dim, hidden_dim in DIMS:
+        rng = np.random.default_rng(len(lengths))
+        cell = Lstm("c", input_dim, hidden_dim, rng)
+        cell.bias.data = rng.standard_normal(cell.bias.data.shape)  # so that padding leaks show
+        xs = Parameter("xs", 2.0 * rng.standard_normal((n, input_dim)))
+        weights = Tensor(rng.standard_normal((n, hidden_dim)))
+        params = cell.parameters() + [xs]
+
+        def run(states_fn):
+            for p in params:
+                p.grad = None
+            h = states_fn(cell, xs, reverse)
+            (h * weights).sum().backward()
+            return h.data, {p.name: p.grad for p in params}
+
+        packed, packed_grads = run(lambda c, x, r: c.states(x, lengths, r))
+        oracle, oracle_grads = run(per_sequence)
+        assert np.max(np.abs(packed - oracle)) < 1e-12
+        for name, g in oracle_grads.items():
+            assert np.max(np.abs(packed_grads[name] - g)) < 1e-10, name
+
+
+def test_two_live_graphs_of_one_bilstm_stay_independent():
+    """Each call's step buffers belong to its own graph: a second graph, built and
+    still alive, changes nothing in the first's values or gradients."""
+    rng = np.random.default_rng(10)
+    bi = BiLstm("b", 6, 7, rng)
+    other_lengths = [5, 2, 8, 1, 6, 3, 9, 2, 4, 7]
+    xs = Parameter("xs", 2.0 * rng.standard_normal((sum(RAGGED_10), 6)))
+    other_xs = Parameter("other_xs", 2.0 * rng.standard_normal((sum(other_lengths), 6)))
+    weights = Tensor(rng.standard_normal((sum(RAGGED_10), 14)))
+    params = bi.parameters() + [xs]
+
+    def first_graph(with_second):
         for p in params:
             p.grad = None
-        h = states_fn(cell, xs, reverse)
+        h = bi(xs, RAGGED_10)
+        second = bi(other_xs, other_lengths) if with_second else None
         (h * weights).sum().backward()
-        return h.data, {p.name: p.grad for p in params}
+        del second  # alive until the first graph's backward() has run
+        return [h.data] + [p.grad for p in params]
 
-    packed, packed_grads = run(lambda c, x, r: c.states(x, lengths, r))
-    oracle, oracle_grads = run(per_sequence)
-    assert np.max(np.abs(packed - oracle)) < 1e-12
-    for name, g in oracle_grads.items():
-        assert np.max(np.abs(packed_grads[name] - g)) < 1e-10, name
+    for alone, beside in zip(first_graph(False), first_graph(True)):
+        assert np.array_equal(alone, beside)
 
 
 def test_packed_lstm_rejects_bad_lengths():
