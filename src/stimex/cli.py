@@ -231,17 +231,16 @@ def _select(by_id: dict[str, Instance], ids: Sequence[str], path: str) -> list[I
     return [by_id[i] for i in ids]
 
 
-def _load_config(args) -> models.TrainConfig:
-    config = models.TrainConfig()
-    if getattr(args, "config", None):
-        values = _read_json(args.config, "training config")
-        if not isinstance(values, dict):
-            raise CorpusError(f"{args.config}: training config must be a JSON object")
-        try:
-            config = models.TrainConfig.from_dict(values)
-        except ValueError as exc:
-            raise CorpusError(f"{args.config}: {exc}") from None
-    if getattr(args, "seed", None) is not None:
+def _load_config(args, **defaults) -> models.TrainConfig:
+    """The config file's values over ``defaults``, then ``--seed``."""
+    values = _read_json(args.config, "training config") if args.config else {}
+    if not isinstance(values, dict):
+        raise CorpusError(f"{args.config}: training config must be a JSON object")
+    try:
+        config = models.TrainConfig.from_dict({**defaults, **values})
+    except ValueError as exc:
+        raise CorpusError(f"{args.config}: {exc}") from None
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)  # flags beat the config file
     return config
 
@@ -251,10 +250,16 @@ def cmd_train(args) -> int:
     splits = _read_splits(args.splits)
     train_insts = _select(by_id, splits["train"], args.splits)
     dev_insts = _select(by_id, splits["dev"], args.splits)
-    config = _load_config(args)
     if args.embeddings:
         embeddings = models.EmbeddingTable.load_text(args.embeddings)
+        config = _load_config(args, embedding_dim=embeddings.dim)
+        if config.embedding_dim != embeddings.dim:
+            raise CorpusError(
+                f"{args.config}: embedding_dim {config.embedding_dim} does not match the"
+                f" {embeddings.dim} components per vector of {args.embeddings}"
+            )
     else:
+        config = _load_config(args)
         embeddings = models.EmbeddingTable.random(
             models.vocabulary(train_insts), config.embedding_dim, config.seed
         )
@@ -297,11 +302,11 @@ def cmd_eval(args) -> int:
         pred_spans = [iob_to_spans(iob) for iob in pred_iob]
         for mode in modes:
             if mode is MatchMode.CLAUSE:
-                gold_flags, pred_flags = [], []
-                for inst, iob in zip(group, pred_iob):
-                    spans = models.clause_spans(inst)
-                    gold_flags.append(tokens_to_clauses(inst.iob, spans))
-                    pred_flags.append(tokens_to_clauses(iob, spans))
+                gold_flags = [models.clause_gold_flags(inst) for inst in group]
+                pred_flags = [
+                    tokens_to_clauses(iob, models.clause_spans(inst))
+                    for inst, iob in zip(group, pred_iob)
+                ]
                 rows.append((name, args.model, mode, clause_prf(pred_flags, gold_flags)))
             else:
                 rows.append((name, args.model, mode, span_prf(pred_spans, gold_spans, mode)))

@@ -14,6 +14,7 @@ import csv
 import json
 from dataclasses import astuple, dataclass, fields
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -140,19 +141,26 @@ def iob_to_spans(iob: Sequence[str]) -> list[Span]:
     return spans
 
 
-def spans_to_iob(spans: Iterable[Span], n: int) -> list[str]:
-    """Encode disjoint spans over ``n`` tokens as IOB labels."""
-    out = ["O"] * n
+def check_spans(spans: Iterable[Span], n: int) -> list[Span]:
+    """``spans`` in order, checked to be disjoint and to end within ``n`` tokens."""
+    ordered = sorted(spans, key=attrgetter("start", "end"))
     prev_end = 0
-    for sp in sorted(spans):
+    for sp in ordered:
         if sp.end > n:
             raise CorpusError(f"span [{sp.start}, {sp.end}) exceeds sequence length {n}")
         if sp.start < prev_end:
             raise CorpusError(f"span [{sp.start}, {sp.end}) overlaps another span")
+        prev_end = sp.end
+    return ordered
+
+
+def spans_to_iob(spans: Iterable[Span], n: int) -> list[str]:
+    """Encode disjoint spans over ``n`` tokens as IOB labels."""
+    out = ["O"] * n
+    for sp in check_spans(spans, n):
         out[sp.start] = "B"
         for i in range(sp.start + 1, sp.end):
             out[i] = "I"
-        prev_end = sp.end
     return out
 
 

@@ -7,25 +7,14 @@ either model family comparable under both evaluations.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Sequence
 
-from stimex.corpus import Span
-
-
-def _check_clauses(clauses: Sequence[Span], n: int) -> None:
-    prev_end = 0
-    for k, sp in enumerate(sorted(clauses, key=attrgetter("start", "end"))):
-        if sp.start < prev_end:
-            raise ValueError(f"clause {k} overlaps its predecessor")
-        if sp.end > n:
-            raise ValueError(f"clause [{sp.start}, {sp.end}) exceeds sequence length {n}")
-        prev_end = sp.end
+from stimex.corpus import Span, check_spans
 
 
 def tokens_to_clauses(iob: Sequence[str], clauses: Sequence[Span]) -> list[bool]:
     """A clause is a stimulus iff it contains at least one B/I token."""
-    _check_clauses(clauses, len(iob))
+    check_spans(clauses, len(iob))
     return [iob[sp.start : sp.end].count("O") < sp.end - sp.start for sp in clauses]
 
 
@@ -37,7 +26,7 @@ def clauses_to_tokens(flags: Sequence[bool], clauses: Sequence[Span], n: int) ->
     """
     if len(flags) != len(clauses):
         raise ValueError(f"{len(flags)} flags for {len(clauses)} clauses")
-    _check_clauses(clauses, n)
+    check_spans(clauses, n)
     out = ["O"] * n
     for flag, sp in zip(flags, clauses):
         if flag:

@@ -206,14 +206,6 @@ def _flat(token_lists: Sequence[Sequence[str]]) -> list[str]:
     return [tok for toks in token_lists for tok in toks]
 
 
-def _viterbi_paths(
-    emissions: Tensor, lengths: Sequence[int], params: crf.CrfParams
-) -> list[list[int]]:
-    """Best label path of each of the packed sequences, decoded one by one."""
-    blocks = np.split(emissions.data, np.cumsum(lengths[:-1]))
-    return [crf.viterbi_decode(u, params)[0] for u in blocks]
-
-
 def _chunks(items: Sequence, size: int) -> list[Sequence]:
     """Consecutive slices of ``items``, ``size`` long but for the last."""
     return [items[k : k + size] for k in range(0, len(items), size)]
@@ -260,8 +252,44 @@ class Model:
         return self.f1(preds, golds)
 
 
-class SlModel(Model):
+class _CrfModel(Model):
+    """A linear-chain CRF labeller (Lample et al. 2016): ``rows`` packs one row per
+    element of each instance's ``input`` sequence (a token for ``sl``, a clause for
+    ``jcc``); attention, dropout and ``project`` score each row's ``alphabet``."""
+
+    alphabet: tuple
+
+    def emissions(
+        self, inputs: Sequence, training: bool = False, rng=None
+    ) -> tuple[Tensor, list[int]]:
+        """Packed (N, L) emission scores of the inputs, and their lengths."""
+        h, lengths = self.rows(inputs)
+        x = dropout(attention(h, lengths), self.config.dropout_p, training, rng)
+        return self.project(x), lengths
+
+    def units(self, instances: Sequence[Instance]) -> list[tuple]:
+        """One (input, gold labels) unit per instance."""
+        return [(self.input(inst), self.gold(inst)) for inst in instances]
+
+    def loss(self, units: Sequence[tuple], training: bool = True, rng=None) -> Tensor:
+        """Summed CRF loss of a batch of (input, gold labels) units."""
+        emissions, _ = self.emissions([x for x, _ in units], training, rng)
+        labels = [[self.alphabet.index(y) for y in ys] for _, ys in units]
+        return crf.nll_loss(emissions, labels, self.crf)
+
+    def predict(self, instances: Sequence[Instance]) -> list[list]:
+        """Labels per instance: each chunk's sequences Viterbi-decoded one by one."""
+        preds = []
+        for chunk in _chunks(instances, self.config.batch_size):
+            emissions, lengths = self.emissions([self.input(inst) for inst in chunk])
+            for u in np.split(emissions.data, np.cumsum(lengths[:-1])):
+                preds.append([self.alphabet[i] for i in crf.viterbi_decode(u, self.crf)[0]])
+        return preds
+
+
+class SlModel(_CrfModel):
     architecture = "sl"
+    alphabet = IOB_LABELS
 
     def __init__(
         self, embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator | None
@@ -275,30 +303,11 @@ class SlModel(Model):
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.project.parameters() + self.crf.parameters()
 
-    def emissions(
-        self, token_lists: Sequence[Sequence[str]], training: bool = False, rng=None
-    ) -> tuple[Tensor, list[int]]:
-        """Packed (N, 3) emission scores of the sentences, and their lengths."""
-        h, lengths = _encode(self.encoder, self.embeddings, token_lists)
-        x = dropout(attention(h, lengths), self.config.dropout_p, training, rng)
-        return self.project(x), lengths
+    def input(self, instance: Instance) -> list[str]:
+        return instance.tokens
 
-    def loss(self, units: Sequence[Instance], training: bool = True, rng=None) -> Tensor:
-        """Summed CRF loss of a batch of instances."""
-        emissions, _ = self.emissions([inst.tokens for inst in units], training, rng)
-        labels = [[IOB_LABELS.index(lab) for lab in inst.iob] for inst in units]
-        return crf.nll_loss(emissions, labels, self.crf)
-
-    def predict(self, instances: Sequence[Instance]) -> list[list[str]]:
-        """IOB labels per instance."""
-        return [
-            [IOB_LABELS[i] for i in path]
-            for chunk in _chunks(instances, self.config.batch_size)
-            for path in _viterbi_paths(*self.emissions([inst.tokens for inst in chunk]), self.crf)
-        ]
-
-    def units(self, instances: Sequence[Instance]) -> list[Instance]:
-        return list(instances)
+    def rows(self, token_lists: Sequence[Sequence[str]]) -> tuple[Tensor, list[int]]:
+        return _encode(self.encoder, self.embeddings, token_lists)
 
     def gold(self, instance: Instance) -> list[str]:
         return instance.iob
@@ -378,8 +387,9 @@ class IccModel(_ClauseModel):
         return preds
 
 
-class JccModel(_ClauseModel):
+class JccModel(_CrfModel, _ClauseModel):
     architecture = "jcc"
+    alphabet = (False, True)
 
     def __init__(
         self, embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator | None
@@ -401,10 +411,11 @@ class JccModel(_ClauseModel):
             + self.crf.parameters()
         )
 
-    def emissions(
-        self, documents: Sequence[Sequence[Sequence[str]]], training: bool = False, rng=None
-    ) -> tuple[Tensor, list[int]]:
-        """Packed (N, 2) clause emission scores of the documents (each a list of
+    def input(self, instance: Instance) -> list[list[str]]:
+        return clause_token_lists(instance)
+
+    def rows(self, documents: Sequence[Sequence[Sequence[str]]]) -> tuple[Tensor, list[int]]:
+        """Packed (N, 2h) clause-level states of the documents (each a list of
         clause token lists), and their clause counts.
 
         The word encoder runs once over every clause of the batch and each
@@ -420,34 +431,7 @@ class JccModel(_ClauseModel):
         # final forward state and first backward state of each clause
         vectors = concat([words[ends - 1, :h], words[ends - widths, h:]], axis=1)
         counts = [len(doc) for doc in documents]
-        ms = self.clause_encoder2(self.clause_encoder1(vectors, counts), counts)
-        x = dropout(attention(ms, counts), self.config.dropout_p, training, rng)
-        return self.project(x), counts
-
-    def loss(
-        self,
-        units: Sequence[tuple[Sequence[Sequence[str]], Sequence[bool]]],
-        training: bool = True,
-        rng=None,
-    ) -> Tensor:
-        """Summed clause-CRF loss of a batch of (clause token lists, flags) units."""
-        emissions, _ = self.emissions([doc for doc, _ in units], training, rng)
-        labels = [[int(f) for f in flags] for _, flags in units]
-        return crf.nll_loss(emissions, labels, self.crf)
-
-    def units(self, instances: Sequence[Instance]) -> list[tuple[list[list[str]], list[bool]]]:
-        """One (clause token lists, gold flags) unit per instance."""
-        return [(clause_token_lists(inst), clause_gold_flags(inst)) for inst in instances]
-
-    def predict(self, instances: Sequence[Instance]) -> list[list[bool]]:
-        """Clause flags per instance, decoded jointly."""
-        return [
-            [bool(i) for i in path]
-            for chunk in _chunks(instances, self.config.batch_size)
-            for path in _viterbi_paths(
-                *self.emissions([clause_token_lists(inst) for inst in chunk]), self.crf
-            )
-        ]
+        return self.clause_encoder2(self.clause_encoder1(vectors, counts), counts), counts
 
 
 MODELS: dict[str, type[Model]] = {cls.architecture: cls for cls in (SlModel, IccModel, JccModel)}
@@ -507,6 +491,8 @@ def train(
     model_class = _model_class(architecture)
     if not train_instances or not dev_instances:
         raise ValueError("train and dev splits must be non-empty")
+    if embeddings.dim != config.embedding_dim:
+        raise ValueError(f"embedding_dim {config.embedding_dim}, embeddings {embeddings.dim} wide")
     rng = np.random.default_rng(config.seed)
     model = model_class(embeddings, config, rng)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)

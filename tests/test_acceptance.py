@@ -130,7 +130,9 @@ def test_03_gradient_checks():
             n = int(rng.integers(1, 6))
             iob = ["O"] + [["B", "I", "O"][int(k)] for k in rng.integers(0, 3, size=n - 1)]
             inst = Instance("g", "d", random_tokens(rng, n), iob)
-            _check_grads(lambda: model.loss([inst], training=False), model.parameters())
+            _check_grads(
+                lambda: model.loss(model.units([inst]), training=False), model.parameters()
+            )
 
         for draw in range(20):  # independent clause classifier
             rng = np.random.default_rng(200 + draw)

@@ -536,6 +536,38 @@ def test_train_names_a_duplicate_embedding_token(tmp_path, corpus_path, capsys):
     )
 
 
+def embedding_file(tmp_path, corpus_path, width):
+    """A text embedding file of ``width`` components for every corpus token."""
+    vocab = sorted({tok for inst in load_corpus(corpus_path) for tok in inst.tokens})
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(f"{tok}{' 0.1' * width}\n" for tok in vocab), encoding="utf-8")
+    return emb
+
+
+def test_train_records_the_width_of_the_embeddings_file(tmp_path, corpus_path):
+    args, _, config = train_args(tmp_path, corpus_path)
+    config.write_text(json.dumps({"hidden_dim": 3, "max_epochs": 1, "patience": 1}), "utf-8")
+    ckpt = tmp_path / "m.json"
+    emb = embedding_file(tmp_path, corpus_path, 5)
+    assert run("train", *args, "--embeddings", emb, "--checkpoint", ckpt) == 0
+    header = checkpoint_header(ckpt)
+    shapes = dict(header["arrays"])
+    assert header["config"]["embedding_dim"] == shapes["embedding"][1] == 5
+    assert load_checkpoint(ckpt).model.config.embedding_dim == 5
+
+
+def test_train_refuses_a_config_width_other_than_the_embeddings(tmp_path, corpus_path, capsys):
+    args, _, config = train_args(tmp_path, corpus_path)  # the config names embedding_dim 4
+    ckpt = tmp_path / "m.json"
+    emb = embedding_file(tmp_path, corpus_path, 5)
+    capsys.readouterr()
+    assert run("train", *args, "--embeddings", emb, "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: embedding_dim 4 does not match the 5 components per vector of {emb}\n"
+    )
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("flag", ["--trees", "--embeddings"])
 def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path, corpus_path, capsys, flag):
     bad = tmp_path / "bad.txt"

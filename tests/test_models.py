@@ -207,7 +207,10 @@ def test_units_of_each_architecture():
     emb = toy_embeddings([inst, other])
     rng = np.random.default_rng(0)
     sl, icc, jcc = (MODELS[arch](emb, TOY, rng) for arch in ("sl", "icc", "jcc"))
-    assert sl.units([inst, other]) == [inst, other]
+    assert sl.units([inst, other]) == [
+        (["I", "cried", "because", "he", "left", "."], ["B", "I", "O", "O", "O", "O"]),
+        (other.tokens, other.iob),
+    ]
     assert icc.units([inst, other]) == [
         (["I", "cried"], True),
         (["because", "he", "left"], False),
@@ -288,7 +291,7 @@ def ragged_units(arch):
 
     if arch == "sl":
         labels = ["B", "OBIIO", "OOO", "BBIOBBIO", "IO"]
-        return [Instance(f"u{k}", "d", words(len(iob)), list(iob)) for k, iob in enumerate(labels)]
+        return [(words(len(iob)), list(iob)) for iob in labels]
     if arch == "icc":
         sizes = [(1, True), (5, False), (3, True), (9, False), (2, False)]
         return [(words(n), flag) for n, flag in sizes]
@@ -398,8 +401,8 @@ def test_crf_loss_is_one_graph_node(arch):
     assert (trans, start, end) == tuple(crf_params)
     # the loss reads the projection's packed output itself
     assert any(parent is model.project.bias for parent in projected._parents)
-    sizes = [len(u.tokens) for u in units] if arch == "sl" else [len(doc) for doc, _ in units]
-    assert projected.shape == (sum(sizes), model.crf.num_labels)
+    rows = sum(len(seq) for seq, _ in units)  # tokens (sl) or clauses (jcc)
+    assert projected.shape == (rows, model.crf.num_labels)
 
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
@@ -423,10 +426,7 @@ def test_heads_run_once_per_batch(arch, monkeypatch):
     heads = [model.hidden, model.out] if arch == "icc" else [model.project]
     assert projections == heads
     (node,) = attended
-    if arch == "sl":
-        rows = sum(len(inst.tokens) for inst in units)
-    else:  # clause tokens (icc) or clauses (jcc)
-        rows = sum(len(seq) for seq, _ in units)
+    rows = sum(len(seq) for seq, _ in units)  # tokens (sl, icc) or clauses (jcc)
     assert node.shape == (rows, 4 * BATCH_CFG.hidden_dim)
     assert any(n is node for n in _graph_nodes(loss))
 
@@ -434,7 +434,7 @@ def test_heads_run_once_per_batch(arch, monkeypatch):
 def test_batch_with_an_empty_sequence_is_rejected():
     sl, icc, jcc = (_model(arch) for arch in ("sl", "icc", "jcc"))
     with pytest.raises(ValueError, match="empty"):
-        sl.loss([Instance("a", "d", ["i", "cried"], ["O", "O"]), Instance("b", "d", [], [])])
+        sl.loss([(["i", "cried"], ["O", "O"]), ([], [])])
     with pytest.raises(ValueError, match="empty"):
         icc.loss([(["i"], True), ([], False)])
     with pytest.raises(ValueError, match="empty"):
@@ -493,6 +493,8 @@ def test_train_rejects_bad_input():
         train("mlp", corpus, corpus, emb, TOY)
     with pytest.raises(ValueError, match="non-empty"):
         train("sl", [], corpus, emb, TOY)
+    with pytest.raises(ValueError, match="embedding_dim 8, embeddings 16 wide"):
+        train("sl", corpus, corpus, toy_embeddings(corpus, 16), TOY)
 
 
 def test_sl_overfits_small_corpus():
