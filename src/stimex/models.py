@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -144,6 +145,8 @@ class EmbeddingTable:
                         rows.append([float(v) for v in values])
                     except ValueError:
                         raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
+                    if not all(map(math.isfinite, rows[-1])):
+                        raise ValueError(f"{path}: line {lineno}: non-finite component")
                     if parts[0] in tokens:
                         raise ValueError(
                             f"{path}: line {lineno}: duplicate token {parts[0]!r}"
@@ -211,12 +214,43 @@ def _chunks(items: Sequence, size: int) -> list[Sequence]:
     return [items[k : k + size] for k in range(0, len(items), size)]
 
 
+class _ProjectionMemo:
+    """A finished model's word-encoder input projections ``E[tok] @ w_x`` by the
+    forward and backward cells, row ``index[tok]`` of ``rows``, filled in as
+    tokens are first seen.  Unknown tokens share the key None and the zero
+    row's projection.  Once the table or a ``w_x`` array is replaced, it starts over."""
+
+    def __init__(self):
+        self.source, self.index, self.rows = (None,) * 3, {}, np.empty(0)
+
+    def __call__(self, embeddings: EmbeddingTable, encoder: BiLstm, tokens) -> np.ndarray:
+        """(N, 2, 4h) input projections of ``tokens`` by the encoder's two cells."""
+        cells = (encoder.fwd, encoder.bwd)
+        source = (embeddings, *(cell.w_x.data for cell in cells))
+        if any(map(operator.is_not, source, self.source)):
+            self.source, self.index, self.rows = source, {}, np.empty(0)
+        keys = [tok if tok in embeddings.index else None for tok in tokens]
+        new = [key for key in dict.fromkeys(keys) if key not in self.index]
+        if new:
+            # two rows at least: BLAS rounds a one-row product unlike a matrix product
+            x = embeddings.lookup(new * 2 if len(new) == 1 else new).data
+            n, m = len(self.index), len(new)
+            if n + m > len(self.rows):  # doubling, so filling costs O(1) per row
+                self.rows = np.resize(self.rows, (2 * (n + m), 2, 4 * encoder.fwd.hidden_dim))
+            for d, cell in enumerate(cells):
+                self.rows[n : n + m, d] = (x @ cell.w_x.data)[:m]
+            self.index.update(zip(new, range(n, n + m)))
+        return self.rows[[self.index[key] for key in keys]]
+
+
 def _encode(
-    encoder: BiLstm, embeddings: EmbeddingTable, token_lists: Sequence[Sequence[str]]
+    encoder: BiLstm, embeddings: EmbeddingTable, token_lists: Sequence[Sequence[str]], memo=None
 ) -> tuple[Tensor, list[int]]:
-    """Packed (N, 2h) BiLSTM states of the token lists, and their lengths."""
-    lengths = [len(toks) for toks in token_lists]
-    return encoder(embeddings.lookup(_flat(token_lists)), lengths), lengths
+    """Packed (N, 2h) BiLSTM states of the token lists, and their lengths; with
+    a ``memo``, from its input projections, as a leaf with no graph node."""
+    lengths, tokens = [len(toks) for toks in token_lists], _flat(token_lists)
+    xs = embeddings.lookup(tokens) if memo is None else memo(embeddings, encoder, tokens)
+    return encoder(xs, lengths), lengths
 
 
 def _stimulus_flags(logits: Tensor) -> list[bool]:
@@ -241,6 +275,7 @@ class Model:
     def __init__(self, embeddings: EmbeddingTable, config: TrainConfig):
         self.embeddings = embeddings
         self.config = config
+        self.memo: _ProjectionMemo | None = None  # set by _load_state; only predict reads it
 
     def dev_score(self, instances: Sequence[Instance], metric: str) -> float:
         """The selection ``metric`` on ``instances``: label accuracy or F1."""
@@ -260,10 +295,10 @@ class _CrfModel(Model):
     alphabet: tuple
 
     def emissions(
-        self, inputs: Sequence, training: bool = False, rng=None
+        self, inputs: Sequence, training: bool = False, rng=None, memo=None
     ) -> tuple[Tensor, list[int]]:
         """Packed (N, L) emission scores of the inputs, and their lengths."""
-        h, lengths = self.rows(inputs)
+        h, lengths = self.rows(inputs, memo)
         x = dropout(attention(h, lengths), self.config.dropout_p, training, rng)
         return self.project(x), lengths
 
@@ -281,7 +316,7 @@ class _CrfModel(Model):
         """Labels per instance: each chunk's sequences Viterbi-decoded one by one."""
         preds = []
         for chunk in _chunks(instances, self.config.batch_size):
-            emissions, lengths = self.emissions([self.input(inst) for inst in chunk])
+            emissions, lengths = self.emissions([self.input(inst) for inst in chunk], memo=self.memo)
             for u in np.split(emissions.data, np.cumsum(lengths[:-1])):
                 preds.append([self.alphabet[i] for i in crf.viterbi_decode(u, self.crf)[0]])
         return preds
@@ -306,8 +341,8 @@ class SlModel(_CrfModel):
     def input(self, instance: Instance) -> list[str]:
         return instance.tokens
 
-    def rows(self, token_lists: Sequence[Sequence[str]]) -> tuple[Tensor, list[int]]:
-        return _encode(self.encoder, self.embeddings, token_lists)
+    def rows(self, token_lists: Sequence[Sequence[str]], memo=None) -> tuple[Tensor, list[int]]:
+        return _encode(self.encoder, self.embeddings, token_lists, memo)
 
     def gold(self, instance: Instance) -> list[str]:
         return instance.iob
@@ -354,10 +389,10 @@ class IccModel(_ClauseModel):
         return self.encoder.parameters() + self.hidden.parameters() + self.out.parameters()
 
     def logits(
-        self, clause_lists: Sequence[Sequence[str]], training: bool = False, rng=None
+        self, clause_lists: Sequence[Sequence[str]], training: bool = False, rng=None, memo=None
     ) -> Tensor:
         """(R, 2) class logits of R clauses, from one pass over the packed batch."""
-        h, lengths = _encode(self.encoder, self.embeddings, clause_lists)
+        h, lengths = _encode(self.encoder, self.embeddings, clause_lists, memo)
         s = segment_mean(attention(h, lengths), lengths)
         z = dropout(self.hidden(s), self.config.dropout_p, training, rng).relu()
         return self.out(z)
@@ -382,7 +417,7 @@ class IccModel(_ClauseModel):
         preds = []
         for chunk in _chunks(instances, self.config.batch_size):
             documents = [clause_token_lists(inst) for inst in chunk]
-            flags = iter(_stimulus_flags(self.logits(_flat(documents))))
+            flags = iter(_stimulus_flags(self.logits(_flat(documents), memo=self.memo)))
             preds += [list(itertools.islice(flags, len(doc))) for doc in documents]
         return preds
 
@@ -414,7 +449,7 @@ class JccModel(_CrfModel, _ClauseModel):
     def input(self, instance: Instance) -> list[list[str]]:
         return clause_token_lists(instance)
 
-    def rows(self, documents: Sequence[Sequence[Sequence[str]]]) -> tuple[Tensor, list[int]]:
+    def rows(self, documents: Sequence, memo=None) -> tuple[Tensor, list[int]]:
         """Packed (N, 2h) clause-level states of the documents (each a list of
         clause token lists), and their clause counts.
 
@@ -423,10 +458,8 @@ class JccModel(_CrfModel, _ClauseModel):
         """
         if not all(documents):
             raise ValueError("need at least one clause")
-        clauses = _flat(documents)
-        widths = [len(toks) for toks in clauses]
         h = self.config.hidden_dim
-        words = self.word_encoder(self.embeddings.lookup(_flat(clauses)), widths)
+        words, widths = _encode(self.word_encoder, self.embeddings, _flat(documents), memo)
         ends = np.cumsum(widths)
         # final forward state and first backward state of each clause
         vectors = concat([words[ends - 1, :h], words[ends - widths, h:]], axis=1)
@@ -471,6 +504,7 @@ def _load_state(model: Model, state: dict[str, np.ndarray]) -> None:
                 f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
             )
         p.data = arr.copy()
+    model.memo = _ProjectionMemo()
 
 
 def train(
@@ -550,7 +584,8 @@ def sl_predict(model: TrainedModel | SlModel, instance: Instance) -> list[str]:
 
 
 def icc_predict(model: TrainedModel | IccModel, clause_tokens: Sequence[str]) -> bool:
-    return _stimulus_flags(_unwrap(model).logits([clause_tokens]))[0]
+    model = _unwrap(model)
+    return _stimulus_flags(model.logits([clause_tokens], memo=model.memo))[0]
 
 
 def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool]:

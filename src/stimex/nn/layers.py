@@ -50,11 +50,13 @@ def _unpad(grid: np.ndarray, spans, reverse: bool = False, rows=None) -> np.ndar
     return rows
 
 
-def _lstm(cells, reverse, xs: Tensor, lengths) -> Tensor:
+def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths) -> Tensor:
     """Hidden states of D LSTM ``cells`` over the same packed sequences, as one
     (N, D*h) graph node whose columns ``d*h:(d+1)*h`` are cell d's states.
 
-    ``xs`` holds R sequences of the given ``lengths`` as consecutive rows.
+    ``xs`` holds R sequences of the given ``lengths`` as consecutive rows: a
+    Tensor of inputs, or an (N, D, 4h) array of their rows already projected
+    by each cell's ``w_x``, whose states are a leaf with no graph node.
     All D cells run in one loop over max(lengths) steps on step-major
     (T, D, R, .) arrays: one stacked (D, R, h) @ (D, h, 4h) matmul per step,
     and each elementwise operation covers every cell.  Each sequence is
@@ -77,8 +79,9 @@ def _lstm(cells, reverse, xs: Tensor, lengths) -> Tensor:
     w_h = np.stack([cell.w_h.data for cell in cells])  # (D, h, 4h)
     bias = np.stack([cell.bias.data for cell in cells])[:, None]  # (D, 1, 4h)
     xw = np.zeros((steps, depth, width, 4 * hd))
+    projected = isinstance(xs, np.ndarray)
     for d, (cell, rev) in enumerate(zip(cells, reverse)):
-        _pad(xs.data @ cell.w_x.data, spans, rev, xw[:, d])
+        _pad(xs[:, d] if projected else xs.data @ cell.w_x.data, spans, rev, xw[:, d])
     acts = np.empty((steps, depth, width, 4 * hd))
     cs, tcs, hs = np.empty((3, steps, depth, width, hd))
     i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
@@ -96,6 +99,8 @@ def _lstm(cells, reverse, xs: Tensor, lengths) -> Tensor:
     out = np.empty((xs.shape[0], depth * hd))
     for d, rev in enumerate(reverse):
         _unpad(hs[:, d], spans, rev, out[:, d * hd : (d + 1) * hd])
+    if projected:
+        return Tensor(out)
 
     def backward(grad):
         h_prev, c_prev = np.zeros((2, *hs.shape))
@@ -174,7 +179,7 @@ class BiLstm:
         out, hd = self(xs, lengths), self.fwd.hidden_dim
         return out[:, :hd], out[:, hd:]
 
-    def __call__(self, xs: Tensor, lengths) -> Tensor:
+    def __call__(self, xs: Tensor | np.ndarray, lengths) -> Tensor:
         return _lstm((self.fwd, self.bwd), (False, True), xs, lengths)  # (N, 2h)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -685,6 +686,19 @@ def test_train_with_nan_embedding_exits_one_without_checkpoint(tmp_path, corpus_
     )
     ckpt = tmp_path / "model.json"
     args = ["--corpus", corpus_path, "--splits", splits, "--embeddings", emb, "--config", config]
+    capsys.readouterr()
     assert run("train", *args, "--arch", "sl", "--checkpoint", ckpt) == 1
-    assert "epoch 1, batch" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {emb}: line 1: non-finite component\n"
+    assert not ckpt.exists()
+
+
+def test_train_that_diverges_exits_one_without_checkpoint(tmp_path, corpus_path, capsys):
+    args, _, config = train_args(tmp_path, corpus_path)
+    settings = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**settings, "learning_rate": 1e308}), encoding="utf-8")
+    ckpt = tmp_path / "model.json"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("train", *args, "--checkpoint", ckpt) == 1
+    assert "error: training diverged at epoch 1, batch " in capsys.readouterr().err
     assert not ckpt.exists()

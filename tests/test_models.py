@@ -128,6 +128,10 @@ def test_embedding_load_text_errors(tmp_path):
     path.write_text("a 1 x\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-numeric"):
         EmbeddingTable.load_text(path)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"b 1 2\na 0.1 {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: non-finite component$"):
+            EmbeddingTable.load_text(path)
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty"):
         EmbeddingTable.load_text(path)
@@ -459,13 +463,65 @@ def ragged_instances(n):
     return out
 
 
-@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
-def test_batched_prediction_equals_prediction_one_by_one(arch):
-    model, instances = _model(arch), ragged_instances(23)
+def _finished(model):
+    """``model`` with its weights installed by ``_load_state``, as ``train`` and
+    ``load_checkpoint`` return it: its predictions read the projection memo."""
+    models._load_state(model, models._state_dict(model))
+    return model
+
+
+def _scores(model, instances):
+    """The packed emissions (``sl``, ``jcc``) or logits (``icc``) that ``predict``
+    computes for one chunk of ``instances``."""
+    if model.architecture == "icc":
+        clauses = [toks for inst in instances for toks in clause_token_lists(inst)]
+        return model.logits(clauses, memo=model.memo).data
+    return model.emissions([model.input(inst) for inst in instances], memo=model.memo)[0].data
+
+
+@pytest.mark.parametrize(
+    "arch, finished",
+    [pytest.param(a, f, id=a + "-finished" * f) for f in (False, True) for a in MODELS],
+)
+def test_batched_prediction_equals_prediction_one_by_one(arch, finished):
+    """Also for a finished model, whose labels equal a fresh model's and whose scores
+    are bit-equal to them for inputs of two tokens or more (one row alone takes
+    BLAS's vector product, which rounds differently)."""
+    fresh, instances = _model(arch), ragged_instances(23)
+    model = _finished(_model(arch)) if finished else fresh
     assert len(instances) > 2 * model.config.batch_size  # two full chunks and a partial one
+    for chunk in [*([inst] for inst in instances), instances]:  # one new token at a time first
+        scores = _scores(model, chunk)
+        if sum(len(inst.tokens) for inst in chunk) > 1:
+            assert np.array_equal(scores, _scores(fresh, chunk))
     batched = model.predict(instances)
     assert batched == [model.predict([inst])[0] for inst in instances]
     assert batched == _predictions(arch, model, instances)  # icc_predict: one clause at a time
+    assert batched == fresh.predict(instances)
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_projection_memo_follows_new_weights(arch):
+    """After predicting, a second ``_load_state`` or an assigned ``w_x`` gives the
+    predictions and scores of a model with those weights that never predicted."""
+    instances = ragged_instances(12)
+    model = _finished(_model(arch))
+    before = _scores(model, instances)
+    assert len(model.memo.index) > 0
+    rng = np.random.default_rng(9)
+    state = models._state_dict(model)
+    state = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in state.items()}
+    models._load_state(model, state)
+    loaded = _model(arch)
+    models._load_state(loaded, state)
+    assert model.predict(instances) == loaded.predict(instances)
+    assert np.array_equal(_scores(model, instances), _scores(loaded, instances))
+    assert not np.array_equal(_scores(model, instances), before)
+    for m in (model, loaded):
+        cell = (m.word_encoder if arch == "jcc" else m.encoder).bwd
+        cell.w_x.data = cell.w_x.data * -1.5
+    assert np.array_equal(_scores(model, instances), _scores(_finished(loaded), instances))
+    assert model.predict(instances) == loaded.predict(instances)
 
 
 # -- training ----------------------------------------------------------------------------
@@ -495,6 +551,18 @@ def test_train_rejects_bad_input():
         train("sl", [], corpus, emb, TOY)
     with pytest.raises(ValueError, match="embedding_dim 8, embeddings 16 wide"):
         train("sl", corpus, corpus, toy_embeddings(corpus, 16), TOY)
+
+
+def test_finished_models_start_with_an_empty_projection_memo_that_loss_never_reads(tmp_path):
+    corpus, trained = _small_trained()
+    save_checkpoint(trained, tmp_path / "m.json")
+    loaded = load_checkpoint(tmp_path / "m.json").model
+    for model in (trained.model, loaded):
+        assert model.memo.index == {}
+        model.loss(model.units(corpus), training=False)
+        assert model.memo.index == {}
+        model.predict(corpus)
+        assert set(model.memo.index) == set(vocabulary(corpus))
 
 
 def test_sl_overfits_small_corpus():

@@ -68,7 +68,8 @@ def test_bilstm_backward_equals_forward_on_reversed_input():
 
 
 def test_bilstm_output_layout():
-    """``BiLstm`` gives one (N, 2h) node, forward states first; ``run`` slices it."""
+    """``BiLstm`` gives one (N, 2h) node, forward states first; ``run`` slices it; given
+    the inputs' projections, it gives the same states as a leaf."""
     bi = BiLstm("b", 3, 4, np.random.default_rng(0))
     xs = Parameter("xs", np.random.default_rng(1).standard_normal((6, 3)))
     params = bi.parameters() + [xs]
@@ -88,6 +89,9 @@ def test_bilstm_output_layout():
         assert np.array_equal(out.data, np.concatenate([f.data, b.data], axis=1))
         assert np.array_equal(f.data, bi.fwd.states(xs, lengths).data)
         assert np.array_equal(b.data, bi.bwd.states(xs, lengths, reverse=True).data)
+        projected = np.stack([xs.data @ bi.fwd.w_x.data, xs.data @ bi.bwd.w_x.data], axis=1)
+        leaf = bi(projected, lengths)  # the inputs' rows already projected: no graph node
+        assert np.array_equal(leaf.data, out.data) and not leaf.requires_grad
         by_run = grads((f * Tensor(weights[:, :4])).sum() + (b * Tensor(weights[:, 4:])).sum())
         by_call = grads((out * Tensor(weights)).sum())
         for g_run, g_call in zip(by_run, by_call):
