@@ -40,10 +40,6 @@ class SegmentList:
         if expected != len(self.tokens):
             raise ValueError("segments do not cover the full sequence")
 
-    def segment_tokens(self, k: int) -> tuple[str, ...]:
-        sp = self.segments[k]
-        return self.tokens[sp.start : sp.end]
-
 
 def is_punct_only(tokens: Sequence[str]) -> bool:
     return len(tokens) > 0 and all(_PUNCT_TOKEN.match(t) for t in tokens)

@@ -189,6 +189,8 @@ def cmd_split(args) -> int:
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise CorpusError(not_utf8(path)) from None
     except ValueError as exc:
         raise CorpusError(f"{path}: {what} is not valid JSON: {exc}") from None
 
@@ -373,6 +375,17 @@ def cmd_report(args) -> int:
 # Parser
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stimex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -406,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="write a deterministic 80/10/10 split id file")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -416,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=list(models.ARCHITECTURES), required=True)
     p.add_argument("--embeddings", help="text embedding file; random table when omitted")
     p.add_argument("--config", help="JSON file mirroring TrainConfig fields")
-    p.add_argument("--seed", type=int, help="overrides the config file seed")
+    p.add_argument("--seed", type=_seed, help="overrides the config file seed")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_train)
 

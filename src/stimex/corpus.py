@@ -98,7 +98,7 @@ class Instance:
 
     def _check_clauses(self, field: str, clauses: Sequence[ClauseAnnotation]) -> None:
         n = len(self.tokens)
-        prev_end = 0
+        prev_start = prev_end = 0
         for k, cl in enumerate(clauses):
             sp = cl.span
             if sp.end > n:
@@ -106,9 +106,13 @@ class Instance:
                     f"field '{field}' clause {k} spans [{sp.start}, {sp.end}) "
                     f"but the instance has {n} tokens"
                 )
+            if sp.end <= prev_start:
+                raise CorpusError(
+                    f"field '{field}' clause {k} is out of order: it precedes clause {k - 1}"
+                )
             if sp.start < prev_end:
                 raise CorpusError(f"field '{field}' clause {k} overlaps its predecessor")
-            prev_end = sp.end
+            prev_start, prev_end = sp.start, sp.end
 
     def stimulus_spans(self) -> list[Span]:
         return iob_to_spans(self.iob)
@@ -425,42 +429,46 @@ def format_stats_csv(stats_by_dataset: dict[str, CorpusStats]) -> str:
 # Synthetic corpus
 
 
+_SYNTHETIC_DATASET = "synthetic"
+_SUBJECTS = ("riley", "jordan", "casey", "morgan", "avery", "quinn")
+_VERBS = ("felt", "seemed", "looked", "sounded")
+_ADJECTIVES = ("happy", "angry", "afraid", "sad", "surprised", "disgusted")
+_EMOTIONS = ("joy", "anger", "fear", "sadness", "surprise", "disgust")  # one per adjective
+_CONNECTIVES = ("because", "when", "after")
+_FILLERS = (
+    "the",
+    "game",
+    "rain",
+    "crowd",
+    "music",
+    "letter",
+    "was",
+    "lost",
+    "kept",
+    "falling",
+    "grew",
+    "loud",
+    "never",
+    "came",
+    "again",
+    "slowly",
+)
+
+
 @dataclass(frozen=True)
 class SyntheticGrammar:
-    """Template parameters for the synthetic stimulus corpus.
+    """Shape parameters of the synthetic stimulus corpus.
 
     Instances follow ``<subject> <verb> <adjective> [filler...]`` optionally
     continued by ``<connective> <filler...> .`` where the connective-led
-    clause is the annotated stimulus.
+    clause is the annotated stimulus.  ``lead_len`` bounds the tokens before
+    the stimulus and ``stimulus_len`` those of the stimulus clause, which an
+    instance has with probability ``stimulus_rate``.
     """
 
     stimulus_rate: float = 0.8
     lead_len: tuple[int, int] = (3, 6)
     stimulus_len: tuple[int, int] = (4, 8)
-    dataset: str = "synthetic"
-    subjects: tuple[str, ...] = ("riley", "jordan", "casey", "morgan", "avery", "quinn")
-    verbs: tuple[str, ...] = ("felt", "seemed", "looked", "sounded")
-    adjectives: tuple[str, ...] = ("happy", "angry", "afraid", "sad", "surprised", "disgusted")
-    emotions: tuple[str, ...] = ("joy", "anger", "fear", "sadness", "surprise", "disgust")
-    connectives: tuple[str, ...] = ("because", "when", "after")
-    fillers: tuple[str, ...] = (
-        "the",
-        "game",
-        "rain",
-        "crowd",
-        "music",
-        "letter",
-        "was",
-        "lost",
-        "kept",
-        "falling",
-        "grew",
-        "loud",
-        "never",
-        "came",
-        "again",
-        "slowly",
-    )
 
 
 DEFAULT_GRAMMAR = SyntheticGrammar()
@@ -494,19 +502,17 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     instances = []
     for i in range(n):
-        emo_idx = int(rng.integers(0, len(grammar.adjectives)))
+        emo_idx = int(rng.integers(0, len(_ADJECTIVES)))
         lead_len = int(rng.integers(grammar.lead_len[0], grammar.lead_len[1] + 1))
         lead = [
-            _pick(rng, grammar.subjects),
-            _pick(rng, grammar.verbs),
-            grammar.adjectives[emo_idx],
-        ] + _pick_many(rng, grammar.fillers, lead_len - 3)
+            _pick(rng, _SUBJECTS),
+            _pick(rng, _VERBS),
+            _ADJECTIVES[emo_idx],
+        ] + _pick_many(rng, _FILLERS, lead_len - 3)
         has_stimulus = bool(rng.random() < grammar.stimulus_rate)
         if has_stimulus:
             stim_len = int(rng.integers(grammar.stimulus_len[0], grammar.stimulus_len[1] + 1))
-            stimulus = [_pick(rng, grammar.connectives)] + _pick_many(
-                rng, grammar.fillers, stim_len - 1
-            )
+            stimulus = [_pick(rng, _CONNECTIVES)] + _pick_many(rng, _FILLERS, stim_len - 1)
         else:
             stimulus = []
         tokens = lead + stimulus + ["."]
@@ -518,12 +524,12 @@ def generate_synthetic(
         instances.append(
             Instance(
                 id=f"syn-{i:04d}",
-                dataset=grammar.dataset,
+                dataset=_SYNTHETIC_DATASET,
                 tokens=tokens,
                 iob=iob,
                 clauses=clauses,
                 parse=_synthetic_parse(lead, stimulus),
-                emotion=grammar.emotions[emo_idx],
+                emotion=_EMOTIONS[emo_idx],
             )
         )
     return instances

@@ -128,14 +128,6 @@ def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
     return out._attach((emissions, trans, start, end), backward)
 
 
-def score_sequence(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
-    """Score of one label path given emissions ``u`` (n, L), as a graph-free Tensor."""
-    u, trans, start, end = _as_arrays(u, params)
-    y = np.asarray(y, dtype=int)
-    _check_labels(y, u.shape[0], params.num_labels)
-    return Tensor(_score_path(u, y, trans, start, end))
-
-
 def log_partition(u: Tensor | np.ndarray, params: CrfParams) -> Tensor:
     """log-sum-exp over all label paths, by the forward recursion, as a graph-free Tensor."""
     u = as_tensor(u).data

@@ -195,7 +195,7 @@ def clause_token_lists(instance: Instance) -> list[list[str]]:
 # Architectures
 #
 # Each model's ``loss`` runs every layer once over a mini-batch of units,
-# packed as consecutive rows (see ``Lstm.states``): the encoders, attention,
+# packed as consecutive rows (see ``nn.layers._lstm``): the encoders, attention,
 # dropout and the projections.  One (N, d) dropout draw yields the numbers
 # that per-unit (n_r, d) draws would, in unit order.  The CRF models hand the
 # projection's packed rows to ``crf.nll_loss``, the loss of the whole batch
@@ -261,12 +261,13 @@ def _stimulus_flags(logits: Tensor) -> list[bool]:
 class Model:
     """What ``train``, ``stimex predict`` and the checkpoints use of a model.
 
-    Besides ``parameters`` and ``loss``, the summed loss of a mini-batch, a
-    model has ``units``, the training units its ``loss`` takes, built from
-    instances; ``predict``, each instance's labels in the model's own unit
-    (IOB labels or clause flags); ``gold`` and ``f1``, the gold labels in
-    that unit and their F1 score; and ``store_prediction``, which puts labels
-    on an instance.  ``rng=None`` leaves the weights uninitialised, for a
+    Besides ``parameters`` and ``loss``, the summed loss of a mini-batch,
+    with dropout only when given an ``rng``, a model has ``units``, the
+    training units its ``loss`` takes, built from instances; ``predict``,
+    each instance's labels in the model's own unit (IOB labels or clause
+    flags); ``gold`` and ``f1``, the gold labels in that unit and their F1
+    score; and ``store_prediction``, which puts labels on an instance.  A
+    constructor given ``rng=None`` leaves the weights uninitialised, for a
     checkpoint to fill.
     """
 
@@ -294,21 +295,19 @@ class _CrfModel(Model):
 
     alphabet: tuple
 
-    def emissions(
-        self, inputs: Sequence, training: bool = False, rng=None, memo=None
-    ) -> tuple[Tensor, list[int]]:
+    def emissions(self, inputs: Sequence, rng=None, memo=None) -> tuple[Tensor, list[int]]:
         """Packed (N, L) emission scores of the inputs, and their lengths."""
         h, lengths = self.rows(inputs, memo)
-        x = dropout(attention(h, lengths), self.config.dropout_p, training, rng)
+        x = dropout(attention(h, lengths), self.config.dropout_p, rng)
         return self.project(x), lengths
 
     def units(self, instances: Sequence[Instance]) -> list[tuple]:
         """One (input, gold labels) unit per instance."""
         return [(self.input(inst), self.gold(inst)) for inst in instances]
 
-    def loss(self, units: Sequence[tuple], training: bool = True, rng=None) -> Tensor:
+    def loss(self, units: Sequence[tuple], rng=None) -> Tensor:
         """Summed CRF loss of a batch of (input, gold labels) units."""
-        emissions, _ = self.emissions([x for x, _ in units], training, rng)
+        emissions, _ = self.emissions([x for x, _ in units], rng)
         labels = [[self.alphabet.index(y) for y in ys] for _, ys in units]
         return crf.nll_loss(emissions, labels, self.crf)
 
@@ -388,20 +387,16 @@ class IccModel(_ClauseModel):
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.hidden.parameters() + self.out.parameters()
 
-    def logits(
-        self, clause_lists: Sequence[Sequence[str]], training: bool = False, rng=None, memo=None
-    ) -> Tensor:
+    def logits(self, clause_lists: Sequence[Sequence[str]], rng=None, memo=None) -> Tensor:
         """(R, 2) class logits of R clauses, from one pass over the packed batch."""
         h, lengths = _encode(self.encoder, self.embeddings, clause_lists, memo)
         s = segment_mean(attention(h, lengths), lengths)
-        z = dropout(self.hidden(s), self.config.dropout_p, training, rng).relu()
+        z = dropout(self.hidden(s), self.config.dropout_p, rng).relu()
         return self.out(z)
 
-    def loss(
-        self, units: Sequence[tuple[Sequence[str], bool]], training: bool = True, rng=None
-    ) -> Tensor:
+    def loss(self, units: Sequence[tuple[Sequence[str], bool]], rng=None) -> Tensor:
         """Summed cross-entropy of a batch of (clause tokens, flag) units."""
-        logits = self.logits([toks for toks, _ in units], training, rng)
+        logits = self.logits([toks for toks, _ in units], rng)
         return cross_entropy(logits, [int(flag) for _, flag in units])
 
     def units(self, instances: Sequence[Instance]) -> list[tuple[list[str], bool]]:
@@ -540,7 +535,7 @@ def train(
         order = rng.permutation(len(units))
         loss_sum = 0.0
         for k, batch in enumerate(_chunks(order, config.batch_size), start=1):
-            total = model.loss([units[i] for i in batch], training=True, rng=rng)
+            total = model.loss([units[i] for i in batch], rng=rng)
             mean_loss = total * (1.0 / len(batch))
             where = f"epoch {epoch}, batch {k}"
             if not np.isfinite(total.data):
@@ -722,7 +717,10 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
         raise ValueError(f"'embedding': {exc}") from None
     model = _model_class(architecture)(embeddings, config, None)
     _load_state(model, state)
-    return TrainedModel(model, payload.get("history", []))
+    history = _entry(payload, "history", list)
+    if not all(isinstance(epoch, dict) for epoch in history):
+        raise ValueError("'history' must be a list of JSON objects")
+    return TrainedModel(model, history)
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:

@@ -156,11 +156,6 @@ class Lstm:
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.bias]
 
-    def states(self, xs: Tensor, lengths, reverse: bool = False) -> Tensor:
-        """(N, h) hidden states of packed sequences, each read backwards when
-        ``reverse`` is set: ``_lstm`` with one cell."""
-        return _lstm((self,), (reverse,), xs, lengths)
-
 
 class BiLstm:
     """A forward and a backward ``Lstm``, run in one time loop by ``_lstm``."""
@@ -187,7 +182,7 @@ def attention(h: Tensor, lengths) -> Tensor:
     """Dot-product self-attention over packed sequences, as one (N, 2d) graph node.
 
     ``h`` holds R sequences of the given ``lengths`` as consecutive (N, d)
-    rows, as for ``Lstm.states``.  Output row i is ``[h_i ; sum_j a_ij h_j]``,
+    rows, as for ``_lstm``.  Output row i is ``[h_i ; sum_j a_ij h_j]``,
     j running over row i's own sequence only.  The weights are a softmax over
     scores against every position of that sequence, ``j = i`` included, so a
     sequence of one row has its input as its context.
@@ -244,11 +239,11 @@ def segment_mean(x: Tensor, lengths) -> Tensor:
     return out._attach((x,), backward)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales kept activations by 1/(1-p) during training."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: scales kept activations by 1/(1-p); ``x`` itself without an ``rng``."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return x * Tensor(mask)

@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from stimex.corpus import Span
-
 # Trees nested deeper than this many nodes are rejected rather than parsed.
 MAX_DEPTH = 1000
 
@@ -47,13 +45,6 @@ class ConstTree:
     token: str | None = None
     start: int = 0
     end: int = 1
-
-    @property
-    def leaf_span(self) -> Span:
-        return Span(self.start, self.end)
-
-    def is_leaf(self) -> bool:
-        return self.token is not None
 
     def iter_nodes(self) -> Iterator["ConstTree"]:
         """Pre-order traversal over all nodes including self."""

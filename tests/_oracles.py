@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from stimex.corpus import Span
-from stimex.crf import MAX_BRUTE_FORCE, CrfParams, _as_arrays, _score_path
+from stimex.crf import MAX_BRUTE_FORCE, CrfParams, _as_arrays, _check_labels, _score_path
 from stimex.evaluation import MatchMode
 from stimex.nn import Tensor, as_tensor, concat
 from stimex.nn.tensor import _accum, stable_sigmoid
@@ -116,8 +116,8 @@ def graph_attention(h: Tensor) -> Tensor:
 def lstm_states_per_step(cell, xs: Tensor, reverse: bool = False) -> Tensor:
     """Reference LSTM built from one small autodiff node per operation and step.
 
-    Same parameters and gate order as ``Lstm``; the fused ``Lstm.states``
-    must reproduce its values exactly and its gradients to rounding.
+    Same parameters and gate order as ``Lstm``; the fused ``_lstm`` must
+    reproduce its values exactly and its gradients to rounding.
     """
     hd = cell.hidden_dim
     xw = xs @ cell.w_x
@@ -163,6 +163,14 @@ def graph_nll_loss(emissions, labels, params) -> Tensor:
     return total
 
 
+def score_sequence(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
+    """Score of one label path given emissions ``u`` (n, L), as a graph-free Tensor."""
+    u, trans, start, end = _as_arrays(u, params)
+    y = np.asarray(y, dtype=int)
+    _check_labels(y, u.shape[0], params.num_labels)
+    return Tensor(_score_path(u, y, trans, start, end))
+
+
 def brute_force_log_partition(u: Tensor | np.ndarray, params: CrfParams) -> float:
     """Exhaustive log-sum-exp over all label paths (oracle; small inputs only)."""
     u, trans, start, end = _as_arrays(u, params)
@@ -200,7 +208,7 @@ def random_tree_text(rng: np.random.Generator, max_depth: int = 4) -> str:
 
 def to_bracket(tree) -> str:
     """``tree`` written back in bracket form, one space between nodes."""
-    if tree.is_leaf():
+    if tree.token is not None:
         return f"({tree.label} {tree.token})"
     return "(" + tree.label + " " + " ".join(to_bracket(c) for c in tree.children) + ")"
 
@@ -372,7 +380,7 @@ def damaged_bytes(good: bytes):
 def damaged(good: bytes):
     """``good`` cut at any byte, with any byte (or a header byte) overwritten, with the
     header line, one header entry or one item of a header list replaced by any JSON
-    value, or any bytes."""
+    value, with one header entry dropped, or any bytes."""
     header_end = good.index(b"\n")
     header, body = json.loads(good[:header_end]), good[header_end + 1 :]
     lists = sorted(key for key, value in header.items() if isinstance(value, list) and value)
@@ -394,6 +402,9 @@ def damaged(good: bytes):
             JSON_VALUES,
         ),
         st.builds(with_item, st.sampled_from(lists), st.integers(0, 10**4), JSON_VALUES),
+        st.sampled_from(sorted(header)).map(
+            lambda key: line({k: v for k, v in header.items() if k != key}, body)
+        ),
         st.builds(line, JSON_VALUES, st.binary(max_size=64)),
     )
 

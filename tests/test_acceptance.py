@@ -70,7 +70,7 @@ def test_01_clause_extraction_golden():
         gaps = clause_gaps(tree)
         assert gaps == [0, 2, 3]
         segs = segments_from_gaps(gaps, ["a", "b", "c"])
-        assert [segs.segment_tokens(k) for k in range(len(segs.segments))] == [
+        assert [segs.tokens[sp.start : sp.end] for sp in segs.segments] == [
             ("a", "b"),
             ("c",),
         ]
@@ -130,16 +130,14 @@ def test_03_gradient_checks():
             n = int(rng.integers(1, 6))
             iob = ["O"] + [["B", "I", "O"][int(k)] for k in rng.integers(0, 3, size=n - 1)]
             inst = Instance("g", "d", random_tokens(rng, n), iob)
-            _check_grads(
-                lambda: model.loss(model.units([inst]), training=False), model.parameters()
-            )
+            _check_grads(lambda: model.loss(model.units([inst])), model.parameters())
 
         for draw in range(20):  # independent clause classifier
             rng = np.random.default_rng(200 + draw)
             emb = EmbeddingTable.random(vocab, 4, seed=draw)
             model = IccModel(emb, cfg, rng)
             unit = (random_tokens(rng, int(rng.integers(1, 6))), bool(rng.integers(0, 2)))
-            _check_grads(lambda: model.loss([unit], training=False), model.parameters())
+            _check_grads(lambda: model.loss([unit]), model.parameters())
 
         for draw in range(20):  # joint clause classifier
             rng = np.random.default_rng(300 + draw)
@@ -148,9 +146,7 @@ def test_03_gradient_checks():
             n_clauses = int(rng.integers(1, 3))
             clauses = [random_tokens(rng, int(rng.integers(1, 3))) for _ in range(n_clauses)]
             flags = [bool(rng.integers(0, 2)) for _ in range(n_clauses)]
-            _check_grads(
-                lambda: model.loss([(clauses, flags)], training=False), model.parameters()
-            )
+            _check_grads(lambda: model.loss([(clauses, flags)]), model.parameters())
 
 
 def test_04_mapping_round_trip():

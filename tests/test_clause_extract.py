@@ -45,7 +45,8 @@ def test_gaps_respect_custom_labels():
 def test_segments_from_gaps():
     segs = segments_from_gaps([0, 2, 3], ["a", "b", "c"])
     assert segs.segments == (Span(0, 2), Span(2, 3))
-    assert segs.segment_tokens(0) == ("a", "b")
+    first = segs.segments[0]
+    assert segs.tokens[first.start : first.end] == ("a", "b")
 
 
 @pytest.mark.parametrize(
@@ -158,7 +159,7 @@ def test_join_fuzz_postconditions():
         for k, sp in enumerate(joined.segments):
             if len(joined.segments) == 1:
                 break
-            toks = joined.segment_tokens(k)
+            toks = joined.tokens[sp.start : sp.end]
             assert not is_punct_only(toks)
             assert len(sp) > 3
 
@@ -176,4 +177,4 @@ def test_extract_on_random_trees_never_crashes():
         tree = parse_bracket(random_tree_text(rng))
         segs = extract_clauses(tree)
         assert segs.segments[0].start == 0
-        assert segs.segments[-1].end == tree.leaf_span.end
+        assert segs.segments[-1].end == tree.end

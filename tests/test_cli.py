@@ -465,6 +465,39 @@ def test_train_with_a_bad_split_or_config_file_names_it(
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("which", ["splits", "config"])
+def test_train_with_a_split_or_config_file_not_utf8_names_its_line(
+    tmp_path, corpus_path, capsys, which
+):
+    args, splits, config = train_args(tmp_path, corpus_path)
+    bad = {"splits": splits, "config": config}[which]
+    bad.write_bytes(b'{\n"seed": "\xff"}\n')
+    capsys.readouterr()
+    ckpt = tmp_path / "model.json"
+    assert run("train", *args, "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["split", "train"])
+def test_a_negative_or_non_integer_seed_flag_is_a_usage_error(
+    tmp_path, corpus_path, capsys, command
+):
+    out = tmp_path / "out.json"
+    if command == "split":
+        argv = ["split", "--corpus", corpus_path, "--out", out]
+    else:
+        args, _, _ = train_args(tmp_path, corpus_path)
+        argv = ["train", *args, "--checkpoint", out]
+    for seed, needle in (("-1", "must be non-negative, got -1"), ("x", "invalid int value: 'x'")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", seed)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --seed: {needle}\n")
+        assert not out.exists()
+
+
 def test_predict_with_a_bad_split_file_names_it(tmp_path, corpus_path, capsys):
     splits = tmp_path / "splits.json"
     splits.write_text('{"train": 5, "dev": [], "test": []}', encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -222,6 +223,29 @@ def test_load_rejects_a_field_of_the_wrong_type(tmp_path, extra, needle):
 
 
 @pytest.mark.parametrize(
+    "field, bounds, needle",
+    [
+        ("clauses", [(3, 6), (0, 3)], "clause 1 is out of order: it precedes clause 0"),
+        (
+            "pred_clauses",
+            [(0, 2), (4, 6), (2, 3)],
+            "clause 2 is out of order: it precedes clause 1",
+        ),
+        ("clauses", [(0, 4), (3, 6)], "clause 1 overlaps its predecessor"),
+        ("pred_clauses", [(3, 6), (2, 4)], "clause 1 overlaps its predecessor"),
+    ],
+)
+def test_load_tells_clauses_out_of_order_from_overlapping_ones(tmp_path, field, bounds, needle):
+    path = tmp_path / "c.jsonl"
+    clauses = [{"start": start, "end": end} for start, end in bounds]
+    record = {"id": "a", "dataset": "d", "tokens": ["x"] * 6, "iob": ["O"] * 6, field: clauses}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: line 1: field '{field}' {needle}"
+
+
+@pytest.mark.parametrize(
     "data, needle",
     [
         (GOOD_LINE.encode() + b"}\n\xff\n", "line 2: not UTF-8"),
@@ -360,7 +384,7 @@ def test_synthetic_is_self_consistent():
         stim_clauses = [c.span for c in inst.clauses if c.is_stimulus]
         assert iob_to_spans(inst.iob) == stim_clauses
         tree = parse_bracket(inst.parse)
-        assert tree.leaf_span.end == len(inst.tokens)
+        assert tree.end == len(inst.tokens)
 
 
 def test_synthetic_mixes_stimulus_presence():

@@ -3,15 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import brute_force_log_partition, finite_difference, gradient_gap, graph_nll_loss
-from stimex.crf import (
-    CrfParams,
-    brute_force_decode,
-    log_partition,
-    nll_loss,
+from _oracles import (
+    brute_force_log_partition,
+    finite_difference,
+    gradient_gap,
+    graph_nll_loss,
     score_sequence,
-    viterbi_decode,
 )
+from stimex.crf import CrfParams, brute_force_decode, log_partition, nll_loss, viterbi_decode
 from stimex.nn import Parameter, Tensor, concat
 
 

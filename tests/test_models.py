@@ -328,12 +328,12 @@ def test_batch_loss_equals_sum_of_unit_losses(arch):
     model, units = _model(arch), ragged_units(arch)
 
     def one_by_one():
-        total = model.loss(units[:1], training=False)
+        total = model.loss(units[:1])
         for unit in units[1:]:
-            total = total + model.loss([unit], training=False)
+            total = total + model.loss([unit])
         return total
 
-    batched, batched_grads = _loss_and_grads(model, lambda: model.loss(units, False))
+    batched, batched_grads = _loss_and_grads(model, lambda: model.loss(units))
     single, single_grads = _loss_and_grads(model, one_by_one)
     assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
     for name, g in single_grads.items():
@@ -344,10 +344,23 @@ def test_batch_loss_equals_sum_of_unit_losses(arch):
 def test_batch_loss_draws_the_same_dropout_masks(arch):
     model, units = _model(arch), ragged_units(arch)
     rng_batch, rng_single = np.random.default_rng(9), np.random.default_rng(9)
-    batched = model.loss(units, True, rng_batch).item()
-    single = sum(model.loss([u], True, rng_single).item() for u in units)
+    batched = model.loss(units, rng_batch).item()
+    single = sum(model.loss([u], rng_single).item() for u in units)
     assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
     assert rng_batch.random() == rng_single.random()  # both streams at the same point
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_loss_without_rng_has_no_dropout(arch):
+    """Dropout runs only when ``loss`` is given a generator: without one, a model with
+    ``dropout_p`` 0.5 scores a batch as the same weights with ``dropout_p`` 0.0 do."""
+    model, units = _model(arch), ragged_units(arch)
+    without = model.loss(units).item()
+    dropped = model.loss(units, rng=np.random.default_rng(2)).item()
+    assert dropped != without  # a generator does drop units at dropout_p 0.5
+    model.config = dataclasses.replace(BATCH_CFG, dropout_p=0.0)
+    assert model.loss(units).item() == without
+    assert model.loss(units, rng=np.random.default_rng(2)).item() == without
 
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
@@ -357,7 +370,7 @@ def test_training_step_leaves_no_cyclic_garbage(arch):
     gc.collect()
     gc.disable()
     try:
-        loss = model.loss(units, training=True, rng=np.random.default_rng(2))
+        loss = model.loss(units, rng=np.random.default_rng(2))
         loss.backward()
         del loss
         assert gc.collect() == 0
@@ -393,7 +406,7 @@ def _graph_nodes(loss):
 @pytest.mark.parametrize("arch", ["sl", "jcc"])
 def test_crf_loss_is_one_graph_node(arch):
     model, units = _model(arch), ragged_units(arch)
-    loss = model.loss(units, training=True, rng=np.random.default_rng(2))
+    loss = model.loss(units, rng=np.random.default_rng(2))
     crf_params = model.crf.parameters()
     crf_nodes = [
         node
@@ -426,7 +439,7 @@ def test_heads_run_once_per_batch(arch, monkeypatch):
 
     monkeypatch.setattr(models, "attention", attention)
     monkeypatch.setattr(layers.Linear, "__call__", linear)
-    loss = model.loss(units, training=True, rng=np.random.default_rng(2))
+    loss = model.loss(units, rng=np.random.default_rng(2))
     heads = [model.hidden, model.out] if arch == "icc" else [model.project]
     assert projections == heads
     (node,) = attended
@@ -559,7 +572,7 @@ def test_finished_models_start_with_an_empty_projection_memo_that_loss_never_rea
     loaded = load_checkpoint(tmp_path / "m.json").model
     for model in (trained.model, loaded):
         assert model.memo.index == {}
-        model.loss(model.units(corpus), training=False)
+        model.loss(model.units(corpus))
         assert model.memo.index == {}
         model.predict(corpus)
         assert set(model.memo.index) == set(vocabulary(corpus))
@@ -874,6 +887,9 @@ def _corrupt_v3(header, body):
     yield "header not an object", _v3_bytes([], body), "not a model checkpoint"
     yield "format wrong", _v3_bytes(dict(header, format="other"), body), "format"
     yield "vocab not strings", _v3_bytes(dict(header, vocab=[1, 2]), body), "'vocab'"
+    yield "history missing", without("history"), "'history'"
+    yield "history not a list", _v3_bytes(dict(header, history=5), body), "'history'"
+    yield "history entry not an object", _v3_bytes(dict(header, history=[5]), body), "'history'"
     yield "config missing", without("config"), "'config'"
     yield "config bad key", _v3_bytes(dict(header, config={"nope": 1}), body), "'config'"
     config = dict(header["config"], hidden_dim=6.5)
@@ -965,9 +981,11 @@ def test_damaged_checkpoints_load_or_raise_value_error_naming_file(fuzz_checkpoi
     path, good = fuzz_checkpoint
     path.write_bytes(data.draw(damaged(good)))
     try:
-        load_checkpoint(path)
+        loaded = load_checkpoint(path)
     except ValueError as exc:
         assert str(path) in str(exc)
+    else:
+        assert all(isinstance(epoch, dict) for epoch in loaded.history)
 
 
 def test_non_finite_loss_stops_training():
@@ -985,9 +1003,9 @@ def test_non_finite_gradient_stops_training_before_the_step(monkeypatch):
     monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
     original = SlModel.loss
 
-    def poisoned(self, units, training=True, rng=None):
+    def poisoned(self, units, rng=None):
         # the bias is still zero, so the loss stays finite; its gradient overflows to inf
-        return original(self, units, training, rng) + (self.project.bias * 1e308).sum() * 1e308
+        return original(self, units, rng) + (self.project.bias * 1e308).sum() * 1e308
 
     monkeypatch.setattr(SlModel, "loss", poisoned)
     with np.errstate(over="ignore"):

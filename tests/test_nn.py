@@ -17,6 +17,7 @@ from stimex.nn import (
     dropout,
     glorot_uniform,
 )
+from stimex.nn.layers import _lstm
 
 
 def test_glorot_bounds_and_determinism():
@@ -35,7 +36,7 @@ def test_lstm_zero_weights_fixed_point():
     cell = Lstm("z", 3, 2, np.random.default_rng(0))
     for p in cell.parameters():
         p.data[...] = 0.0
-    states = cell.states(Tensor(np.ones((4, 3))), [4])
+    states = _lstm((cell,), (False,), Tensor(np.ones((4, 3))), [4])
     for h in states:
         assert np.allclose(h.data, 0.0)  # output gate 0.5 * tanh(0) = 0
 
@@ -43,15 +44,15 @@ def test_lstm_zero_weights_fixed_point():
 def test_lstm_rejects_empty_sequence():
     cell = Lstm("z", 3, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        cell.states(Tensor(np.zeros((0, 3))), [0])
+        _lstm((cell,), (False,), Tensor(np.zeros((0, 3))), [0])
 
 
 def test_lstm_state_shapes_and_order_dependence():
     cell = Lstm("c", 3, 5, np.random.default_rng(1))
     xs = np.random.default_rng(2).standard_normal((4, 3))
-    fwd = cell.states(Tensor(xs), [4])
+    fwd = _lstm((cell,), (False,), Tensor(xs), [4])
     assert fwd.shape == (4, 5)
-    swapped = cell.states(Tensor(xs[[1, 0, 2, 3]]), [4])
+    swapped = _lstm((cell,), (False,), Tensor(xs[[1, 0, 2, 3]]), [4])
     assert not np.allclose(fwd[3].data, swapped[3].data)
 
 
@@ -61,8 +62,8 @@ def test_bilstm_backward_equals_forward_on_reversed_input():
     for src, dst in zip(bi.fwd.parameters(), bi.bwd.parameters()):
         dst.data[...] = src.data
     xs = np.random.default_rng(8).standard_normal((5, 3))
-    fwd_rev = bi.fwd.states(Tensor(xs[::-1].copy()), [5])
-    bwd = bi.bwd.states(Tensor(xs), [5], reverse=True)
+    fwd_rev = _lstm((bi.fwd,), (False,), Tensor(xs[::-1].copy()), [5])
+    bwd = _lstm((bi.bwd,), (True,), Tensor(xs), [5])
     for t in range(5):
         assert np.array_equal(bwd[t].data, fwd_rev[4 - t].data)
 
@@ -87,8 +88,8 @@ def test_bilstm_output_layout():
         f, b = bi.run(xs, lengths)
         assert f.shape == b.shape == (6, 4)
         assert np.array_equal(out.data, np.concatenate([f.data, b.data], axis=1))
-        assert np.array_equal(f.data, bi.fwd.states(xs, lengths).data)
-        assert np.array_equal(b.data, bi.bwd.states(xs, lengths, reverse=True).data)
+        assert np.array_equal(f.data, _lstm((bi.fwd,), (False,), xs, lengths).data)
+        assert np.array_equal(b.data, _lstm((bi.bwd,), (True,), xs, lengths).data)
         projected = np.stack([xs.data @ bi.fwd.w_x.data, xs.data @ bi.bwd.w_x.data], axis=1)
         leaf = bi(projected, lengths)  # the inputs' rows already projected: no graph node
         assert np.array_equal(leaf.data, out.data) and not leaf.requires_grad
@@ -122,7 +123,8 @@ def test_bilstm_equals_its_two_single_direction_recurrences(lengths, xs_grad):
     fused, fused_grads = run(lambda: bi(xs, lengths))
     apart, apart_grads = run(
         lambda: concat(
-            [bi.fwd.states(xs, lengths), bi.bwd.states(xs, lengths, reverse=True)], axis=1
+            [_lstm((bi.fwd,), (False,), xs, lengths), _lstm((bi.bwd,), (True,), xs, lengths)],
+            axis=1,
         )
     )
     assert np.array_equal(fused, apart)
@@ -139,7 +141,7 @@ def test_lstm_gradients():
     target = Tensor(rng.standard_normal(3))
 
     def loss():
-        h = cell.states(xs, [4])[-1]
+        h = _lstm((cell,), (False,), xs, [4])[-1]
         return ((h - target) * (h - target)).sum()
 
     loss().backward()
@@ -174,7 +176,7 @@ def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
             (h * weights).sum().backward()
             return h.data, {p.name: p.grad for p in params}
 
-        fused, fused_grads = run(lambda c, x, r: c.states(x, [n], r))
+        fused, fused_grads = run(lambda c, x, r: _lstm((c,), (r,), x, [n]))
         oracle, oracle_grads = run(lstm_states_per_step)
         assert np.array_equal(fused, oracle)
         assert (fused_grads["xs"] is None) == (not xs_grad)
@@ -209,7 +211,7 @@ def test_packed_lstm_matches_per_step_oracle(lengths, reverse):
             (h * weights).sum().backward()
             return h.data, {p.name: p.grad for p in params}
 
-        packed, packed_grads = run(lambda c, x, r: c.states(x, lengths, r))
+        packed, packed_grads = run(lambda c, x, r: _lstm((c,), (r,), x, lengths))
         oracle, oracle_grads = run(per_sequence)
         assert np.max(np.abs(packed - oracle)) < 1e-12
         for name, g in oracle_grads.items():
@@ -245,7 +247,7 @@ def test_packed_lstm_rejects_bad_lengths():
     xs = Tensor(np.zeros((5, 3)))
     for lengths in ([3, 0, 2], [2, 2], [6]):
         with pytest.raises(ValueError):
-            cell.states(xs, lengths)
+            _lstm((cell,), (False,), xs, lengths)
 
 
 # -- attention -----------------------------------------------------------------
@@ -307,13 +309,13 @@ def test_attention_matches_graph_oracle(lengths):
 def test_dropout_identity_when_eval_or_zero():
     x = Tensor(np.ones((5, 5)))
     rng = np.random.default_rng(0)
-    assert dropout(x, 0.5, training=False, rng=rng) is x
-    assert dropout(x, 0.0, training=True, rng=rng) is x
+    assert dropout(x, 0.5, None) is x
+    assert dropout(x, 0.0, rng) is x
 
 
 def test_dropout_masks_and_rescales():
     x = Tensor(np.ones((2000,)))
-    out = dropout(x, 0.25, training=True, rng=np.random.default_rng(1)).data
+    out = dropout(x, 0.25, np.random.default_rng(1)).data
     kept = out[out != 0.0]
     assert np.allclose(kept, 1.0 / 0.75)
     assert abs(len(kept) / 2000 - 0.75) < 0.05
@@ -325,7 +327,7 @@ def test_dropout_rejects_bad_probability():
     rng = np.random.default_rng(0)
     for p in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
-            dropout(x, p, training=True, rng=rng)
+            dropout(x, p, rng)
 
 
 # -- linear / cross-entropy ------------------------------------------------------

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 
 from _oracles import damaged_brackets, preorder, random_tree_text, to_bracket
 from stimex.cli import main
-from stimex.corpus import Span
 from stimex.parsetree import MAX_DEPTH, BracketParseError, ConstTree, leaves, parse_bracket
 
 GOLDEN = "(S (NP (PRP I)) (VP (VBP am) (ADJP (JJ happy) (SBAR (IN because) (S (NP (PRP you)) (VP (VBD came)))))) (. .))"
@@ -23,16 +22,16 @@ def test_golden_structure():
     assert tree.label == "S"
     assert [c.label for c in tree.children] == ["NP", "VP", "."]
     assert leaves(tree) == ["I", "am", "happy", "because", "you", "came", "."]
-    assert tree.leaf_span == Span(0, 7)
+    assert (tree.start, tree.end) == (0, 7)
     sbar = tree.children[1].children[1].children[1]
     assert sbar.label == "SBAR"
-    assert sbar.leaf_span == Span(3, 6)
+    assert (sbar.start, sbar.end) == (3, 6)
 
 
 def test_leaf_spans_are_consecutive():
     tree = parse_bracket(GOLDEN)
-    spans = [n.leaf_span for n in tree.iter_nodes() if n.is_leaf()]
-    assert spans == [Span(k, k + 1) for k in range(7)]
+    spans = [(n.start, n.end) for n in tree.iter_nodes() if n.token is not None]
+    assert spans == [(k, k + 1) for k in range(7)]
 
 
 def test_labels_are_shared_between_parses():
@@ -99,7 +98,9 @@ def test_round_trip_on_random_trees():
         tree = parse_bracket(text)
         again = parse_bracket(to_bracket(tree))
         assert to_bracket(again) == to_bracket(tree) == text
-        assert [n.leaf_span for n in again.iter_nodes()] == [n.leaf_span for n in tree.iter_nodes()]
+        assert [(n.start, n.end) for n in again.iter_nodes()] == [
+            (n.start, n.end) for n in tree.iter_nodes()
+        ]
 
 
 def test_parent_span_is_hull_of_children():
@@ -108,10 +109,10 @@ def test_parent_span_is_hull_of_children():
         tree = parse_bracket(random_tree_text(rng))
         for node in tree.iter_nodes():
             if node.children:
-                assert node.leaf_span.start == node.children[0].leaf_span.start
-                assert node.leaf_span.end == node.children[-1].leaf_span.end
+                assert node.start == node.children[0].start
+                assert node.end == node.children[-1].end
                 for left, right in zip(node.children, node.children[1:]):
-                    assert left.leaf_span.end == right.leaf_span.start
+                    assert left.end == right.start
 
 
 @given(damaged_brackets(GOLDEN))
