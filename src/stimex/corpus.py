@@ -462,13 +462,22 @@ class SyntheticGrammar:
     Instances follow ``<subject> <verb> <adjective> [filler...]`` optionally
     continued by ``<connective> <filler...> .`` where the connective-led
     clause is the annotated stimulus.  ``lead_len`` bounds the tokens before
-    the stimulus and ``stimulus_len`` those of the stimulus clause, which an
-    instance has with probability ``stimulus_rate``.
+    the stimulus, three at least, and ``stimulus_len`` those of the stimulus
+    clause, two at least (the connective and one more), which an instance has
+    with probability ``stimulus_rate``.
     """
 
     stimulus_rate: float = 0.8
     lead_len: tuple[int, int] = (3, 6)
     stimulus_len: tuple[int, int] = (4, 8)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.stimulus_rate <= 1.0:
+            raise ValueError(f"stimulus_rate must be in [0, 1], got {self.stimulus_rate!r}")
+        for name, least in (("lead_len", 3), ("stimulus_len", 2)):
+            low, high = getattr(self, name)
+            if not least <= low <= high:
+                raise ValueError(f"{name} must be (low, high) with {least} <= low <= high")
 
 
 DEFAULT_GRAMMAR = SyntheticGrammar()

@@ -7,6 +7,7 @@ between adjacent labels, and start/end scores for the first and last label.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -150,21 +151,33 @@ def _score_path(
 
 
 def viterbi_decode(u: Tensor | np.ndarray, params: CrfParams) -> tuple[list[int], float]:
-    """Best label path and its score; ties break toward the lower label index."""
+    """Best label path and its score; ties break toward the lower label index.
+
+    The recursion runs on Python floats: a label's best predecessor is the
+    first maximum of ``delta[i] + trans[i, j]``, the same IEEE additions as
+    in NumPy, so path and score are those of the array recursion bit for bit.
+    Non-finite emissions are refused, as NaN compares unlike in ``np.argmax``.
+    """
     u, trans, start, end = _as_arrays(u, params)
-    n, num_labels = u.shape
-    if n == 0:
+    if u.ndim != 2 or u.shape[1] != params.num_labels:
+        raise ValueError(f"emissions of shape {u.shape} for {params.num_labels} labels")
+    if len(u) == 0:
         raise ValueError("empty emission sequence")
-    delta = u[0] + start
-    back = np.zeros((n, num_labels), dtype=int)
-    for t in range(1, n):
-        scores = delta[:, None] + trans
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(num_labels)] + u[t]
-    label = int(np.argmax(delta + end))
+    if not np.isfinite(u).all():
+        raise ValueError("non-finite emission score")
+    rows, columns = u.tolist(), list(zip(*trans.tolist()))  # columns[j] = trans[:, j]
+    delta = list(map(operator.add, rows[0], start.tolist()))
+    back = []
+    for row in rows[1:]:
+        scores = [list(map(operator.add, delta, col)) for col in columns]
+        best = list(map(max, scores))
+        back.append(list(map(list.index, scores, best)))
+        delta = list(map(operator.add, best, row))
+    final = list(map(operator.add, delta, end.tolist()))
+    label = final.index(max(final))
     path = [label]
-    for t in range(n - 1, 0, -1):
-        label = int(back[t, label])
+    for ptr in reversed(back):
+        label = ptr[label]
         path.append(label)
     path.reverse()
     return path, _score_path(u, np.asarray(path), trans, start, end)

@@ -41,6 +41,7 @@ from stimex.nn import (
     dropout,
     segment_mean,
 )
+from stimex.nn.layers import stacked_weights
 
 SELECTION_METRICS = ("accuracy", "f1")
 CHECKPOINT_FORMAT = "stimex-checkpoint"
@@ -218,10 +219,23 @@ class _ProjectionMemo:
     """A finished model's word-encoder input projections ``E[tok] @ w_x`` by the
     forward and backward cells, row ``index[tok]`` of ``rows``, filled in as
     tokens are first seen.  Unknown tokens share the key None and the zero
-    row's projection.  Once the table or a ``w_x`` array is replaced, it starts over."""
+    row's projection.  Once the table or a ``w_x`` array is replaced, it starts over.
+
+    It also keeps each BiLSTM's stacked ``w_h`` and ``bias``, ``stacks[encoder]``,
+    stacked again once one of those arrays is replaced."""
 
     def __init__(self):
         self.source, self.index, self.rows = (None,) * 3, {}, np.empty(0)
+        self.stacks: dict[BiLstm, tuple] = {}
+
+    def weights(self, encoder: BiLstm) -> tuple[np.ndarray, np.ndarray]:
+        """The ``stacked_weights`` of the encoder's two cells, for its ``weights``."""
+        cells = (encoder.fwd, encoder.bwd)
+        source = [p.data for cell in cells for p in (cell.w_h, cell.bias)]
+        entry = self.stacks.get(encoder)
+        if entry is None or any(map(operator.is_not, source, entry[0])):
+            entry = self.stacks[encoder] = source, stacked_weights(cells)
+        return entry[1]
 
     def __call__(self, embeddings: EmbeddingTable, encoder: BiLstm, tokens) -> np.ndarray:
         """(N, 2, 4h) input projections of ``tokens`` by the encoder's two cells."""
@@ -247,10 +261,12 @@ def _encode(
     encoder: BiLstm, embeddings: EmbeddingTable, token_lists: Sequence[Sequence[str]], memo=None
 ) -> tuple[Tensor, list[int]]:
     """Packed (N, 2h) BiLSTM states of the token lists, and their lengths; with
-    a ``memo``, from its input projections, as a leaf with no graph node."""
+    a ``memo``, from its input projections and stacked weights, as a leaf with
+    no graph node."""
     lengths, tokens = [len(toks) for toks in token_lists], _flat(token_lists)
-    xs = embeddings.lookup(tokens) if memo is None else memo(embeddings, encoder, tokens)
-    return encoder(xs, lengths), lengths
+    if memo is None:
+        return encoder(embeddings.lookup(tokens), lengths), lengths
+    return encoder(memo(embeddings, encoder, tokens), lengths, memo.weights(encoder)), lengths
 
 
 def _stimulus_flags(logits: Tensor) -> list[bool]:
@@ -459,7 +475,9 @@ class JccModel(_CrfModel, _ClauseModel):
         # final forward state and first backward state of each clause
         vectors = concat([words[ends - 1, :h], words[ends - widths, h:]], axis=1)
         counts = [len(doc) for doc in documents]
-        return self.clause_encoder2(self.clause_encoder1(vectors, counts), counts), counts
+        for encoder in (self.clause_encoder1, self.clause_encoder2):
+            vectors = encoder(vectors, counts, None if memo is None else memo.weights(encoder))
+        return vectors, counts
 
 
 MODELS: dict[str, type[Model]] = {cls.architecture: cls for cls in (SlModel, IccModel, JccModel)}
@@ -631,7 +649,8 @@ def _shape(value) -> list[int]:
 
 
 def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
-    """Read-only views of a version-3 payload, keyed by name; sizes are checked first."""
+    """Read-only views of a version-3 payload, keyed by name; sizes are checked
+    first, then that every value is finite."""
     layout, offset = {}, 0
     for item in _entry(header, "arrays", list):
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
@@ -657,6 +676,8 @@ def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
             arrays[name] = np.frombuffer(body, "<f8", count, start).reshape(shape)
         except ValueError as exc:
             raise ValueError(f"array {name!r}: {exc}") from None
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"array {name!r} holds a non-finite value")
     return arrays
 
 

@@ -50,7 +50,13 @@ def _unpad(grid: np.ndarray, spans, reverse: bool = False, rows=None) -> np.ndar
     return rows
 
 
-def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths) -> Tensor:
+def stacked_weights(cells) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, h, 4h) ``w_h`` and (D, 1, 4h) ``bias`` arrays of D LSTM ``cells``."""
+    w_h = np.stack([cell.w_h.data for cell in cells])
+    return w_h, np.stack([cell.bias.data for cell in cells])[:, None]
+
+
+def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths, weights=None) -> Tensor:
     """Hidden states of D LSTM ``cells`` over the same packed sequences, as one
     (N, D*h) graph node whose columns ``d*h:(d+1)*h`` are cell d's states.
 
@@ -63,7 +69,10 @@ def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths) -> Tensor:
     right-padded, and reversed within its own length where ``reverse[d]`` is
     set; padded rows compute on zero input, are never read and get an exactly
     zero gradient, so the loop needs no masks.  The input projection and the
-    parameter and ``xs`` gradients take one matmul or sum per cell.
+    parameter and ``xs`` gradients take one matmul or sum per cell.  The
+    cells' ``w_h`` and ``bias``, stacked as (D, h, 4h) and (D, 1, 4h) arrays,
+    are stacked on each call, or passed in as ``weights`` by a finished model,
+    which keeps them from call to call (see ``stacked_weights``).
 
     The forward pass keeps the per-step graph's operation order,
     ``(xw[t] + h @ w_h) + bias`` (added to ``h @ w_h`` in place, as addition
@@ -76,8 +85,7 @@ def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths) -> Tensor:
     spans = _packed_spans(xs.shape[0], lengths)
     steps, depth, width = max(size for _, size in spans), len(cells), len(spans)
     hd = cells[0].hidden_dim
-    w_h = np.stack([cell.w_h.data for cell in cells])  # (D, h, 4h)
-    bias = np.stack([cell.bias.data for cell in cells])[:, None]  # (D, 1, 4h)
+    w_h, bias = stacked_weights(cells) if weights is None else weights
     xw = np.zeros((steps, depth, width, 4 * hd))
     projected = isinstance(xs, np.ndarray)
     for d, (cell, rev) in enumerate(zip(cells, reverse)):
@@ -86,16 +94,17 @@ def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths) -> Tensor:
     cs, tcs, hs = np.empty((3, steps, depth, width, hd))
     i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
     pre, ig = np.empty((depth, width, 4 * hd)), np.empty((depth, width, hd))
+    pre_g = pre[..., 2 * hd : 3 * hd]
     h, c = np.zeros((2, depth, width, hd))
-    for t in range(steps):
+    for xw_t, act_t, c_t, tc_t, h_t, i_t, f_t, g_t, o_t in zip(xw, acts, cs, tcs, hs, i, f, g, o):
         np.matmul(h, w_h, out=pre)
-        pre += xw[t]
+        pre += xw_t
         pre += bias
-        stable_sigmoid(pre, out=acts[t])
-        np.tanh(pre[..., 2 * hd : 3 * hd], out=g[t])
-        c = np.multiply(f[t], c, out=cs[t])
-        c += np.multiply(i[t], g[t], out=ig)
-        h = np.multiply(o[t], np.tanh(c, out=tcs[t]), out=hs[t])
+        stable_sigmoid(pre, out=act_t)
+        np.tanh(pre_g, out=g_t)
+        c = np.multiply(f_t, c, out=c_t)
+        c += np.multiply(i_t, g_t, out=ig)
+        h = np.multiply(o_t, np.tanh(c, out=tc_t), out=h_t)
     out = np.empty((xs.shape[0], depth * hd))
     for d, rev in enumerate(reverse):
         _unpad(hs[:, d], spans, rev, out[:, d * hd : (d + 1) * hd])
@@ -174,8 +183,8 @@ class BiLstm:
         out, hd = self(xs, lengths), self.fwd.hidden_dim
         return out[:, :hd], out[:, hd:]
 
-    def __call__(self, xs: Tensor | np.ndarray, lengths) -> Tensor:
-        return _lstm((self.fwd, self.bwd), (False, True), xs, lengths)  # (N, 2h)
+    def __call__(self, xs: Tensor | np.ndarray, lengths, weights=None) -> Tensor:
+        return _lstm((self.fwd, self.bwd), (False, True), xs, lengths, weights)  # (N, 2h)
 
 
 def attention(h: Tensor, lengths) -> Tensor:

@@ -26,10 +26,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function whose exponent is never positive, so it never overflows:
     ``where(x >= 0, 1, e) / (1 + e)`` with ``e = exp(-|x|)``, into ``out`` if given.
-    The numerator is ``max(e, x >= 0)``, exact because ``e`` lies in [0, 1]."""
-    e = np.copysign(x, -1.0)
+    The numerator is ``max(sign(x), e)``, exact because ``e`` lies in [0, 1] and is
+    1 where ``x`` is zero; each pass is one plain float ufunc."""
+    e = np.abs(x)
+    np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0, out=out)
+    out = np.sign(x, out=out)
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out

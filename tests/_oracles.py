@@ -171,6 +171,28 @@ def score_sequence(u: Tensor | np.ndarray, y, params: CrfParams) -> Tensor:
     return Tensor(_score_path(u, y, trans, start, end))
 
 
+def array_viterbi_decode(u: Tensor | np.ndarray, params: CrfParams) -> tuple[list[int], float]:
+    """Best label path and its score; ties break toward the lower label index.
+    The recursion on NumPy arrays, one vectorised max-plus step per position."""
+    u, trans, start, end = _as_arrays(u, params)
+    n, num_labels = u.shape
+    if n == 0:
+        raise ValueError("empty emission sequence")
+    delta = u[0] + start
+    back = np.zeros((n, num_labels), dtype=int)
+    for t in range(1, n):
+        scores = delta[:, None] + trans
+        back[t] = np.argmax(scores, axis=0)
+        delta = scores[back[t], np.arange(num_labels)] + u[t]
+    label = int(np.argmax(delta + end))
+    path = [label]
+    for t in range(n - 1, 0, -1):
+        label = int(back[t, label])
+        path.append(label)
+    path.reverse()
+    return path, _score_path(u, np.asarray(path), trans, start, end)
+
+
 def brute_force_log_partition(u: Tensor | np.ndarray, params: CrfParams) -> float:
     """Exhaustive log-sum-exp over all label paths (oracle; small inputs only)."""
     u, trans, start, end = _as_arrays(u, params)
@@ -378,12 +400,17 @@ def damaged_bytes(good: bytes):
 
 
 def damaged(good: bytes):
-    """``good`` cut at any byte, with any byte (or a header byte) overwritten, with the
-    header line, one header entry or one item of a header list replaced by any JSON
-    value, with one header entry dropped, or any bytes."""
+    """``good`` cut at any byte, with any byte (or a header byte) overwritten, with one
+    payload value made NaN or infinite, with the header line, one header entry or one
+    item of a header list replaced by any JSON value, with one header entry dropped, or
+    any bytes."""
     header_end = good.index(b"\n")
     header, body = json.loads(good[:header_end]), good[header_end + 1 :]
     lists = sorted(key for key, value in header.items() if isinstance(value, list) and value)
+
+    def with_value(at, value):
+        at = header_end + 1 + 8 * (at % (len(body) // 8))
+        return good[:at] + np.array(value, "<f8").tobytes() + good[at + 8 :]
 
     def line(value, rest):
         return json.dumps(value).encode("utf-8") + b"\n" + rest
@@ -396,6 +423,7 @@ def damaged(good: bytes):
     return st.one_of(
         damaged_bytes(good),
         st.builds(_overwrite, st.just(good), st.integers(0, header_end), st.integers(0, 255)),
+        st.builds(with_value, st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf])),
         st.builds(
             lambda key, value: line({**header, key: value}, body),
             st.sampled_from(sorted(header)),

@@ -392,6 +392,22 @@ def test_predict_names_damaged_parameter(tmp_path, corpus_path, capsys):
     assert str(ckpt) in err and "'project.weight'" in err
 
 
+def test_predict_refuses_a_checkpoint_holding_a_non_finite_value(tmp_path, corpus_path, capsys):
+    _, ckpt, _ = pipeline(tmp_path, corpus_path)
+    header = checkpoint_header(ckpt)
+    names = [name for name, _ in header["arrays"]]
+    sizes = [8 * math.prod(shape) for _, shape in header["arrays"]]
+    data = ckpt.read_bytes()
+    at = data.index(b"\n") + 1 + sum(sizes[: names.index("crf.end_scores")])
+    ckpt.write_bytes(data[:at] + np.array(np.nan, "<f8").tobytes() + data[at + 8 :])
+    capsys.readouterr()
+    out = tmp_path / "again.jsonl"
+    assert run("predict", "--corpus", corpus_path, "--checkpoint", ckpt, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: array 'crf.end_scores' holds a non-finite value\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """A short corpus, a small valid checkpoint's bytes and its path, and an output path."""

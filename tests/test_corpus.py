@@ -15,6 +15,7 @@ from stimex.corpus import (
     CorpusStats,
     Instance,
     Span,
+    SyntheticGrammar,
     compute_stats,
     format_stats_csv,
     generate_synthetic,
@@ -390,3 +391,30 @@ def test_synthetic_is_self_consistent():
 def test_synthetic_mixes_stimulus_presence():
     flags = [bool(iob_to_spans(i.iob)) for i in generate_synthetic(60, seed=2)]
     assert any(flags) and not all(flags)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stimulus_rate", -0.1),
+        ("stimulus_rate", 1.5),
+        ("lead_len", (1, 1)),
+        ("lead_len", (2, 6)),
+        ("lead_len", (6, 5)),
+        ("stimulus_len", (1, 1)),
+        ("stimulus_len", (0, 4)),
+        ("stimulus_len", (8, 4)),
+    ],
+)
+def test_synthetic_grammar_refuses_bounds_it_cannot_generate(field, value):
+    with pytest.raises(ValueError, match=field):
+        SyntheticGrammar(**{field: value})
+
+
+def test_synthetic_grammar_at_its_least_bounds_writes_those_lengths():
+    grammar = SyntheticGrammar(stimulus_rate=1.0, lead_len=(3, 3), stimulus_len=(2, 2))
+    for inst in generate_synthetic(10, seed=4, grammar=grammar):
+        inst.validate()
+        assert len(inst.tokens) == 3 + 2 + 1
+        assert iob_to_spans(inst.iob) == [Span(3, 5)]
+        assert parse_bracket(inst.parse).end == len(inst.tokens)

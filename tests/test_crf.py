@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    array_viterbi_decode,
     brute_force_log_partition,
     finite_difference,
     gradient_gap,
@@ -93,6 +94,34 @@ def test_tie_breaks_toward_lower_label():
     u = np.zeros((2, 3))  # every path scores 0
     assert viterbi_decode(u, params)[0] == [0, 0]
     assert brute_force_decode(u, params)[0] == [0, 0]
+
+
+def test_viterbi_equals_the_array_recursion_bit_for_bit():
+    """Path and score equal the NumPy recursion's, on 1-5 labels and 1-60 positions.
+    Half the inputs are small integers, so that equal scores, and with them ties
+    between predecessors and between final labels, are common."""
+    rng = np.random.default_rng(2020)
+    for k in range(5000):
+        num_labels, n = int(rng.integers(1, 6)), int(rng.integers(1, 61))
+
+        def draw(shape):
+            if k % 2:
+                return rng.integers(-2, 3, shape).astype(float)
+            return 3 * rng.standard_normal(shape)
+
+        params = CrfParams("crf", num_labels)
+        for p in params.parameters():
+            p.data[...] = draw(p.data.shape)
+        u = draw((n, num_labels))
+        assert viterbi_decode(u, params) == array_viterbi_decode(u, params), k
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_viterbi_refuses_non_finite_emissions(value):
+    u = np.zeros((4, 3))
+    u[2, 1] = value
+    with pytest.raises(ValueError, match="non-finite emission"):
+        viterbi_decode(u, fresh_params(3))
 
 
 def test_decode_score_matches_gold_path_score():
@@ -190,6 +219,8 @@ def test_input_validation():
         log_partition(np.zeros((2, 3)), params)
     with pytest.raises(ValueError):
         viterbi_decode(np.zeros((0, 2)), params)
+    with pytest.raises(ValueError, match="shape"):
+        viterbi_decode(np.zeros((2, 3)), params)
     with pytest.raises(ValueError):
         CrfParams("bad", 0)
 

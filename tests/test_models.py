@@ -4,8 +4,10 @@ import base64
 import builtins
 import dataclasses
 import gc
+import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -515,8 +517,9 @@ def test_batched_prediction_equals_prediction_one_by_one(arch, finished):
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
 def test_projection_memo_follows_new_weights(arch):
-    """After predicting, a second ``_load_state`` or an assigned ``w_x`` gives the
-    predictions and scores of a model with those weights that never predicted."""
+    """After predicting, a second ``_load_state`` or an assigned ``w_x``, ``w_h`` or
+    ``bias`` (for ``jcc`` in the word and in a clause encoder) gives the predictions
+    and scores of a model with those weights that never predicted."""
     instances = ragged_instances(12)
     model = _finished(_model(arch))
     before = _scores(model, instances)
@@ -535,6 +538,16 @@ def test_projection_memo_follows_new_weights(arch):
         cell.w_x.data = cell.w_x.data * -1.5
     assert np.array_equal(_scores(model, instances), _scores(_finished(loaded), instances))
     assert model.predict(instances) == loaded.predict(instances)
+    cells = ["word_encoder.fwd", "clause_encoder1.bwd"] if arch == "jcc" else ["encoder.fwd"]
+    for path, (name, scale) in itertools.product(cells, [("w_h", 0.5), ("bias", -2.0)]):
+        before = _scores(model, instances)
+        for m in (model, loaded):
+            p = getattr(operator.attrgetter(path)(m), name)
+            p.data = p.data * scale
+        scores = _scores(model, instances)
+        assert np.array_equal(scores, _scores(_finished(loaded), instances)), (path, name)
+        assert not np.array_equal(scores, before)
+        assert model.predict(instances) == loaded.predict(instances)
 
 
 # -- training ----------------------------------------------------------------------------
@@ -567,15 +580,22 @@ def test_train_rejects_bad_input():
 
 
 def test_finished_models_start_with_an_empty_projection_memo_that_loss_never_reads(tmp_path):
-    corpus, trained = _small_trained()
-    save_checkpoint(trained, tmp_path / "m.json")
-    loaded = load_checkpoint(tmp_path / "m.json").model
-    for model in (trained.model, loaded):
-        assert model.memo.index == {}
-        model.loss(model.units(corpus))
-        assert model.memo.index == {}
-        model.predict(corpus)
-        assert set(model.memo.index) == set(vocabulary(corpus))
+    """For each architecture: neither the projections nor the stacked recurrent
+    weights are memoised before predicting, or by ``loss``."""
+    for arch in MODELS:
+        corpus, trained = _small_trained(arch)
+        save_checkpoint(trained, tmp_path / "m.json")
+        loaded = load_checkpoint(tmp_path / "m.json").model
+        lists = [toks for inst in corpus for toks in clause_token_lists(inst)]
+        words = vocabulary(corpus) if arch == "sl" else [tok for toks in lists for tok in toks]
+        for model in (trained.model, loaded):
+            assert model.memo.index == {} and model.memo.stacks == {}
+            model.loss(model.units(corpus))
+            assert model.memo.index == {} and model.memo.stacks == {}
+            model.predict(corpus)
+            assert set(model.memo.index) == set(words)
+            encoders = [v for v in vars(model).values() if isinstance(v, layers.BiLstm)]
+            assert list(model.memo.stacks) == encoders
 
 
 def test_sl_overfits_small_corpus():
@@ -880,6 +900,11 @@ def _corrupt_v3(header, body):
         dict(header, arrays=arrays[1:]), body[embedding_bytes:]
     ), "'embedding'"
     yield "payload short", good[:-8], f"{names[-1]!r}"
+    sizes = [8 * math.prod(shape) for _, shape in arrays]
+    for name, value in (("crf.end_scores", np.nan), ("embedding", -np.inf)):
+        at = head_len + 1 + sum(sizes[: names.index(name)])
+        bad = good[:at] + np.array(value, "<f8").tobytes() + good[at + 8 :]
+        yield f"{value} in {name}", bad, f"array {name!r} holds a non-finite value"
     yield "trailing bytes", good + b"\0" * 8, "8 bytes follow the last array"
     yield "header not UTF-8", b"\xff" + good[1:], "header"
     yield "header not JSON", good[: head_len - 1] + good[head_len:], "header"
