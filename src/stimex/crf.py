@@ -156,7 +156,8 @@ def viterbi_decode(u: Tensor | np.ndarray, params: CrfParams) -> tuple[list[int]
     The recursion runs on Python floats: a label's best predecessor is the
     first maximum of ``delta[i] + trans[i, j]``, the same IEEE additions as
     in NumPy, so path and score are those of the array recursion bit for bit.
-    Non-finite emissions are refused, as NaN compares unlike in ``np.argmax``.
+    Non-finite emissions or CRF parameters are refused, as NaN compares unlike
+    in ``np.argmax``.
     """
     u, trans, start, end = _as_arrays(u, params)
     if u.ndim != 2 or u.shape[1] != params.num_labels:
@@ -165,6 +166,9 @@ def viterbi_decode(u: Tensor | np.ndarray, params: CrfParams) -> tuple[list[int]
         raise ValueError("empty emission sequence")
     if not np.isfinite(u).all():
         raise ValueError("non-finite emission score")
+    for p in params.parameters():
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"non-finite value in CRF parameter {p.name!r}")
     rows, columns = u.tolist(), list(zip(*trans.tolist()))  # columns[j] = trans[:, j]
     delta = list(map(operator.add, rows[0], start.tolist()))
     back = []

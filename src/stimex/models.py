@@ -41,7 +41,6 @@ from stimex.nn import (
     dropout,
     segment_mean,
 )
-from stimex.nn.layers import stacked_weights
 
 SELECTION_METRICS = ("accuracy", "f1")
 CHECKPOINT_FORMAT = "stimex-checkpoint"
@@ -217,30 +216,16 @@ def _chunks(items: Sequence, size: int) -> list[Sequence]:
 
 class _ProjectionMemo:
     """A finished model's word-encoder input projections ``E[tok] @ w_x`` by the
-    forward and backward cells, row ``index[tok]`` of ``rows``, filled in as
+    forward and backward directions, row ``index[tok]`` of ``rows``, filled in as
     tokens are first seen.  Unknown tokens share the key None and the zero
-    row's projection.  Once the table or a ``w_x`` array is replaced, it starts over.
-
-    It also keeps each BiLSTM's stacked ``w_h`` and ``bias``, ``stacks[encoder]``,
-    stacked again once one of those arrays is replaced."""
+    row's projection.  Once the table or a ``w_x`` array is replaced, it starts over."""
 
     def __init__(self):
         self.source, self.index, self.rows = (None,) * 3, {}, np.empty(0)
-        self.stacks: dict[BiLstm, tuple] = {}
-
-    def weights(self, encoder: BiLstm) -> tuple[np.ndarray, np.ndarray]:
-        """The ``stacked_weights`` of the encoder's two cells, for its ``weights``."""
-        cells = (encoder.fwd, encoder.bwd)
-        source = [p.data for cell in cells for p in (cell.w_h, cell.bias)]
-        entry = self.stacks.get(encoder)
-        if entry is None or any(map(operator.is_not, source, entry[0])):
-            entry = self.stacks[encoder] = source, stacked_weights(cells)
-        return entry[1]
 
     def __call__(self, embeddings: EmbeddingTable, encoder: BiLstm, tokens) -> np.ndarray:
-        """(N, 2, 4h) input projections of ``tokens`` by the encoder's two cells."""
-        cells = (encoder.fwd, encoder.bwd)
-        source = (embeddings, *(cell.w_x.data for cell in cells))
+        """(N, 2, 4h) input projections of ``tokens`` by the encoder's two directions."""
+        source = (embeddings, *(w_x.data for w_x in encoder.w_x))
         if any(map(operator.is_not, source, self.source)):
             self.source, self.index, self.rows = source, {}, np.empty(0)
         keys = [tok if tok in embeddings.index else None for tok in tokens]
@@ -250,9 +235,9 @@ class _ProjectionMemo:
             x = embeddings.lookup(new * 2 if len(new) == 1 else new).data
             n, m = len(self.index), len(new)
             if n + m > len(self.rows):  # doubling, so filling costs O(1) per row
-                self.rows = np.resize(self.rows, (2 * (n + m), 2, 4 * encoder.fwd.hidden_dim))
-            for d, cell in enumerate(cells):
-                self.rows[n : n + m, d] = (x @ cell.w_x.data)[:m]
+                self.rows = np.resize(self.rows, (2 * (n + m), 2, 4 * encoder.hidden_dim))
+            for d, w_x in enumerate(encoder.w_x):
+                self.rows[n : n + m, d] = (x @ w_x.data)[:m]
             self.index.update(zip(new, range(n, n + m)))
         return self.rows[[self.index[key] for key in keys]]
 
@@ -261,12 +246,11 @@ def _encode(
     encoder: BiLstm, embeddings: EmbeddingTable, token_lists: Sequence[Sequence[str]], memo=None
 ) -> tuple[Tensor, list[int]]:
     """Packed (N, 2h) BiLSTM states of the token lists, and their lengths; with
-    a ``memo``, from its input projections and stacked weights, as a leaf with
-    no graph node."""
+    a ``memo``, from its input projections, as a leaf with no graph node."""
     lengths, tokens = [len(toks) for toks in token_lists], _flat(token_lists)
     if memo is None:
         return encoder(embeddings.lookup(tokens), lengths), lengths
-    return encoder(memo(embeddings, encoder, tokens), lengths, memo.weights(encoder)), lengths
+    return encoder(memo(embeddings, encoder, tokens), lengths), lengths
 
 
 def _stimulus_flags(logits: Tensor) -> list[bool]:
@@ -277,22 +261,26 @@ def _stimulus_flags(logits: Tensor) -> list[bool]:
 class Model:
     """What ``train``, ``stimex predict`` and the checkpoints use of a model.
 
-    Besides ``parameters`` and ``loss``, the summed loss of a mini-batch,
-    with dropout only when given an ``rng``, a model has ``units``, the
-    training units its ``loss`` takes, built from instances; ``predict``,
-    each instance's labels in the model's own unit (IOB labels or clause
-    flags); ``gold`` and ``f1``, the gold labels in that unit and their F1
-    score; and ``store_prediction``, which puts labels on an instance.  A
-    constructor given ``rng=None`` leaves the weights uninitialised, for a
-    checkpoint to fill.
+    Besides ``layers``, whose parameters are the model's, and ``loss``, the
+    summed loss of a mini-batch, with dropout only when given an ``rng``, a
+    model has ``units``, the training units its ``loss`` takes, built from
+    instances; ``predict``, each instance's labels in the model's own unit
+    (IOB labels or clause flags); ``gold`` and ``f1``, the gold labels in that
+    unit and their F1 score; and ``store_prediction``, which puts labels on an
+    instance.  A constructor given ``rng=None`` leaves the weights
+    uninitialised, for a checkpoint to fill.
     """
 
     architecture: str
+    layers: tuple  # in checkpoint order
 
     def __init__(self, embeddings: EmbeddingTable, config: TrainConfig):
         self.embeddings = embeddings
         self.config = config
         self.memo: _ProjectionMemo | None = None  # set by _load_state; only predict reads it
+
+    def parameters(self) -> list[Parameter]:
+        return [p for layer in self.layers for p in layer.parameters()]
 
     def dev_score(self, instances: Sequence[Instance], metric: str) -> float:
         """The selection ``metric`` on ``instances``: label accuracy or F1."""
@@ -349,9 +337,7 @@ class SlModel(_CrfModel):
         self.encoder = BiLstm("encoder", embeddings.dim, h, rng)
         self.project = Linear("project", 4 * h, len(IOB_LABELS), rng)
         self.crf = crf.CrfParams("crf", len(IOB_LABELS))
-
-    def parameters(self) -> list[Parameter]:
-        return self.encoder.parameters() + self.project.parameters() + self.crf.parameters()
+        self.layers = (self.encoder, self.project, self.crf)
 
     def input(self, instance: Instance) -> list[str]:
         return instance.tokens
@@ -399,9 +385,7 @@ class IccModel(_ClauseModel):
         self.encoder = BiLstm("encoder", embeddings.dim, h, rng)
         self.hidden = Linear("hidden", 4 * h, h, rng)
         self.out = Linear("out", h, 2, rng)
-
-    def parameters(self) -> list[Parameter]:
-        return self.encoder.parameters() + self.hidden.parameters() + self.out.parameters()
+        self.layers = (self.encoder, self.hidden, self.out)
 
     def logits(self, clause_lists: Sequence[Sequence[str]], rng=None, memo=None) -> Tensor:
         """(R, 2) class logits of R clauses, from one pass over the packed batch."""
@@ -447,14 +431,12 @@ class JccModel(_CrfModel, _ClauseModel):
         self.clause_encoder2 = BiLstm("clause_encoder2", 2 * h, h, rng)
         self.project = Linear("project", 4 * h, 2, rng)
         self.crf = crf.CrfParams("crf", 2)
-
-    def parameters(self) -> list[Parameter]:
-        return (
-            self.word_encoder.parameters()
-            + self.clause_encoder1.parameters()
-            + self.clause_encoder2.parameters()
-            + self.project.parameters()
-            + self.crf.parameters()
+        self.layers = (
+            self.word_encoder,
+            self.clause_encoder1,
+            self.clause_encoder2,
+            self.project,
+            self.crf,
         )
 
     def input(self, instance: Instance) -> list[list[str]]:
@@ -476,7 +458,7 @@ class JccModel(_CrfModel, _ClauseModel):
         vectors = concat([words[ends - 1, :h], words[ends - widths, h:]], axis=1)
         counts = [len(doc) for doc in documents]
         for encoder in (self.clause_encoder1, self.clause_encoder2):
-            vectors = encoder(vectors, counts, None if memo is None else memo.weights(encoder))
+            vectors = encoder(vectors, counts)
         return vectors, counts
 
 
@@ -500,23 +482,38 @@ class TrainedModel:
     history: list[dict]
 
 
+def _arrays(model: Model) -> list[tuple[str, np.ndarray]]:
+    """The model's parameter arrays by checkpoint name, in checkpoint order: a
+    BiLSTM's per direction (``BiLstm.arrays``), another layer's parameters whole."""
+    entries = []
+    for layer in model.layers:
+        if isinstance(layer, BiLstm):
+            entries += layer.arrays()
+        else:
+            entries += [(p.name, p.data) for p in layer.parameters()]
+    return entries
+
+
 def _state_dict(model: Model) -> dict[str, np.ndarray]:
-    return {p.name: p.data.copy() for p in model.parameters()}
+    return {name: arr.copy() for name, arr in _arrays(model)}
 
 
 def _load_state(model: Model, state: dict[str, np.ndarray]) -> None:
-    params = {p.name: p for p in model.parameters()}
-    if set(params) != set(state):
-        missing = sorted(set(params) - set(state))
-        extra = sorted(set(state) - set(params))
+    """Give every parameter a new array of its own, filled from ``state`` by
+    checkpoint name; a ``state`` that does not fit changes nothing."""
+    shapes = {name: arr.shape for name, arr in _arrays(model)}
+    if set(shapes) != set(state):
+        missing = sorted(set(shapes) - set(state))
+        extra = sorted(set(state) - set(shapes))
         raise ValueError(f"parameter name mismatch: missing {missing}, unexpected {extra}")
-    for name, p in params.items():
-        arr = np.asarray(state[name], dtype=np.float64)
-        if arr.shape != p.data.shape:
-            raise ValueError(
-                f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
-            )
-        p.data = arr.copy()
+    values = {name: np.asarray(value, dtype=np.float64) for name, value in state.items()}
+    for name, shape in shapes.items():
+        if values[name].shape != shape:
+            raise ValueError(f"parameter {name!r} has shape {values[name].shape}, expected {shape}")
+    for p in model.parameters():
+        p.data = np.empty_like(p.data)
+    for name, arr in _arrays(model):
+        arr[...] = values[name]
     model.memo = _ProjectionMemo()
 
 
@@ -618,8 +615,7 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     """Write ``trained`` to ``path`` through a temporary file, so a failed save leaves
     no partial file at ``path`` and keeps any checkpoint already there."""
     model = trained.model
-    arrays = [("embedding", model.embeddings.matrix)]
-    arrays += [(p.name, p.data) for p in model.parameters()]
+    arrays = [("embedding", model.embeddings.matrix), *_arrays(model)]
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -729,7 +725,7 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
     if "embedding" not in state:
         raise ValueError("'arrays' has no 'embedding' entry")
     if 8 * config.hidden_dim**2 > sum(arr.size for arr in state.values()):
-        # every model's BiLSTM has two (h, 4h) w_h arrays: refuse before allocating them
+        # every model's BiLSTM has a (2, h, 4h) w_h array: refuse before allocating it
         raise ValueError(f"'config': hidden_dim {config.hidden_dim} does not fit the arrays")
     try:
         # a copy, so that the table owns its rows instead of viewing the file's bytes

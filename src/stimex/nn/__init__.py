@@ -4,7 +4,6 @@ from stimex.nn.tensor import Parameter, Tensor, as_tensor, concat
 from stimex.nn.layers import (
     BiLstm,
     Linear,
-    Lstm,
     attention,
     cross_entropy,
     dropout,
@@ -17,7 +16,6 @@ __all__ = [
     "Adam",
     "BiLstm",
     "Linear",
-    "Lstm",
     "Parameter",
     "Tensor",
     "as_tensor",

@@ -50,52 +50,43 @@ def _unpad(grid: np.ndarray, spans, reverse: bool = False, rows=None) -> np.ndar
     return rows
 
 
-def stacked_weights(cells) -> tuple[np.ndarray, np.ndarray]:
-    """The (D, h, 4h) ``w_h`` and (D, 1, 4h) ``bias`` arrays of D LSTM ``cells``."""
-    w_h = np.stack([cell.w_h.data for cell in cells])
-    return w_h, np.stack([cell.bias.data for cell in cells])[:, None]
-
-
-def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths, weights=None) -> Tensor:
-    """Hidden states of D LSTM ``cells`` over the same packed sequences, as one
-    (N, D*h) graph node whose columns ``d*h:(d+1)*h`` are cell d's states.
+def _lstm(lstm: BiLstm, xs: Tensor | np.ndarray, lengths) -> Tensor:
+    """Hidden states of both directions of ``lstm`` over the same packed sequences,
+    as one (N, 2h) graph node whose columns ``d*h:(d+1)*h`` are direction d's.
 
     ``xs`` holds R sequences of the given ``lengths`` as consecutive rows: a
-    Tensor of inputs, or an (N, D, 4h) array of their rows already projected
-    by each cell's ``w_x``, whose states are a leaf with no graph node.
-    All D cells run in one loop over max(lengths) steps on step-major
-    (T, D, R, .) arrays: one stacked (D, R, h) @ (D, h, 4h) matmul per step,
-    and each elementwise operation covers every cell.  Each sequence is
-    right-padded, and reversed within its own length where ``reverse[d]`` is
-    set; padded rows compute on zero input, are never read and get an exactly
-    zero gradient, so the loop needs no masks.  The input projection and the
-    parameter and ``xs`` gradients take one matmul or sum per cell.  The
-    cells' ``w_h`` and ``bias``, stacked as (D, h, 4h) and (D, 1, 4h) arrays,
-    are stacked on each call, or passed in as ``weights`` by a finished model,
-    which keeps them from call to call (see ``stacked_weights``).
+    Tensor of inputs, or an (N, 2, 4h) array of their rows already projected
+    by each direction's ``w_x``, whose states are a leaf with no graph node.
+    Both directions run in one loop over max(lengths) steps on step-major
+    (T, 2, R, .) arrays: one stacked (2, R, h) @ (2, h, 4h) matmul per step
+    with the layer's ``w_h``, and each elementwise operation covers both
+    directions.  Each sequence is right-padded, and for direction 1 reversed
+    within its own length; padded rows compute on zero input, are never read
+    and get an exactly zero gradient, so the loop needs no masks.  The input
+    projection and the ``w_x`` and ``xs`` gradients take one matmul per
+    direction.
 
     The forward pass keeps the per-step graph's operation order,
     ``(xw[t] + h @ w_h) + bias`` (added to ``h @ w_h`` in place, as addition
-    commutes), so a cell's values are bit-identical to that graph's, whatever
-    cells run beside it.  Every step, forward and backward, writes into
-    arrays allocated once per call.  It caches what
+    commutes), so a direction's values are bit-identical to that graph's,
+    whatever the other direction holds.  Every step, forward and backward,
+    writes into arrays allocated once per call.  It caches what
     backpropagation through time needs: the gate activations ``acts``, the
     cell states ``cs``, their tanh ``tcs`` and the outputs ``hs``.
     """
     spans = _packed_spans(xs.shape[0], lengths)
-    steps, depth, width = max(size for _, size in spans), len(cells), len(spans)
-    hd = cells[0].hidden_dim
-    w_h, bias = stacked_weights(cells) if weights is None else weights
-    xw = np.zeros((steps, depth, width, 4 * hd))
+    steps, width, hd = max(size for _, size in spans), len(spans), lstm.hidden_dim
+    w_h, bias = lstm.w_h.data, lstm.bias.data[:, None]
+    xw = np.zeros((steps, 2, width, 4 * hd))
     projected = isinstance(xs, np.ndarray)
-    for d, (cell, rev) in enumerate(zip(cells, reverse)):
-        _pad(xs[:, d] if projected else xs.data @ cell.w_x.data, spans, rev, xw[:, d])
-    acts = np.empty((steps, depth, width, 4 * hd))
-    cs, tcs, hs = np.empty((3, steps, depth, width, hd))
+    for d, w_x in enumerate(lstm.w_x):
+        _pad(xs[:, d] if projected else xs.data @ w_x.data, spans, d == 1, xw[:, d])
+    acts = np.empty((steps, 2, width, 4 * hd))
+    cs, tcs, hs = np.empty((3, steps, 2, width, hd))
     i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
-    pre, ig = np.empty((depth, width, 4 * hd)), np.empty((depth, width, hd))
+    pre, ig = np.empty((2, width, 4 * hd)), np.empty((2, width, hd))
     pre_g = pre[..., 2 * hd : 3 * hd]
-    h, c = np.zeros((2, depth, width, hd))
+    h, c = np.zeros((2, 2, width, hd))
     for xw_t, act_t, c_t, tc_t, h_t, i_t, f_t, g_t, o_t in zip(xw, acts, cs, tcs, hs, i, f, g, o):
         np.matmul(h, w_h, out=pre)
         pre += xw_t
@@ -105,9 +96,9 @@ def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths, weights=None) -> Ten
         c = np.multiply(f_t, c, out=c_t)
         c += np.multiply(i_t, g_t, out=ig)
         h = np.multiply(o_t, np.tanh(c, out=tc_t), out=h_t)
-    out = np.empty((xs.shape[0], depth * hd))
-    for d, rev in enumerate(reverse):
-        _unpad(hs[:, d], spans, rev, out[:, d * hd : (d + 1) * hd])
+    out = np.empty((xs.shape[0], 2 * hd))
+    for d in range(2):
+        _unpad(hs[:, d], spans, d == 1, out[:, d * hd : (d + 1) * hd])
     if projected:
         return Tensor(out)
 
@@ -119,72 +110,78 @@ def _lstm(cells, reverse, xs: Tensor | np.ndarray, lengths, weights=None) -> Ten
         by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=3)
         by_dh = tcs * o * (1.0 - o)
         dc_by_dh = o * (1.0 - tcs * tcs)
-        d_pre = np.empty((steps, depth, width, 4, hd))
+        d_pre = np.empty((steps, 2, width, 4, hd))
         dh_out = np.zeros_like(hs)
-        for d, rev in enumerate(reverse):
-            _pad(grad[:, d * hd : (d + 1) * hd], spans, rev, dh_out[:, d])
+        for d in range(2):
+            _pad(grad[:, d * hd : (d + 1) * hd], spans, d == 1, dh_out[:, d])
         w_h_t = w_h.transpose(0, 2, 1)
-        dh, dc, dc_step = np.zeros((3, depth, width, hd))
+        dh, dc, dc_step = np.zeros((3, 2, width, hd))
         for t in reversed(range(steps)):
             dh += dh_out[t]
             dc += np.multiply(dh, dc_by_dh[t], out=dc_step)
             np.multiply(by_dc[t], dc[:, :, None], out=d_pre[t, :, :, :3])
             np.multiply(dh, by_dh[t], out=d_pre[t, :, :, 3])
-            np.matmul(d_pre[t].reshape(depth, width, 4 * hd), w_h_t, out=dh)
+            np.matmul(d_pre[t].reshape(2, width, 4 * hd), w_h_t, out=dh)
             dc *= f[t]
-        d_pre = d_pre.reshape(steps, depth, width, 4 * hd)
-        for d, (cell, rev) in enumerate(zip(cells, reverse)):
-            rows = _unpad(d_pre[:, d], spans, rev)
+        d_pre = d_pre.reshape(steps, 2, width, 4 * hd)
+        d_w_h, d_bias = [], []
+        for d, w_x in enumerate(lstm.w_x):
+            rows = _unpad(d_pre[:, d], spans, d == 1)
             if xs.requires_grad:
-                _accum(xs, rows @ cell.w_x.data.T)
-            _accum(cell.w_x, xs.data.T @ rows)
-            _accum(cell.w_h, _unpad(h_prev[:, d], spans, rev).T @ rows)
-            _accum(cell.bias, rows.sum(axis=0))
+                _accum(xs, rows @ w_x.data.T)
+            _accum(w_x, xs.data.T @ rows)
+            d_w_h.append(_unpad(h_prev[:, d], spans, d == 1).T @ rows)
+            d_bias.append(rows.sum(axis=0))
+        _accum(lstm.w_h, np.stack(d_w_h))
+        _accum(lstm.bias, np.stack(d_bias))
 
-    params = (p for cell in cells for p in cell.parameters())
-    return Tensor(out)._attach((xs, *params), backward)
+    return Tensor(out)._attach((xs, *lstm.parameters()), backward)
 
 
-class Lstm:
-    """Single-direction LSTM cell applied over packed sequences.
+class BiLstm:
+    """A forward and a backward LSTM over packed sequences, run in one time loop
+    by ``_lstm``.
 
-    Gates are ordered (input, forget, cell, output) in the packed weight
-    matrices; the forget-gate bias is initialized to 1.
+    Direction d (0 forward, 1 backward) has its own input weights ``w_x[d]``;
+    the recurrent weights ``w_h`` (2, h, 4h) and the biases ``bias`` (2, 4h)
+    hold both directions, stacked as each time step reads them.  Gates are
+    ordered (input, forget, cell, output) in the packed weight matrices; the
+    forget-gate bias is initialized to 1.
     """
 
     def __init__(
         self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator | None
     ):
-        self.hidden_dim = hidden_dim
-        self.w_x = Parameter(f"{name}.w_x", glorot_uniform(rng, input_dim, 4 * hidden_dim))
-        self.w_h = Parameter(f"{name}.w_h", glorot_uniform(rng, hidden_dim, 4 * hidden_dim))
-        bias = np.zeros(4 * hidden_dim)
-        bias[hidden_dim : 2 * hidden_dim] = 1.0
+        self.name, self.hidden_dim = name, hidden_dim
+        w_x, w_h = [], []
+        for _ in range(2):  # each direction's draws in turn, w_x before w_h
+            w_x.append(glorot_uniform(rng, input_dim, 4 * hidden_dim))
+            w_h.append(glorot_uniform(rng, hidden_dim, 4 * hidden_dim))
+        self.w_x = tuple(Parameter(f"{name}.{tag}.w_x", w) for tag, w in zip(("fwd", "bwd"), w_x))
+        self.w_h = Parameter(f"{name}.w_h", np.stack(w_h))
+        bias = np.zeros((2, 4 * hidden_dim))
+        bias[:, hidden_dim : 2 * hidden_dim] = 1.0
         self.bias = Parameter(f"{name}.bias", bias)
 
     def parameters(self) -> list[Parameter]:
-        return [self.w_x, self.w_h, self.bias]
+        return [*self.w_x, self.w_h, self.bias]
 
-
-class BiLstm:
-    """A forward and a backward ``Lstm``, run in one time loop by ``_lstm``."""
-
-    def __init__(
-        self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator | None
-    ):
-        self.fwd = Lstm(f"{name}.fwd", input_dim, hidden_dim, rng)
-        self.bwd = Lstm(f"{name}.bwd", input_dim, hidden_dim, rng)
-
-    def parameters(self) -> list[Parameter]:
-        return self.fwd.parameters() + self.bwd.parameters()
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """The checkpoint's (name, array) entries: per direction ``{name}.{fwd|bwd}``
+        ``.w_x``, ``.w_h`` and ``.bias``, the last two views into the stacked arrays."""
+        return [
+            (f"{self.name}.{tag}.{key}", arr)
+            for tag, w_x, w_h, bias in zip(("fwd", "bwd"), self.w_x, self.w_h.data, self.bias.data)
+            for key, arr in (("w_x", w_x.data), ("w_h", w_h), ("bias", bias))
+        ]
 
     def run(self, xs: Tensor, lengths) -> tuple[Tensor, Tensor]:
         """Forward and backward hidden states, each (N, h), of packed sequences."""
-        out, hd = self(xs, lengths), self.fwd.hidden_dim
+        out, hd = self(xs, lengths), self.hidden_dim
         return out[:, :hd], out[:, hd:]
 
-    def __call__(self, xs: Tensor | np.ndarray, lengths, weights=None) -> Tensor:
-        return _lstm((self.fwd, self.bwd), (False, True), xs, lengths, weights)  # (N, 2h)
+    def __call__(self, xs: Tensor | np.ndarray, lengths) -> Tensor:
+        return _lstm(self, xs, lengths)  # (N, 2h)
 
 
 def attention(h: Tensor, lengths) -> Tensor:

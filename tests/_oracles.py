@@ -113,20 +113,22 @@ def graph_attention(h: Tensor) -> Tensor:
     return concat([h, softmax(h @ transpose(h), axis=1) @ h], axis=1)
 
 
-def lstm_states_per_step(cell, xs: Tensor, reverse: bool = False) -> Tensor:
+def lstm_states_per_step(w_x, w_h, bias, xs: Tensor, reverse: bool = False) -> Tensor:
     """Reference LSTM built from one small autodiff node per operation and step.
 
-    Same parameters and gate order as ``Lstm``; the fused ``_lstm`` must
-    reproduce its values exactly and its gradients to rounding.
+    ``w_x``, ``w_h`` and ``bias`` are one direction's graph nodes, such as
+    ``bi.w_x[d]``, ``bi.w_h[d]`` and ``bi.bias[d]`` of a ``BiLstm``, with its
+    gate order; the fused ``_lstm`` must reproduce its values exactly and its
+    gradients to rounding.
     """
-    hd = cell.hidden_dim
-    xw = xs @ cell.w_x
+    hd = w_h.shape[0]
+    xw = xs @ w_x
     h = Tensor(np.zeros(hd))
     c = Tensor(np.zeros(hd))
     out = [None] * xs.shape[0]
     order = range(xs.shape[0] - 1, -1, -1) if reverse else range(xs.shape[0])
     for t in order:
-        pre = xw[t] + h @ cell.w_h + cell.bias
+        pre = xw[t] + h @ w_h + bias
         i = sigmoid(pre[0:hd])
         f = sigmoid(pre[hd : 2 * hd])
         g = tanh(pre[2 * hd : 3 * hd])

@@ -124,6 +124,22 @@ def test_viterbi_refuses_non_finite_emissions(value):
         viterbi_decode(u, fresh_params(3))
 
 
+def test_viterbi_refuses_non_finite_crf_parameters():
+    """A NaN transition would make the Python recursion and the array one disagree
+    (``[1, 2, 0]`` against ``[0, 1, 0]`` here), so it is refused by name."""
+    u = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+    params = fresh_params(3)
+    params.transitions.data[0, 1] = np.nan
+    assert array_viterbi_decode(u, params)[0] == [0, 1, 0]
+    with pytest.raises(ValueError, match="non-finite value in CRF parameter 'crf.transitions'"):
+        viterbi_decode(u, params)
+    for name in ("start_scores", "end_scores"):
+        params = fresh_params(3)
+        getattr(params, name).data[2] = -np.inf
+        with pytest.raises(ValueError, match=f"CRF parameter 'crf.{name}'"):
+            viterbi_decode(u, params)
+
+
 def test_decode_score_matches_gold_path_score():
     params = fresh_params(3, seed=5)
     u = np.random.default_rng(5).standard_normal((4, 3))

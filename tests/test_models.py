@@ -534,18 +534,20 @@ def test_projection_memo_follows_new_weights(arch):
     assert np.array_equal(_scores(model, instances), _scores(loaded, instances))
     assert not np.array_equal(_scores(model, instances), before)
     for m in (model, loaded):
-        cell = (m.word_encoder if arch == "jcc" else m.encoder).bwd
-        cell.w_x.data = cell.w_x.data * -1.5
+        w_x = (m.word_encoder if arch == "jcc" else m.encoder).w_x[1]
+        w_x.data = w_x.data * -1.5
     assert np.array_equal(_scores(model, instances), _scores(_finished(loaded), instances))
     assert model.predict(instances) == loaded.predict(instances)
-    cells = ["word_encoder.fwd", "clause_encoder1.bwd"] if arch == "jcc" else ["encoder.fwd"]
-    for path, (name, scale) in itertools.product(cells, [("w_h", 0.5), ("bias", -2.0)]):
+    cells = [("word_encoder", 0), ("clause_encoder1", 1)] if arch == "jcc" else [("encoder", 0)]
+    for (path, d), (name, scale) in itertools.product(cells, [("w_h", 0.5), ("bias", -2.0)]):
         before = _scores(model, instances)
         for m in (model, loaded):
-            p = getattr(operator.attrgetter(path)(m), name)
-            p.data = p.data * scale
+            p = getattr(getattr(m, path), name)
+            data = p.data.copy()
+            data[d] *= scale
+            p.data = data
         scores = _scores(model, instances)
-        assert np.array_equal(scores, _scores(_finished(loaded), instances)), (path, name)
+        assert np.array_equal(scores, _scores(_finished(loaded), instances)), (path, d, name)
         assert not np.array_equal(scores, before)
         assert model.predict(instances) == loaded.predict(instances)
 
@@ -579,9 +581,12 @@ def test_train_rejects_bad_input():
         train("sl", corpus, corpus, toy_embeddings(corpus, 16), TOY)
 
 
+MEMO_FIELDS = {"source", "index", "rows"}  # no cache beside the projections
+
+
 def test_finished_models_start_with_an_empty_projection_memo_that_loss_never_reads(tmp_path):
-    """For each architecture: neither the projections nor the stacked recurrent
-    weights are memoised before predicting, or by ``loss``."""
+    """For each architecture: no projection is memoised before predicting, or by
+    ``loss``, and the memo keeps only the word encoder's ``w_x`` projections."""
     for arch in MODELS:
         corpus, trained = _small_trained(arch)
         save_checkpoint(trained, tmp_path / "m.json")
@@ -589,13 +594,15 @@ def test_finished_models_start_with_an_empty_projection_memo_that_loss_never_rea
         lists = [toks for inst in corpus for toks in clause_token_lists(inst)]
         words = vocabulary(corpus) if arch == "sl" else [tok for toks in lists for tok in toks]
         for model in (trained.model, loaded):
-            assert model.memo.index == {} and model.memo.stacks == {}
+            assert model.memo.index == {} and set(vars(model.memo)) == MEMO_FIELDS
             model.loss(model.units(corpus))
-            assert model.memo.index == {} and model.memo.stacks == {}
+            assert model.memo.index == {} and set(vars(model.memo)) == MEMO_FIELDS
             model.predict(corpus)
             assert set(model.memo.index) == set(words)
-            encoders = [v for v in vars(model).values() if isinstance(v, layers.BiLstm)]
-            assert list(model.memo.stacks) == encoders
+            encoder = model.layers[0]
+            assert isinstance(encoder, layers.BiLstm) and set(vars(model.memo)) == MEMO_FIELDS
+            source = [model.embeddings, *(w_x.data for w_x in encoder.w_x)]
+            assert list(map(operator.is_, model.memo.source, source)) == [True] * 3
 
 
 def test_sl_overfits_small_corpus():
@@ -783,9 +790,7 @@ def _small_trained(arch="sl", seed=12):
 
 def _arrays(model):
     """Every array of ``model`` in checkpoint order: the embedding, then the parameters."""
-    return [("embedding", model.embeddings.matrix)] + [
-        (p.name, p.data) for p in model.parameters()
-    ]
+    return [("embedding", model.embeddings.matrix)] + models._arrays(model)
 
 
 def _split_v3(path):
@@ -807,12 +812,81 @@ def test_checkpoint_stores_exact_binary_payloads(tmp_path):
     assert header["arrays"] == [[name, list(arr.shape)] for name, arr in arrays]
     at = [name for name, _ in arrays].index("encoder.fwd.w_h")
     start = sum(arr.size * 8 for _, arr in arrays[:at])
-    w_h = trained.model.encoder.fwd.w_h.data
+    w_h = trained.model.encoder.w_h.data[0]
     assert body[start : start + w_h.size * 8] == w_h.astype("<f8").tobytes()
     assert header["arrays"][at] == ["encoder.fwd.w_h", list(w_h.shape)]
     # the file is exactly the header line plus every array's bytes, nothing after them
     payload = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
     assert path.read_bytes() == _v3_bytes(header, payload)
+
+
+CHECKPOINT_LAYOUTS = {  # header "arrays" at embedding_dim 8, hidden_dim 6, 5 tokens
+    "sl": [
+        ["embedding", [5, 8]],
+        ["encoder.fwd.w_x", [8, 24]],
+        ["encoder.fwd.w_h", [6, 24]],
+        ["encoder.fwd.bias", [24]],
+        ["encoder.bwd.w_x", [8, 24]],
+        ["encoder.bwd.w_h", [6, 24]],
+        ["encoder.bwd.bias", [24]],
+        ["project.weight", [24, 3]],
+        ["project.bias", [3]],
+        ["crf.transitions", [3, 3]],
+        ["crf.start_scores", [3]],
+        ["crf.end_scores", [3]],
+    ],
+    "icc": [
+        ["embedding", [5, 8]],
+        ["encoder.fwd.w_x", [8, 24]],
+        ["encoder.fwd.w_h", [6, 24]],
+        ["encoder.fwd.bias", [24]],
+        ["encoder.bwd.w_x", [8, 24]],
+        ["encoder.bwd.w_h", [6, 24]],
+        ["encoder.bwd.bias", [24]],
+        ["hidden.weight", [24, 6]],
+        ["hidden.bias", [6]],
+        ["out.weight", [6, 2]],
+        ["out.bias", [2]],
+    ],
+    "jcc": [
+        ["embedding", [5, 8]],
+        ["word_encoder.fwd.w_x", [8, 24]],
+        ["word_encoder.fwd.w_h", [6, 24]],
+        ["word_encoder.fwd.bias", [24]],
+        ["word_encoder.bwd.w_x", [8, 24]],
+        ["word_encoder.bwd.w_h", [6, 24]],
+        ["word_encoder.bwd.bias", [24]],
+        ["clause_encoder1.fwd.w_x", [12, 24]],
+        ["clause_encoder1.fwd.w_h", [6, 24]],
+        ["clause_encoder1.fwd.bias", [24]],
+        ["clause_encoder1.bwd.w_x", [12, 24]],
+        ["clause_encoder1.bwd.w_h", [6, 24]],
+        ["clause_encoder1.bwd.bias", [24]],
+        ["clause_encoder2.fwd.w_x", [12, 24]],
+        ["clause_encoder2.fwd.w_h", [6, 24]],
+        ["clause_encoder2.fwd.bias", [24]],
+        ["clause_encoder2.bwd.w_x", [12, 24]],
+        ["clause_encoder2.bwd.w_h", [6, 24]],
+        ["clause_encoder2.bwd.bias", [24]],
+        ["project.weight", [24, 2]],
+        ["project.bias", [2]],
+        ["crf.transitions", [2, 2]],
+        ["crf.start_scores", [2]],
+        ["crf.end_scores", [2]],
+    ],
+}
+
+
+@pytest.mark.parametrize("arch", sorted(CHECKPOINT_LAYOUTS))
+def test_checkpoint_header_lists_the_fixed_array_layout(tmp_path, arch):
+    """The names, order and shapes of a checkpoint's arrays, written out, so that
+    no change to how a model holds its parameters can move them unseen."""
+    emb = EmbeddingTable.random(["a", "b", "c", "d", "e"], 8, 0)
+    model = MODELS[arch](emb, TOY, np.random.default_rng(0))
+    save_checkpoint(models.TrainedModel(model, []), tmp_path / "m.ckpt")
+    header, body = _split_v3(tmp_path / "m.ckpt")
+    assert header["arrays"] == CHECKPOINT_LAYOUTS[arch]
+    assert len(body) == 8 * sum(math.prod(shape) for _, shape in CHECKPOINT_LAYOUTS[arch])
 
 
 def _legacy_payload(trained, version):
@@ -835,7 +909,7 @@ def _legacy_payload(trained, version):
         "history": trained.history,
         "vocab": model.embeddings.tokens,
         "embedding": encode(model.embeddings.matrix),
-        "params": {p.name: encode(p.data) for p in model.parameters()},
+        "params": {name: encode(arr) for name, arr in models._arrays(model)},
     }
 
 
@@ -955,6 +1029,22 @@ def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
             load_checkpoint(path)
         message = str(exc.value)
         assert str(path) in message and needle in message, (label, message)
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_a_state_that_does_not_fit_changes_no_parameter(arch):
+    """A missing name, or a wrong shape for one direction of a BiLSTM, raises naming
+    it and leaves every parameter holding the array it held."""
+    model = _model(arch)
+    held = [p.data for p in model.parameters()]
+    state = models._state_dict(model)
+    bwd_w_h = next(name for name in state if name.endswith(".bwd.w_h"))
+    missing = {k: v for k, v in state.items() if k != bwd_w_h}
+    transposed = dict(state, **{bwd_w_h: state[bwd_w_h].T})
+    for bad, needle in [(missing, "name mismatch"), (transposed, f"{bwd_w_h!r} has shape")]:
+        with pytest.raises(ValueError, match=needle):
+            models._load_state(model, bad)
+        assert all(map(operator.is_, [p.data for p in model.parameters()], held))
 
 
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])

@@ -8,7 +8,6 @@ from stimex.nn import (
     Adam,
     BiLstm,
     Linear,
-    Lstm,
     Parameter,
     Tensor,
     attention,
@@ -32,46 +31,56 @@ def test_glorot_bounds_and_determinism():
 # -- LSTM ----------------------------------------------------------------------
 
 
+def _alone(bi, d, rng):
+    """A copy of ``bi`` with direction d's weights and newly drawn ones for the other."""
+    solo = BiLstm(bi.name, bi.w_x[d].shape[0], bi.hidden_dim, rng)
+    solo.w_x[d].data = bi.w_x[d].data.copy()
+    solo.w_h.data[d], solo.bias.data[d] = bi.w_h.data[d], bi.bias.data[d]
+    return solo
+
+
 def test_lstm_zero_weights_fixed_point():
-    cell = Lstm("z", 3, 2, np.random.default_rng(0))
-    for p in cell.parameters():
+    bi = BiLstm("z", 3, 2, np.random.default_rng(0))
+    for p in bi.parameters():
         p.data[...] = 0.0
-    states = _lstm((cell,), (False,), Tensor(np.ones((4, 3))), [4])
+    states = _lstm(bi, Tensor(np.ones((4, 3))), [4])
     for h in states:
         assert np.allclose(h.data, 0.0)  # output gate 0.5 * tanh(0) = 0
 
 
 def test_lstm_rejects_empty_sequence():
-    cell = Lstm("z", 3, 2, np.random.default_rng(0))
+    bi = BiLstm("z", 3, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        _lstm((cell,), (False,), Tensor(np.zeros((0, 3))), [0])
+        _lstm(bi, Tensor(np.zeros((0, 3))), [0])
 
 
 def test_lstm_state_shapes_and_order_dependence():
-    cell = Lstm("c", 3, 5, np.random.default_rng(1))
+    bi = BiLstm("c", 3, 5, np.random.default_rng(1))
     xs = np.random.default_rng(2).standard_normal((4, 3))
-    fwd = _lstm((cell,), (False,), Tensor(xs), [4])
+    fwd = bi.run(Tensor(xs), [4])[0]
     assert fwd.shape == (4, 5)
-    swapped = _lstm((cell,), (False,), Tensor(xs[[1, 0, 2, 3]]), [4])
+    swapped = bi.run(Tensor(xs[[1, 0, 2, 3]]), [4])[0]
     assert not np.allclose(fwd[3].data, swapped[3].data)
 
 
 def test_bilstm_backward_equals_forward_on_reversed_input():
     rng = np.random.default_rng(7)
     bi = BiLstm("b", 3, 4, rng)
-    for src, dst in zip(bi.fwd.parameters(), bi.bwd.parameters()):
-        dst.data[...] = src.data
+    bi.w_x[1].data[...] = bi.w_x[0].data
+    bi.w_h.data[1], bi.bias.data[1] = bi.w_h.data[0], bi.bias.data[0]
     xs = np.random.default_rng(8).standard_normal((5, 3))
-    fwd_rev = _lstm((bi.fwd,), (False,), Tensor(xs[::-1].copy()), [5])
-    bwd = _lstm((bi.bwd,), (True,), Tensor(xs), [5])
+    fwd_rev = bi.run(Tensor(xs[::-1].copy()), [5])[0]
+    bwd = bi.run(Tensor(xs), [5])[1]
     for t in range(5):
         assert np.array_equal(bwd[t].data, fwd_rev[4 - t].data)
 
 
 def test_bilstm_output_layout():
-    """``BiLstm`` gives one (N, 2h) node, forward states first; ``run`` slices it; given
+    """``BiLstm`` gives one (N, 2h) node, forward states first; ``run`` slices it;
+    each half is its direction's states whatever the other direction holds; given
     the inputs' projections, it gives the same states as a leaf."""
-    bi = BiLstm("b", 3, 4, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    bi = BiLstm("b", 3, 4, rng)
     xs = Parameter("xs", np.random.default_rng(1).standard_normal((6, 3)))
     params = bi.parameters() + [xs]
     weights = np.random.default_rng(2).standard_normal((6, 8))
@@ -88,9 +97,9 @@ def test_bilstm_output_layout():
         f, b = bi.run(xs, lengths)
         assert f.shape == b.shape == (6, 4)
         assert np.array_equal(out.data, np.concatenate([f.data, b.data], axis=1))
-        assert np.array_equal(f.data, _lstm((bi.fwd,), (False,), xs, lengths).data)
-        assert np.array_equal(b.data, _lstm((bi.bwd,), (True,), xs, lengths).data)
-        projected = np.stack([xs.data @ bi.fwd.w_x.data, xs.data @ bi.bwd.w_x.data], axis=1)
+        assert np.array_equal(f.data, _alone(bi, 0, rng).run(xs, lengths)[0].data)
+        assert np.array_equal(b.data, _alone(bi, 1, rng).run(xs, lengths)[1].data)
+        projected = np.stack([xs.data @ w_x.data for w_x in bi.w_x], axis=1)
         leaf = bi(projected, lengths)  # the inputs' rows already projected: no graph node
         assert np.array_equal(leaf.data, out.data) and not leaf.requires_grad
         by_run = grads((f * Tensor(weights[:, :4])).sum() + (b * Tensor(weights[:, 4:])).sum())
@@ -102,7 +111,9 @@ def test_bilstm_output_layout():
 @pytest.mark.parametrize("lengths", [[3, 1, 7, 2, 5], [58]])
 @pytest.mark.parametrize("xs_grad", [False, True])
 def test_bilstm_equals_its_two_single_direction_recurrences(lengths, xs_grad):
-    """One time loop for both directions changes no value and, to rounding, no gradient."""
+    """One time loop for both directions changes no value and, to rounding, no
+    gradient: each direction's states and gradients are those of a copy of the
+    layer whose other direction holds other weights and feeds no loss."""
     rng = np.random.default_rng(len(lengths))
     bi = BiLstm("b", 6, 7, rng)
     for p in bi.parameters():  # nonzero biases, so that state leaking across padding shows
@@ -112,21 +123,29 @@ def test_bilstm_equals_its_two_single_direction_recurrences(lengths, xs_grad):
     xs.requires_grad = xs_grad
     weights = Tensor(rng.standard_normal((n, 14)))  # every output feeds the loss
     params = bi.parameters() + [xs]
+    for p in params:
+        p.grad = None
+    h = bi(xs, lengths)
+    (h * weights).sum().backward()
+    fused, fused_grads = h.data, {p.name: p.grad for p in params}
 
-    def run(states_fn):
-        for p in params:
-            p.grad = None
-        h = states_fn()
-        (h * weights).sum().backward()
-        return h.data, {p.name: p.grad for p in params}
-
-    fused, fused_grads = run(lambda: bi(xs, lengths))
-    apart, apart_grads = run(
-        lambda: concat(
-            [_lstm((bi.fwd,), (False,), xs, lengths), _lstm((bi.bwd,), (True,), xs, lengths)],
-            axis=1,
-        )
-    )
+    halves, by_direction, xs_grads = [], [], []
+    for d in range(2):
+        solo = _alone(bi, d, rng)
+        xs.grad = None
+        half = solo.run(xs, lengths)[d]
+        (half * weights[:, 7 * d : 7 * (d + 1)]).sum().backward()
+        halves.append(half.data)
+        by_direction.append((solo.w_x[d].grad, solo.w_h.grad[d], solo.bias.grad[d]))
+        xs_grads.append(xs.grad)
+    apart = np.concatenate(halves, axis=1)
+    apart_grads = {
+        "b.fwd.w_x": by_direction[0][0],
+        "b.bwd.w_x": by_direction[1][0],
+        "b.w_h": np.stack([by_direction[0][1], by_direction[1][1]]),
+        "b.bias": np.stack([by_direction[0][2], by_direction[1][2]]),
+        "xs": None if xs_grads[0] is None else xs_grads[0] + xs_grads[1],
+    }
     assert np.array_equal(fused, apart)
     assert (fused_grads["xs"] is None) == (not xs_grad)
     for name, g in apart_grads.items():
@@ -136,16 +155,16 @@ def test_bilstm_equals_its_two_single_direction_recurrences(lengths, xs_grad):
 
 def test_lstm_gradients():
     rng = np.random.default_rng(5)
-    cell = Lstm("c", 2, 3, rng)
+    bi = BiLstm("c", 2, 3, rng)
     xs = Parameter("xs", rng.standard_normal((4, 2)))
-    target = Tensor(rng.standard_normal(3))
+    target = Tensor(rng.standard_normal(6))
 
     def loss():
-        h = _lstm((cell,), (False,), xs, [4])[-1]
+        h = _lstm(bi, xs, [4])[-1]
         return ((h - target) * (h - target)).sum()
 
     loss().backward()
-    params = cell.parameters() + [xs]
+    params = bi.parameters() + [xs]
     numeric = finite_difference(loss, params)
     analytic = {p.name: p.grad for p in params}
     assert gradient_gap(analytic, numeric) < 1e-6
@@ -157,27 +176,38 @@ DIMS = [(6, 7), (300, 100)]
 RAGGED_10 = [3, 1, 7, 2, 5, 9, 4, 6, 1, 8]  # a mini-batch of 10 sequences
 
 
+def _per_sequence_oracle(bi, d, xs, lengths):
+    """Direction d's states over the packed sequences, by the per-step oracle run
+    on each sequence alone."""
+    ends = np.cumsum(lengths)
+    w_x, w_h, bias = bi.w_x[d], bi.w_h[d], bi.bias[d]
+    return concat(
+        [lstm_states_per_step(w_x, w_h, bias, xs[e - k : e], d == 1) for k, e in zip(lengths, ends)]
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 17, 58])
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("xs_grad", [False, True])
 def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
+    d = int(reverse)
     for input_dim, hidden_dim in DIMS:
         rng = np.random.default_rng(n)
-        cell = Lstm("c", input_dim, hidden_dim, rng)
+        bi = BiLstm("c", input_dim, hidden_dim, rng)
         xs = Parameter("xs", 2.0 * rng.standard_normal((n, input_dim)))
         xs.requires_grad = xs_grad
         weights = Tensor(rng.standard_normal((n, hidden_dim)))  # every position feeds the loss
-        params = cell.parameters() + [xs]
+        params = [bi.w_x[d], bi.w_h, bi.bias, xs]
 
         def run(states_fn):
             for p in params:
                 p.grad = None
-            h = states_fn(cell, xs, reverse)
+            h = states_fn()
             (h * weights).sum().backward()
             return h.data, {p.name: p.grad for p in params}
 
-        fused, fused_grads = run(lambda c, x, r: _lstm((c,), (r,), x, [n]))
-        oracle, oracle_grads = run(lstm_states_per_step)
+        fused, fused_grads = run(lambda: bi.run(xs, [n])[d])
+        oracle, oracle_grads = run(lambda: _per_sequence_oracle(bi, d, xs, [n]))
         assert np.array_equal(fused, oracle)
         assert (fused_grads["xs"] is None) == (not xs_grad)
         for name, g in oracle_grads.items():
@@ -188,34 +218,65 @@ def test_fused_lstm_matches_per_step_oracle(n, reverse, xs_grad):
 @pytest.mark.parametrize("lengths", [[1, 4], [3, 1, 7, 2, 5], [6, 6, 1], RAGGED_10])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_packed_lstm_matches_per_step_oracle(lengths, reverse):
-    n = sum(lengths)
-    ends = np.cumsum(lengths)
-
-    def per_sequence(cell, xs, reverse):
-        return concat(
-            [lstm_states_per_step(cell, xs[e - k : e], reverse) for k, e in zip(lengths, ends)]
-        )
-
+    n, d = sum(lengths), int(reverse)
     for input_dim, hidden_dim in DIMS:
         rng = np.random.default_rng(len(lengths))
-        cell = Lstm("c", input_dim, hidden_dim, rng)
-        cell.bias.data = rng.standard_normal(cell.bias.data.shape)  # so that padding leaks show
+        bi = BiLstm("c", input_dim, hidden_dim, rng)
+        bi.bias.data = rng.standard_normal(bi.bias.data.shape)  # so that padding leaks show
         xs = Parameter("xs", 2.0 * rng.standard_normal((n, input_dim)))
         weights = Tensor(rng.standard_normal((n, hidden_dim)))
-        params = cell.parameters() + [xs]
+        params = [bi.w_x[d], bi.w_h, bi.bias, xs]
 
         def run(states_fn):
             for p in params:
                 p.grad = None
-            h = states_fn(cell, xs, reverse)
+            h = states_fn()
             (h * weights).sum().backward()
             return h.data, {p.name: p.grad for p in params}
 
-        packed, packed_grads = run(lambda c, x, r: _lstm((c,), (r,), x, lengths))
-        oracle, oracle_grads = run(per_sequence)
+        packed, packed_grads = run(lambda: bi.run(xs, lengths)[d])
+        oracle, oracle_grads = run(lambda: _per_sequence_oracle(bi, d, xs, lengths))
         assert np.max(np.abs(packed - oracle)) < 1e-12
         for name, g in oracle_grads.items():
             assert np.max(np.abs(packed_grads[name] - g)) < 1e-10, name
+
+
+@pytest.mark.parametrize("lengths", [[17], [3, 1, 7, 2, 5], RAGGED_10])
+def test_stacked_backward_gives_each_direction_its_own_gradient(lengths):
+    """Directions with different weights and nonzero biases: each half of ``bi(xs)``
+    is its direction's per-step oracle, bit for bit on one sequence and to rounding
+    on ragged ones (the oracle's vector products round unlike the batch's matrix
+    products), and ``w_h.grad[d]``, ``bias.grad[d]`` and ``w_x[d].grad`` are the
+    oracle's gradients of direction d."""
+    n = sum(lengths)
+    for input_dim, hidden_dim in DIMS:
+        rng = np.random.default_rng(11)
+        bi = BiLstm("b", input_dim, hidden_dim, rng)
+        bi.w_h.data[1] *= -2.0
+        bi.bias.data = rng.standard_normal(bi.bias.data.shape) * [[1.0], [-3.0]]
+        xs = Parameter("xs", 2.0 * rng.standard_normal((n, input_dim)))
+        weights = Tensor(rng.standard_normal((n, 2 * hidden_dim)))
+        params = bi.parameters() + [xs]
+
+        def run(states_fn):
+            for p in params:
+                p.grad = None
+            h = states_fn()
+            (h * weights).sum().backward()
+            return h.data, {p.name: p.grad for p in params}
+
+        fused, fused_grads = run(lambda: bi(xs, lengths))
+        oracle, oracle_grads = run(
+            lambda: concat([_per_sequence_oracle(bi, d, xs, lengths) for d in range(2)], axis=1)
+        )
+        if len(lengths) == 1:
+            assert np.array_equal(fused, oracle)
+        assert np.max(np.abs(fused - oracle)) < 1e-12
+        for d, w_x in enumerate(bi.w_x):
+            for name in ("b.w_h", "b.bias"):
+                assert np.max(np.abs(fused_grads[name][d] - oracle_grads[name][d])) < 1e-10
+            assert np.max(np.abs(fused_grads[w_x.name] - oracle_grads[w_x.name])) < 1e-10
+        assert np.max(np.abs(fused_grads["xs"] - oracle_grads["xs"])) < 1e-10
 
 
 def test_two_live_graphs_of_one_bilstm_stay_independent():
@@ -243,11 +304,11 @@ def test_two_live_graphs_of_one_bilstm_stay_independent():
 
 
 def test_packed_lstm_rejects_bad_lengths():
-    cell = Lstm("z", 3, 2, np.random.default_rng(0))
+    bi = BiLstm("z", 3, 2, np.random.default_rng(0))
     xs = Tensor(np.zeros((5, 3)))
     for lengths in ([3, 0, 2], [2, 2], [6]):
         with pytest.raises(ValueError):
-            _lstm((cell,), (False,), xs, lengths)
+            _lstm(bi, xs, lengths)
 
 
 # -- attention -----------------------------------------------------------------
