@@ -180,7 +180,8 @@ def _field(obj: dict, field: str, kind: type):
     return value
 
 
-def _clause_list(obj: dict, field: str) -> list[ClauseAnnotation] | None:
+def _clause_list(obj: dict, field: str, shared: dict) -> list[ClauseAnnotation] | None:
+    """``obj[field]`` as clauses; ``shared`` maps each checked triple to its one annotation."""
     entries = _field(obj, field, list)
     if entries is None:
         return None
@@ -197,15 +198,18 @@ def _clause_list(obj: dict, field: str) -> list[ClauseAnnotation] | None:
         stimulus = entry.get("stimulus", False)
         if not isinstance(stimulus, bool):
             raise CorpusError(f"field '{field}' entry {k} has a non-boolean 'stimulus'")
-        try:
-            span = Span(start, end)
-        except CorpusError as exc:  # "invalid span [s, e)"
-            raise CorpusError(f"field '{field}' entry {k} has {exc}") from None
-        clauses.append(ClauseAnnotation(span, stimulus))
+        key = (start, end, stimulus)
+        clause = shared.get(key)
+        if clause is None:
+            try:  # stored only once the span is valid
+                clause = shared[key] = ClauseAnnotation(Span(start, end), stimulus)
+            except CorpusError as exc:  # "invalid span [s, e)"
+                raise CorpusError(f"field '{field}' entry {k} has {exc}") from None
+        clauses.append(clause)
     return clauses
 
 
-def _instance_from_obj(obj: dict) -> Instance:
+def _instance_from_obj(obj: dict, shared: dict) -> Instance:
     for field in ("id", "dataset", "tokens", "iob"):
         if field not in obj:
             raise CorpusError(f"missing required field '{field}'")
@@ -218,11 +222,11 @@ def _instance_from_obj(obj: dict) -> Instance:
         dataset=obj["dataset"],
         tokens=obj["tokens"],
         iob=obj["iob"],
-        clauses=_clause_list(obj, "clauses"),
+        clauses=_clause_list(obj, "clauses", shared),
         parse=_field(obj, "parse", str),
         emotion=_field(obj, "emotion", str),
         pred_iob=pred_iob,
-        pred_clauses=_clause_list(obj, "pred_clauses"),
+        pred_clauses=_clause_list(obj, "pred_clauses", shared),
     )
     inst.validate()
     return inst
@@ -244,8 +248,14 @@ def not_utf8(path: str | Path) -> str:
 
 
 def load_corpus(path: str | Path) -> list[Instance]:
-    """Read a JSON-lines corpus; errors name the file, the offending line and field."""
+    """Read a JSON-lines corpus; errors name the file, the offending line and field.
+
+    Within one call, equal clause entries (``clauses`` or ``pred_clauses``, on
+    any line) load as one shared frozen ``ClauseAnnotation``; each instance
+    still owns its lists, and nothing is shared across calls.
+    """
     instances = []
+    shared: dict[tuple[int, int, bool], ClauseAnnotation] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -260,7 +270,7 @@ def load_corpus(path: str | Path) -> list[Instance]:
                 if not isinstance(obj, dict):
                     raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
                 try:
-                    instances.append(_instance_from_obj(obj))
+                    instances.append(_instance_from_obj(obj, shared))
                 except CorpusError as exc:
                     raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     except UnicodeDecodeError:

@@ -284,6 +284,75 @@ def test_load_skips_blank_lines(tmp_path):
     assert len(load_corpus(path)) == 1
 
 
+def annotations(instances):
+    """Every clause object of ``instances``, gold and predicted, repeats kept."""
+    return [c for inst in instances for c in (inst.clauses or []) + (inst.pred_clauses or [])]
+
+
+def test_load_shares_equal_clause_annotations(tmp_path):
+    def line(name, clauses, pred_clauses=None):
+        record = {"id": name, "dataset": "d", "tokens": ["x"] * 4, "iob": ["O"] * 4}
+        record["clauses"] = [{"start": s, "end": e, "stimulus": f} for s, e, f in clauses]
+        if pred_clauses is not None:
+            record["pred_clauses"] = [
+                {"start": s, "end": e, "stimulus": f} for s, e, f in pred_clauses
+            ]
+        return json.dumps(record) + "\n"
+
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        line("a", [(0, 2, True), (2, 4, False)])
+        + line("b", [(0, 2, True), (2, 4, True)], [(0, 2, True)]),
+        encoding="utf-8",
+    )
+    a, b = load_corpus(path)
+    assert a.clauses[0] is b.clauses[0] is b.pred_clauses[0]
+    assert a.clauses[1] == ClauseAnnotation(Span(2, 4), False)
+    assert b.clauses[1] == ClauseAnnotation(Span(2, 4), True)
+    assert a.clauses[1] is not b.clauses[1]  # differs only in 'stimulus'
+
+    again = load_corpus(path)
+    assert again == [a, b]
+    assert not {id(c) for c in annotations([a, b])} & {id(c) for c in annotations(again)}
+
+    b.clauses.append(ClauseAnnotation(Span(3, 4)))
+    assert len(a.clauses) == 2 and a.clauses is not b.clauses
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.clauses[0].is_stimulus = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.clauses[0].span.start = 1
+
+    instances = generate_synthetic(200, seed=4)
+    for inst in instances[::2]:
+        inst.pred_clauses = list(inst.clauses)
+    save_corpus(instances, path)
+    loaded = annotations(load_corpus(path))
+    triples = {(c.span.start, c.span.end, c.is_stimulus) for c in loaded}
+    assert len(loaded) > len(triples)
+    assert len({id(c) for c in loaded}) == len(triples)
+
+
+@pytest.mark.parametrize(
+    "lookalike, needle",
+    [
+        ('{"start": 0, "end": 2.0}', "non-integer bounds"),
+        ('{"start": 0.0, "end": 2}', "non-integer bounds"),
+        ('{"start": false, "end": 2}', "non-integer bounds"),
+        ('{"start": 0, "end": 2, "stimulus": 1}', "a non-boolean 'stimulus'"),
+    ],
+)
+def test_load_never_shares_a_clause_with_a_lookalike_entry(tmp_path, lookalike, needle):
+    path = tmp_path / "c.jsonl"
+    valid = '{"start": 0, "end": 2, "stimulus": true}'
+    path.write_text(
+        f'{GOOD_LINE}, "clauses": [{valid}]}}\n{GOOD_LINE}, "clauses": [{lookalike}]}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: line 2: field 'clauses' entry 0 has {needle}"
+
+
 # -- splitting ----------------------------------------------------------------
 
 
