@@ -69,12 +69,12 @@ def segments_from_gaps(gaps: Sequence[int], tokens: Sequence[str]) -> SegmentLis
     return SegmentList(spans, tuple(tokens))
 
 
-def join_segments(segs: SegmentList, max_short: int = MAX_SHORT) -> SegmentList:
+def join_segments(segs: SegmentList) -> SegmentList:
     """Merge segments until convergence.
 
     One left-to-right pass at a time: a punctuation-only segment is merged
     into its left neighbour (right when it is first), otherwise a segment of
-    ``max_short`` tokens or fewer is merged into its right neighbour (left
+    ``MAX_SHORT`` tokens or fewer is merged into its right neighbour (left
     when it is last).  After any merge the pass restarts; convergence is a
     full pass without a merge.  A sole remaining segment is never merged.
     """
@@ -94,7 +94,7 @@ def join_segments(segs: SegmentList, max_short: int = MAX_SHORT) -> SegmentList:
                 merge(i - 1 if i > 0 else 0)
                 changed = True
                 break
-            if len(sp) <= max_short:
+            if len(sp) <= MAX_SHORT:
                 merge(i if i < len(spans) - 1 else i - 1)
                 changed = True
                 break

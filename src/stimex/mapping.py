@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from stimex.corpus import Span, check_spans
+from stimex.corpus import Span, check_spans, spans_to_iob
 
 
 def tokens_to_clauses(iob: Sequence[str], clauses: Sequence[Span]) -> list[bool]:
@@ -26,11 +26,5 @@ def clauses_to_tokens(flags: Sequence[bool], clauses: Sequence[Span], n: int) ->
     """
     if len(flags) != len(clauses):
         raise ValueError(f"{len(flags)} flags for {len(clauses)} clauses")
-    check_spans(clauses, n)
-    out = ["O"] * n
-    for flag, sp in zip(flags, clauses):
-        if flag:
-            out[sp.start] = "B"
-            for i in range(sp.start + 1, sp.end):
-                out[i] = "I"
-    return out
+    check_spans(clauses, n)  # all clauses, not only the flagged ones
+    return spans_to_iob([sp for flag, sp in zip(flags, clauses) if flag], n)

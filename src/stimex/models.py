@@ -218,7 +218,8 @@ class _ProjectionMemo:
     """A finished model's word-encoder input projections ``E[tok] @ w_x`` by the
     forward and backward directions, row ``index[tok]`` of ``rows``, filled in as
     tokens are first seen.  Unknown tokens share the key None and the zero
-    row's projection.  Once the table or a ``w_x`` array is replaced, it starts over."""
+    row's projection.  Once the table or a ``w_x`` array is replaced, it starts
+    over; ``loss`` replaces it with an empty one, as ``Adam`` writes in place."""
 
     def __init__(self):
         self.source, self.index, self.rows = (None,) * 3, {}, np.empty(0)
@@ -264,8 +265,9 @@ class Model:
     Besides ``layers``, whose parameters are the model's, and ``loss``, the
     summed loss of a mini-batch, with dropout only when given an ``rng``, a
     model has ``units``, the training units its ``loss`` takes, built from
-    instances; ``predict``, each instance's labels in the model's own unit
-    (IOB labels or clause flags); ``gold`` and ``f1``, the gold labels in that
+    instances; ``decode``, the labels of each instance of one chunk in the
+    model's own unit (IOB labels or clause flags), which ``predict`` calls
+    chunk by chunk; ``gold`` and ``f1``, the gold labels in that
     unit and their F1 score; and ``store_prediction``, which puts labels on an
     instance.  A constructor given ``rng=None`` leaves the weights
     uninitialised, for a checkpoint to fill.
@@ -277,10 +279,15 @@ class Model:
     def __init__(self, embeddings: EmbeddingTable, config: TrainConfig):
         self.embeddings = embeddings
         self.config = config
-        self.memo: _ProjectionMemo | None = None  # set by _load_state; only predict reads it
+        self.memo: _ProjectionMemo | None = None  # set by _load_state, emptied by loss
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
+
+    def predict(self, instances: Sequence[Instance]) -> list[list]:
+        """Labels per instance, from ``decode`` of each chunk of ``batch_size`` instances."""
+        chunks = _chunks(instances, self.config.batch_size)
+        return [labels for chunk in chunks for labels in self.decode(chunk)]
 
     def dev_score(self, instances: Sequence[Instance], metric: str) -> float:
         """The selection ``metric`` on ``instances``: label accuracy or F1."""
@@ -311,18 +318,18 @@ class _CrfModel(Model):
 
     def loss(self, units: Sequence[tuple], rng=None) -> Tensor:
         """Summed CRF loss of a batch of (input, gold labels) units."""
+        self.memo = self.memo and _ProjectionMemo()  # a step after this writes w_x in place
         emissions, _ = self.emissions([x for x, _ in units], rng)
         labels = [[self.alphabet.index(y) for y in ys] for _, ys in units]
         return crf.nll_loss(emissions, labels, self.crf)
 
-    def predict(self, instances: Sequence[Instance]) -> list[list]:
-        """Labels per instance: each chunk's sequences Viterbi-decoded one by one."""
-        preds = []
-        for chunk in _chunks(instances, self.config.batch_size):
-            emissions, lengths = self.emissions([self.input(inst) for inst in chunk], memo=self.memo)
-            for u in np.split(emissions.data, np.cumsum(lengths[:-1])):
-                preds.append([self.alphabet[i] for i in crf.viterbi_decode(u, self.crf)[0]])
-        return preds
+    def decode(self, chunk: Sequence[Instance]) -> list[list]:
+        """Labels per instance of one chunk: each sequence Viterbi-decoded on its own."""
+        emissions, lengths = self.emissions([self.input(inst) for inst in chunk], memo=self.memo)
+        return [
+            [self.alphabet[i] for i in crf.viterbi_decode(u, self.crf)[0]]
+            for u in np.split(emissions.data, np.cumsum(lengths[:-1]))
+        ]
 
 
 class SlModel(_CrfModel):
@@ -396,6 +403,7 @@ class IccModel(_ClauseModel):
 
     def loss(self, units: Sequence[tuple[Sequence[str], bool]], rng=None) -> Tensor:
         """Summed cross-entropy of a batch of (clause tokens, flag) units."""
+        self.memo = self.memo and _ProjectionMemo()  # a step after this writes w_x in place
         logits = self.logits([toks for toks, _ in units], rng)
         return cross_entropy(logits, [int(flag) for _, flag in units])
 
@@ -407,14 +415,11 @@ class IccModel(_ClauseModel):
             for unit in zip(clause_token_lists(inst), clause_gold_flags(inst))
         ]
 
-    def predict(self, instances: Sequence[Instance]) -> list[list[bool]]:
-        """Clause flags per instance, each clause classified on its own."""
-        preds = []
-        for chunk in _chunks(instances, self.config.batch_size):
-            documents = [clause_token_lists(inst) for inst in chunk]
-            flags = iter(_stimulus_flags(self.logits(_flat(documents), memo=self.memo)))
-            preds += [list(itertools.islice(flags, len(doc))) for doc in documents]
-        return preds
+    def decode(self, chunk: Sequence[Instance]) -> list[list[bool]]:
+        """Clause flags per instance of one chunk, each clause classified on its own."""
+        documents = [clause_token_lists(inst) for inst in chunk]
+        flags = iter(_stimulus_flags(self.logits(_flat(documents), memo=self.memo)))
+        return [list(itertools.islice(flags, len(doc))) for doc in documents]
 
 
 class JccModel(_CrfModel, _ClauseModel):
@@ -484,11 +489,17 @@ class TrainedModel:
 
 def _arrays(model: Model) -> list[tuple[str, np.ndarray]]:
     """The model's parameter arrays by checkpoint name, in checkpoint order: a
-    BiLSTM's per direction (``BiLstm.arrays``), another layer's parameters whole."""
+    BiLSTM's per direction, ``NAME.{fwd|bwd}`` ``.w_x``, ``.w_h`` and ``.bias``
+    (the last two views into its stacked arrays), another layer's parameters whole."""
     entries = []
     for layer in model.layers:
         if isinstance(layer, BiLstm):
-            entries += layer.arrays()
+            directions = zip(("fwd", "bwd"), layer.w_x, layer.w_h.data, layer.bias.data)
+            entries += [
+                (f"{layer.name}.{tag}.{key}", arr)
+                for tag, w_x, w_h, bias in directions
+                for key, arr in (("w_x", w_x.data), ("w_h", w_h), ("bias", bias))
+            ]
         else:
             entries += [(p.name, p.data) for p in layer.parameters()]
     return entries
@@ -668,10 +679,7 @@ def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
         raise ValueError(f"payload ends inside array {cut!r} ({size} of {offset} bytes)")
     arrays = {}
     for name, (shape, start, count) in layout.items():
-        try:
-            arrays[name] = np.frombuffer(body, "<f8", count, start).reshape(shape)
-        except ValueError as exc:
-            raise ValueError(f"array {name!r}: {exc}") from None
+        arrays[name] = np.frombuffer(body, "<f8", count, start).reshape(shape)
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"array {name!r} holds a non-finite value")
     return arrays

@@ -166,15 +166,6 @@ class BiLstm:
     def parameters(self) -> list[Parameter]:
         return [*self.w_x, self.w_h, self.bias]
 
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        """The checkpoint's (name, array) entries: per direction ``{name}.{fwd|bwd}``
-        ``.w_x``, ``.w_h`` and ``.bias``, the last two views into the stacked arrays."""
-        return [
-            (f"{self.name}.{tag}.{key}", arr)
-            for tag, w_x, w_h, bias in zip(("fwd", "bwd"), self.w_x, self.w_h.data, self.bias.data)
-            for key, arr in (("w_x", w_x.data), ("w_h", w_h), ("bias", bias))
-        ]
-
     def run(self, xs: Tensor, lengths) -> tuple[Tensor, Tensor]:
         """Forward and backward hidden states, each (N, h), of packed sequences."""
         out, hd = self(xs, lengths), self.hidden_dim

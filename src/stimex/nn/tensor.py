@@ -99,8 +99,7 @@ class Tensor:
         out = Tensor(-self.data)
 
         def backward(grad):
-            if self.requires_grad:
-                _accum(self, -grad)
+            _accum(self, -grad)
 
         return out._attach((self,), backward)
 
@@ -163,8 +162,6 @@ class Tensor:
         out = Tensor(self.data.sum(axis=axis))
 
         def backward(grad):
-            if not self.requires_grad:
-                return
             if axis is None:
                 _accum(self, np.broadcast_to(grad, self.data.shape))
             else:
@@ -178,8 +175,6 @@ class Tensor:
         out = Tensor(y_keep.reshape(()) if axis is None else np.squeeze(y_keep, axis=axis))
 
         def backward(grad):
-            if not self.requires_grad:
-                return
             soft = np.exp(self.data - y_keep)
             if axis is None:
                 _accum(self, soft * grad)
@@ -195,8 +190,7 @@ class Tensor:
         out = Tensor(np.where(mask, self.data, 0.0))
 
         def backward(grad):
-            if self.requires_grad:
-                _accum(self, mask * grad)
+            _accum(self, mask * grad)
 
         return out._attach((self,), backward)
 

@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import CORPUS_RECORD, damaged, damaged_bytes, damaged_corpus
+from stimex import cli
 from stimex.cli import main
+from stimex.clause_extract import extract_clauses
 from stimex.corpus import (
     compute_stats,
     format_stats_csv,
@@ -104,6 +109,20 @@ def test_validate_ok_and_failure(tmp_path, corpus_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "stimex.cli", "validate", "--corpus", str(bad)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith(f"error: {bad}: line 1: ") and done.stderr.count("\n") == 1
+
+
 def test_validate_names_the_entry_of_an_invalid_clause_span(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(
@@ -135,12 +154,15 @@ def test_validate_on_a_damaged_corpus_exits_zero_or_one_with_one_error_line(
         assert code == 0 and err.getvalue() == "" and out.getvalue().startswith("ok: ")
 
 
-def test_stats_writes_csv(tmp_path, corpus_path):
+def test_stats_writes_csv(tmp_path, corpus_path, capsysbinary):
     out = tmp_path / "stats.csv"
     assert run("stats", "--corpus", corpus_path, "--out", out) == 0
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("dataset,size")
     assert len(lines) == 2 and lines[1].split(",")[1] == "30"
+    capsysbinary.readouterr()
+    assert run("stats", "--corpus", corpus_path) == 0  # no --out: the same bytes to stdout
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_clauses_extract_writes_clause_fields(tmp_path, corpus_path):
@@ -166,6 +188,22 @@ def test_clauses_extract_names_an_instance_with_a_bad_parse(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_clauses_extract_labels_are_the_comma_separated_names(
+    tmp_path, corpus_path, monkeypatch
+):
+    seen = set()
+
+    def recording(tree, labels, join):
+        seen.add(labels)
+        return extract_clauses(tree, labels, join)
+
+    monkeypatch.setattr(cli, "extract_clauses", recording)
+    out = tmp_path / "out.jsonl"
+    argv = ["clauses", "extract", "--corpus", corpus_path, "--labels", "SBAR, S,", "--out", out]
+    assert run(*argv) == 0
+    assert seen == {frozenset({"SBAR", "S"})}
+
+
 def test_clauses_extract_no_join_gives_finer_segments(tmp_path, corpus_path):
     joined, raw = tmp_path / "joined.jsonl", tmp_path / "raw.jsonl"
     assert run("clauses", "extract", "--corpus", corpus_path, "--out", joined) == 0
@@ -175,7 +213,7 @@ def test_clauses_extract_no_join_gives_finer_segments(tmp_path, corpus_path):
     assert n_raw >= n_joined
 
 
-def test_clauses_extract_trees_sidecar(tmp_path, corpus_path):
+def test_clauses_extract_trees_sidecar(tmp_path, corpus_path, capsys):
     instances = load_corpus(corpus_path)
     sidecar = tmp_path / "trees.txt"
     sidecar.write_text("\n".join(i.parse for i in instances) + "\n", encoding="utf-8")
@@ -191,6 +229,17 @@ def test_clauses_extract_trees_sidecar(tmp_path, corpus_path):
     sidecar.write_text("(S (NN x))\n", encoding="utf-8")
     assert (
         run("clauses", "extract", "--corpus", stripped, "--trees", sidecar, "--out", out) == 1
+    )
+    trees = ["(S (NN x))"] + [i.parse for i in load_corpus(corpus_path)[1:]]
+    sidecar.write_text("\n".join(trees) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert (
+        run("clauses", "extract", "--corpus", stripped, "--trees", sidecar, "--out", out) == 1
+    )
+    first = instances[0]
+    assert capsys.readouterr().err == (
+        f"error: instance {first.id!r}: tree has 1 leaves but the instance has "
+        f"{len(first.tokens)} tokens\n"
     )
 
 
@@ -459,12 +508,19 @@ def train_args(tmp_path, corpus_path):
         ("splits", "[1, 2]", "split file must be a JSON object"),
         ("splits", '{"train": 5, "dev": [], "test": []}', "'train' must be a list of instance"),
         ("splits", '{"train": [], "dev": [1], "test": []}', "'dev' must be a list of instance"),
+        ("splits", '{"train": [], "test": []}', "split file is missing the 'dev' id list"),
+        (
+            "splits",
+            '{"train": ["nope"], "dev": [], "test": []}',
+            "split references unknown instance ids: ['nope']",
+        ),
         ("config", "{not json", "training config is not valid JSON: Expecting property name"),
         ("config", '{"hidden_dim": "6"}', "hidden_dim must be of type int"),
         ("config", '{"hidden_dim": 6.5}', "hidden_dim must be of type int"),
         ("config", '{"seed": 1.5}', "seed must be of type int"),
         ("config", '{"seed": -1}', "seed must be non-negative"),
         ("config", '{"nope": 1}', "unknown training config key 'nope'"),
+        ("config", "[1, 2]", "training config must be a JSON object"),
     ],
 )
 def test_train_with_a_bad_split_or_config_file_names_it(

@@ -22,6 +22,7 @@ from stimex.corpus import (
     Span,
     generate_synthetic,
     iob_to_spans,
+    split_corpus,
 )
 from stimex.models import (
     MODELS,
@@ -552,6 +553,26 @@ def test_projection_memo_follows_new_weights(arch):
         assert model.predict(instances) == loaded.predict(instances)
 
 
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_finished_model_trained_further_predicts_with_its_new_weights(arch):
+    """Adam writes ``w_x`` in place, which the memo cannot see; each ``loss`` call
+    empties the memo, so a finished model that has predicted and is then trained
+    on scores as a model given the new weights by ``_load_state`` does."""
+    train_set, dev, test = split_corpus(generate_synthetic(40, 3), 3)
+    cfg = TrainConfig(embedding_dim=16, hidden_dim=8, max_epochs=1, patience=1)
+    model = train(arch, train_set, dev, toy_embeddings(train_set, 16), cfg).model
+    model.predict(test)
+    optimizer = Adam(model.parameters(), lr=0.5)
+    for _ in range(3):
+        optimizer.zero_grad()
+        model.loss(model.units(train_set)).backward()
+        optimizer.step()
+    loaded = type(model)(model.embeddings, cfg, None)
+    models._load_state(loaded, models._state_dict(model))
+    assert np.array_equal(_scores(model, test), _scores(loaded, test))
+    assert model.predict(test) == loaded.predict(test)
+
+
 # -- training ----------------------------------------------------------------------------
 
 
@@ -800,6 +821,20 @@ def _split_v3(path):
 
 def _v3_bytes(header, body):
     return json.dumps(header).encode("utf-8") + b"\n" + body
+
+
+@pytest.mark.parametrize("shape", [[0, 3], [], [2, 0, 5]])
+def test_payload_arrays_reads_zero_size_and_zero_dimensional_shapes(shape):
+    """Sizes are checked before any array is read and ``count`` is the product of
+    ``shape``, so ``frombuffer(...).reshape(shape)`` cannot fail, also on an empty body."""
+    other, value = np.array([1.5, -2.0]), np.full(shape, 0.25)
+    for arrays in ([("y", value)], [("x", other), ("y", value)], [("y", value), ("x", other)]):
+        header = {"arrays": [[name, list(arr.shape)] for name, arr in arrays]}
+        body = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
+        got = models._payload_arrays(header, memoryview(body))
+        assert list(got) == [name for name, _ in arrays]
+        for name, arr in arrays:
+            assert got[name].shape == arr.shape and np.array_equal(got[name], arr)
 
 
 def test_checkpoint_stores_exact_binary_payloads(tmp_path):
