@@ -125,15 +125,17 @@ def cmd_stats(args) -> int:
 
 
 def _clause_labels(args) -> frozenset[str]:
-    if args.labels:
-        return frozenset(lab.strip() for lab in args.labels.split(",") if lab.strip())
-    return DEFAULT_CLAUSE_LABELS
+    if args.labels is None:
+        return DEFAULT_CLAUSE_LABELS
+    if labels := frozenset(lab.strip() for lab in args.labels.split(",")) - {""}:
+        return labels
+    raise ValueError(f"--labels {args.labels!r} names no clause label")
 
 
 def cmd_clauses_extract(args) -> int:
+    labels = _clause_labels(args)
     instances = load_corpus(args.corpus)
     trees = _trees_for(instances, args.trees)
-    labels = _clause_labels(args)
     for inst, tree in zip(instances, trees):
         segs = extract_clauses(tree, labels, join=not args.no_join)
         inst.clauses = [ClauseAnnotation(sp, False) for sp in segs.segments]
@@ -150,8 +152,8 @@ CLAUSE_EVAL_COLUMNS = (
 
 
 def cmd_clauses_eval(args) -> int:
-    instances = load_corpus(args.corpus)
     labels = _clause_labels(args)
+    instances = load_corpus(args.corpus)
     pairs: dict[str, list[tuple[Instance, ConstTree]]] = {}
     for inst, tree in zip(instances, _trees_for(instances, args.trees)):
         pairs.setdefault(inst.dataset, []).append((inst, tree))

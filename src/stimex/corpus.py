@@ -160,11 +160,14 @@ def check_spans(spans: Iterable[Span], n: int) -> list[Span]:
 
 def spans_to_iob(spans: Iterable[Span], n: int) -> list[str]:
     """Encode disjoint spans over ``n`` tokens as IOB labels."""
+    return checked_spans_to_iob(check_spans(spans, n), n)
+
+
+def checked_spans_to_iob(spans: Iterable[Span], n: int) -> list[str]:
+    """IOB labels of spans already known to be disjoint and to end within ``n`` tokens."""
     out = ["O"] * n
-    for sp in check_spans(spans, n):
-        out[sp.start] = "B"
-        for i in range(sp.start + 1, sp.end):
-            out[i] = "I"
+    for sp in spans:
+        out[sp.start : sp.end] = ["B"] + ["I"] * (len(sp) - 1)
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from stimex.corpus import Span, check_spans, spans_to_iob
+from stimex.corpus import Span, check_spans, checked_spans_to_iob
 
 
 def tokens_to_clauses(iob: Sequence[str], clauses: Sequence[Span]) -> list[bool]:
@@ -26,5 +26,5 @@ def clauses_to_tokens(flags: Sequence[bool], clauses: Sequence[Span], n: int) ->
     """
     if len(flags) != len(clauses):
         raise ValueError(f"{len(flags)} flags for {len(clauses)} clauses")
-    check_spans(clauses, n)  # all clauses, not only the flagged ones
-    return spans_to_iob([sp for flag, sp in zip(flags, clauses) if flag], n)
+    check_spans(clauses, n)  # all clauses, so the flagged ones too
+    return checked_spans_to_iob([sp for flag, sp in zip(flags, clauses) if flag], n)

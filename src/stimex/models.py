@@ -44,7 +44,7 @@ from stimex.nn import (
 
 SELECTION_METRICS = ("accuracy", "f1")
 CHECKPOINT_FORMAT = "stimex-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _CONFIG_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
@@ -487,44 +487,23 @@ class TrainedModel:
     history: list[dict]
 
 
-def _arrays(model: Model) -> list[tuple[str, np.ndarray]]:
-    """The model's parameter arrays by checkpoint name, in checkpoint order: a
-    BiLSTM's per direction, ``NAME.{fwd|bwd}`` ``.w_x``, ``.w_h`` and ``.bias``
-    (the last two views into its stacked arrays), another layer's parameters whole."""
-    entries = []
-    for layer in model.layers:
-        if isinstance(layer, BiLstm):
-            directions = zip(("fwd", "bwd"), layer.w_x, layer.w_h.data, layer.bias.data)
-            entries += [
-                (f"{layer.name}.{tag}.{key}", arr)
-                for tag, w_x, w_h, bias in directions
-                for key, arr in (("w_x", w_x.data), ("w_h", w_h), ("bias", bias))
-            ]
-        else:
-            entries += [(p.name, p.data) for p in layer.parameters()]
-    return entries
-
-
 def _state_dict(model: Model) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in _arrays(model)}
+    return {p.name: p.data.copy() for p in model.parameters()}
 
 
 def _load_state(model: Model, state: dict[str, np.ndarray]) -> None:
-    """Give every parameter a new array of its own, filled from ``state`` by
-    checkpoint name; a ``state`` that does not fit changes nothing."""
-    shapes = {name: arr.shape for name, arr in _arrays(model)}
+    """Give every parameter a new array of its own, a copy of its entry in
+    ``state``; a ``state`` that does not fit changes nothing."""
+    shapes = {p.name: p.data.shape for p in model.parameters()}
     if set(shapes) != set(state):
-        missing = sorted(set(shapes) - set(state))
-        extra = sorted(set(state) - set(shapes))
+        missing, extra = sorted(set(shapes) - set(state)), sorted(set(state) - set(shapes))
         raise ValueError(f"parameter name mismatch: missing {missing}, unexpected {extra}")
     values = {name: np.asarray(value, dtype=np.float64) for name, value in state.items()}
     for name, shape in shapes.items():
         if values[name].shape != shape:
             raise ValueError(f"parameter {name!r} has shape {values[name].shape}, expected {shape}")
     for p in model.parameters():
-        p.data = np.empty_like(p.data)
-    for name, arr in _arrays(model):
-        arr[...] = values[name]
+        p.data = np.array(values[p.name])
     model.memo = _ProjectionMemo()
 
 
@@ -616,17 +595,18 @@ def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool
 # ---------------------------------------------------------------------------
 # Checkpoints
 #
-# Version 3, the only one written or read, is one UTF-8 JSON header line
-# followed by the payload: the row-major little-endian float64 bytes of every
-# array the header's "arrays" list names, back to back. Versions 1 and 2 were
-# one JSON document each; loading one fails with an error naming its version.
+# Version 4, the only one written or read, is one UTF-8 JSON header line and
+# the payload: the row-major little-endian float64 bytes of the arrays that the
+# header's "arrays" list names, back to back: "embedding", then each parameter
+# whole by its name. Loading an older version fails with an error naming it.
 
 
 def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     """Write ``trained`` to ``path`` through a temporary file, so a failed save leaves
     no partial file at ``path`` and keeps any checkpoint already there."""
     model = trained.model
-    arrays = [("embedding", model.embeddings.matrix), *_arrays(model)]
+    arrays = [("embedding", model.embeddings.matrix)]
+    arrays += [(p.name, p.data) for p in model.parameters()]
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -656,7 +636,7 @@ def _shape(value) -> list[int]:
 
 
 def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
-    """Read-only views of a version-3 payload, keyed by name; sizes are checked
+    """Read-only views of a checkpoint payload, keyed by name; sizes are checked
     first, then that every value is finite."""
     layout, offset = {}, 0
     for item in _entry(header, "arrays", list):
@@ -728,7 +708,7 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
     if not all(isinstance(tok, str) for tok in vocab):
         raise ValueError("'vocab' must be a list of strings")
     if body is None:
-        raise ValueError("no payload after the version-3 header line")
+        raise ValueError("no payload after the header line")
     state = _payload_arrays(payload, body)
     if "embedding" not in state:
         raise ValueError("'arrays' has no 'embedding' entry")
@@ -749,7 +729,7 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read a version-3 checkpoint; any defect, or an older version, raises
+    """Read a version-4 checkpoint; any defect, or an older version, raises
     ``ValueError`` naming ``path``."""
     try:
         return _parse_checkpoint(Path(path).read_bytes())

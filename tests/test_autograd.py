@@ -31,6 +31,9 @@ def check(loss_fn, *params, tol=1e-6):
 def test_add_and_broadcast():
     a, b = param((3, 4), "a"), param((4,), "b")
     check(lambda: (a + b).sum(), a, b)
+    c = param((3, 1), "c")  # a size-1 axis: its gradient is summed over it, keeping it
+    check(lambda: (a + c).sum(), a, c)
+    assert c.grad.shape == (3, 1) and np.array_equal(c.grad, np.full((3, 1), 4.0))
 
 
 def test_sub_neg():
@@ -53,6 +56,18 @@ def test_matmul_cases():
     check(lambda: (m @ v).sum(), m, v)  # 2d @ 1d
     check(lambda: (u @ m).sum(), u, m)  # 1d @ 2d
     check(lambda: v @ v, v)  # 1d @ 1d
+
+
+def test_matmul_backward_refuses_an_operand_above_2d():
+    a, b = param((2, 3, 4), "a"), param((4, 5), "b")
+    loss = (a @ b).sum()  # the forward pass is NumPy's batched matmul
+    with pytest.raises(ValueError, match="matmul supports only 1-D and 2-D operands"):
+        loss.backward()
+
+
+def test_tensor_and_parameter_reprs():
+    assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), requires_grad=False)"
+    assert repr(Parameter("w", np.zeros(4))) == "Parameter('w', shape=(4,))"
 
 
 def test_transpose():

@@ -53,7 +53,7 @@ def run(*argv):
 
 
 def checkpoint_header(path):
-    """The JSON header line of a version-3 checkpoint."""
+    """The JSON header line of a checkpoint."""
     return json.loads(path.read_bytes().partition(b"\n")[0])
 
 
@@ -202,6 +202,24 @@ def test_clauses_extract_labels_are_the_comma_separated_names(
     argv = ["clauses", "extract", "--corpus", corpus_path, "--labels", "SBAR, S,", "--out", out]
     assert run(*argv) == 0
     assert seen == {frozenset({"SBAR", "S"})}
+
+
+@pytest.mark.parametrize("command", ["extract", "eval"])
+@pytest.mark.parametrize("value", [",", " , ", ""])
+def test_clauses_labels_naming_no_label_exit_one(tmp_path, corpus_path, capsys, command, value):
+    out = tmp_path / "out"
+    assert run("clauses", command, "--corpus", corpus_path, "--labels", value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --labels {value!r} names no clause label\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_clauses_labels_unknown_to_the_parses_are_an_open_set(tmp_path, corpus_path, command):
+    """A name no node carries is kept, not refused: it simply matches nothing."""
+    out = tmp_path / "out"
+    assert run("clauses", command, "--corpus", corpus_path, "--labels", "NOPE", "--out", out) == 0
+    if command == "extract":  # no node matches, so each sentence is one clause
+        assert all(len(inst.clauses) == 1 for inst in load_corpus(out))
 
 
 def test_clauses_extract_no_join_gives_finer_segments(tmp_path, corpus_path):
@@ -412,7 +430,7 @@ def test_missing_file_is_reported(tmp_path, capsys):
     "content, needle",
     [
         ("[]", "not a model checkpoint"),
-        ('{"format": "stimex-checkpoint", "version": 3}', "'config'"),
+        ('{"format": "stimex-checkpoint", "version": 4}', "'config'"),
         ('{"format": "stimex-checkpoint", "version": 2, "config": {}}', "version 2"),
         ("{broken", "ckpt.json"),
     ],

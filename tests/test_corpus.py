@@ -39,6 +39,13 @@ def make_instance(iob, clauses=None, **kwargs):
     return inst
 
 
+@pytest.mark.parametrize("field", ["id", "dataset"])
+@pytest.mark.parametrize("value", ["", 5, None])
+def test_instance_id_and_dataset_must_be_non_empty_strings(field, value):
+    with pytest.raises(CorpusError, match=f"^field '{field}' must be a non-empty string$"):
+        make_instance(["O"], **{field: value})
+
+
 # -- spans -------------------------------------------------------------------
 
 

@@ -233,7 +233,7 @@ def test_input_validation():
         log_partition(np.zeros((0, 2)), params)
     with pytest.raises(ValueError):
         log_partition(np.zeros((2, 3)), params)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty emission sequence$"):
         viterbi_decode(np.zeros((0, 2)), params)
     with pytest.raises(ValueError, match="shape"):
         viterbi_decode(np.zeros((2, 3)), params)
@@ -243,6 +243,8 @@ def test_input_validation():
 
 def test_brute_force_guard():
     params = fresh_params(3)
+    with pytest.raises(ValueError, match="^empty emission sequence$"):
+        brute_force_decode(np.zeros((0, 3)), params)
     with pytest.raises(ValueError, match="exceeds"):
         brute_force_decode(np.zeros((20, 3)), params)
     with pytest.raises(ValueError, match="exceeds"):

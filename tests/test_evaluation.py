@@ -79,7 +79,7 @@ def test_span_prf_zero_denominators():
 
 
 def test_span_prf_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mismatched instance sets: 1 predicted vs 2 gold"):
         span_prf([[]], [[], []], MatchMode.EXACT)
     with pytest.raises(ValueError):
         span_prf([[]], [[]], MatchMode.CLAUSE)
@@ -194,7 +194,7 @@ def test_clause_prf_positive_class_only():
 
 
 def test_clause_prf_rejects_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mismatched instance sets: 1 predicted vs 2 gold"):
         clause_prf([[True]], [[True], [False]])
     with pytest.raises(ValueError):
         clause_prf([[True, False]], [[True]])
@@ -212,6 +212,11 @@ def test_clause_alignment_fractions():
 
 def test_clause_alignment_empty():
     assert clause_alignment([[]], [[spans([(0, 2)])[0]]]) == AlignmentReport(0.0, 0.0, 0.0, 0)
+
+
+def test_clause_alignment_rejects_mismatched_instance_sets():
+    with pytest.raises(ValueError, match="mismatched instance sets: 1 stimuli vs 2 clauses"):
+        clause_alignment([spans([(0, 1)])], [spans([(0, 1)]), []])
 
 
 def test_clause_match_prf_is_exact_span_prf():

@@ -811,15 +811,16 @@ def _small_trained(arch="sl", seed=12):
 
 def _arrays(model):
     """Every array of ``model`` in checkpoint order: the embedding, then the parameters."""
-    return [("embedding", model.embeddings.matrix)] + models._arrays(model)
+    params = [(p.name, p.data) for p in model.parameters()]
+    return [("embedding", model.embeddings.matrix)] + params
 
 
-def _split_v3(path):
+def _split_file(path):
     header, _, body = path.read_bytes().partition(b"\n")
     return json.loads(header), body
 
 
-def _v3_bytes(header, body):
+def _file_bytes(header, body):
     return json.dumps(header).encode("utf-8") + b"\n" + body
 
 
@@ -841,29 +842,27 @@ def test_checkpoint_stores_exact_binary_payloads(tmp_path):
     _, trained = _small_trained()
     path = tmp_path / "m.json"
     save_checkpoint(trained, path)
-    header, body = _split_v3(path)
-    assert header["version"] == 3
+    header, body = _split_file(path)
+    assert header["version"] == models.CHECKPOINT_VERSION
     arrays = _arrays(trained.model)
     assert header["arrays"] == [[name, list(arr.shape)] for name, arr in arrays]
-    at = [name for name, _ in arrays].index("encoder.fwd.w_h")
+    at = [name for name, _ in arrays].index("encoder.w_h")
     start = sum(arr.size * 8 for _, arr in arrays[:at])
-    w_h = trained.model.encoder.w_h.data[0]
+    w_h = trained.model.encoder.w_h.data  # both directions, stacked
     assert body[start : start + w_h.size * 8] == w_h.astype("<f8").tobytes()
-    assert header["arrays"][at] == ["encoder.fwd.w_h", list(w_h.shape)]
+    assert header["arrays"][at] == ["encoder.w_h", list(w_h.shape)]
     # the file is exactly the header line plus every array's bytes, nothing after them
     payload = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
-    assert path.read_bytes() == _v3_bytes(header, payload)
+    assert path.read_bytes() == _file_bytes(header, payload)
 
 
 CHECKPOINT_LAYOUTS = {  # header "arrays" at embedding_dim 8, hidden_dim 6, 5 tokens
     "sl": [
         ["embedding", [5, 8]],
         ["encoder.fwd.w_x", [8, 24]],
-        ["encoder.fwd.w_h", [6, 24]],
-        ["encoder.fwd.bias", [24]],
         ["encoder.bwd.w_x", [8, 24]],
-        ["encoder.bwd.w_h", [6, 24]],
-        ["encoder.bwd.bias", [24]],
+        ["encoder.w_h", [2, 6, 24]],
+        ["encoder.bias", [2, 24]],
         ["project.weight", [24, 3]],
         ["project.bias", [3]],
         ["crf.transitions", [3, 3]],
@@ -873,11 +872,9 @@ CHECKPOINT_LAYOUTS = {  # header "arrays" at embedding_dim 8, hidden_dim 6, 5 to
     "icc": [
         ["embedding", [5, 8]],
         ["encoder.fwd.w_x", [8, 24]],
-        ["encoder.fwd.w_h", [6, 24]],
-        ["encoder.fwd.bias", [24]],
         ["encoder.bwd.w_x", [8, 24]],
-        ["encoder.bwd.w_h", [6, 24]],
-        ["encoder.bwd.bias", [24]],
+        ["encoder.w_h", [2, 6, 24]],
+        ["encoder.bias", [2, 24]],
         ["hidden.weight", [24, 6]],
         ["hidden.bias", [6]],
         ["out.weight", [6, 2]],
@@ -886,23 +883,17 @@ CHECKPOINT_LAYOUTS = {  # header "arrays" at embedding_dim 8, hidden_dim 6, 5 to
     "jcc": [
         ["embedding", [5, 8]],
         ["word_encoder.fwd.w_x", [8, 24]],
-        ["word_encoder.fwd.w_h", [6, 24]],
-        ["word_encoder.fwd.bias", [24]],
         ["word_encoder.bwd.w_x", [8, 24]],
-        ["word_encoder.bwd.w_h", [6, 24]],
-        ["word_encoder.bwd.bias", [24]],
+        ["word_encoder.w_h", [2, 6, 24]],
+        ["word_encoder.bias", [2, 24]],
         ["clause_encoder1.fwd.w_x", [12, 24]],
-        ["clause_encoder1.fwd.w_h", [6, 24]],
-        ["clause_encoder1.fwd.bias", [24]],
         ["clause_encoder1.bwd.w_x", [12, 24]],
-        ["clause_encoder1.bwd.w_h", [6, 24]],
-        ["clause_encoder1.bwd.bias", [24]],
+        ["clause_encoder1.w_h", [2, 6, 24]],
+        ["clause_encoder1.bias", [2, 24]],
         ["clause_encoder2.fwd.w_x", [12, 24]],
-        ["clause_encoder2.fwd.w_h", [6, 24]],
-        ["clause_encoder2.fwd.bias", [24]],
         ["clause_encoder2.bwd.w_x", [12, 24]],
-        ["clause_encoder2.bwd.w_h", [6, 24]],
-        ["clause_encoder2.bwd.bias", [24]],
+        ["clause_encoder2.w_h", [2, 6, 24]],
+        ["clause_encoder2.bias", [2, 24]],
         ["project.weight", [24, 2]],
         ["project.bias", [2]],
         ["crf.transitions", [2, 2]],
@@ -919,7 +910,7 @@ def test_checkpoint_header_lists_the_fixed_array_layout(tmp_path, arch):
     emb = EmbeddingTable.random(["a", "b", "c", "d", "e"], 8, 0)
     model = MODELS[arch](emb, TOY, np.random.default_rng(0))
     save_checkpoint(models.TrainedModel(model, []), tmp_path / "m.ckpt")
-    header, body = _split_v3(tmp_path / "m.ckpt")
+    header, body = _split_file(tmp_path / "m.ckpt")
     assert header["arrays"] == CHECKPOINT_LAYOUTS[arch]
     assert len(body) == 8 * sum(math.prod(shape) for _, shape in CHECKPOINT_LAYOUTS[arch])
 
@@ -944,7 +935,7 @@ def _legacy_payload(trained, version):
         "history": trained.history,
         "vocab": model.embeddings.tokens,
         "embedding": encode(model.embeddings.matrix),
-        "params": {name: encode(arr) for name, arr in models._arrays(model)},
+        "params": {p.name: encode(p.data) for p in model.parameters()},
     }
 
 
@@ -968,6 +959,22 @@ def test_checkpoint_versions_1_and_2_are_refused(tmp_path, version):
     assert str(exc.value).startswith(f"{path}: unsupported checkpoint version {version} ")
 
 
+def test_checkpoint_version_3_is_refused(tmp_path):
+    """Version 3 stored each BiLSTM's ``w_h`` and ``bias`` split by direction; such a
+    file is refused by its version, before any array is read."""
+    _, trained = _small_trained()
+    path = tmp_path / "v3.ckpt"
+    save_checkpoint(trained, path)
+    header, body = _split_file(path)
+    path.write_bytes(_file_bytes(dict(header, version=3), body))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    version = models.CHECKPOINT_VERSION
+    assert str(exc.value) == (
+        f"{path}: unsupported checkpoint version 3 (only version {version} is read)"
+    )
+
+
 def test_loaded_checkpoint_owns_its_arrays(tmp_path):
     corpus, trained = _small_trained()
     path = tmp_path / "m.json"
@@ -978,22 +985,22 @@ def test_loaded_checkpoint_owns_its_arrays(tmp_path):
         assert arr.flags.owndata and arr.flags.writeable
 
 
-def _corrupt_v3(header, body):
-    """Named ways to damage a valid version-3 file, with the text the error must name."""
+def _corrupt_files(header, body):
+    """Named ways to damage a valid checkpoint file, with the text the error must name."""
     arrays = header["arrays"]
     names = [name for name, _ in arrays]
     at = names.index("project.bias")
 
     def with_arrays(entries):
-        return _v3_bytes(dict(header, arrays=entries), body)
+        return _file_bytes(dict(header, arrays=entries), body)
 
     def with_entry(entry):
         return with_arrays(arrays[:at] + [entry] + arrays[at + 1 :])
 
     def without(key):
-        return _v3_bytes({k: v for k, v in header.items() if k != key}, body)
+        return _file_bytes({k: v for k, v in header.items() if k != key}, body)
 
-    good = _v3_bytes(header, body)
+    good = _file_bytes(header, body)
     head_len = good.index(b"\n")
     embedding_bytes = 8 * math.prod(arrays[0][1])
     yield "shape not a list", with_entry(["project.bias", "3"]), "'project.bias'"
@@ -1005,7 +1012,7 @@ def _corrupt_v3(header, body):
     yield "duplicate name", with_arrays(arrays + [arrays[at]]), "'project.bias' twice"
     yield "arrays missing", without("arrays"), "'arrays'"
     yield "arrays not a list", with_arrays({"project.bias": [3]}), "'arrays'"
-    yield "embedding not listed", _v3_bytes(
+    yield "embedding not listed", _file_bytes(
         dict(header, arrays=arrays[1:]), body[embedding_bytes:]
     ), "'embedding'"
     yield "payload short", good[:-8], f"{names[-1]!r}"
@@ -1018,24 +1025,24 @@ def _corrupt_v3(header, body):
     yield "header not UTF-8", b"\xff" + good[1:], "header"
     yield "header not JSON", good[: head_len - 1] + good[head_len:], "header"
     yield "no payload", good[:head_len], "no payload"
-    yield "header not an object", _v3_bytes([], body), "not a model checkpoint"
-    yield "format wrong", _v3_bytes(dict(header, format="other"), body), "format"
-    yield "vocab not strings", _v3_bytes(dict(header, vocab=[1, 2]), body), "'vocab'"
+    yield "header not an object", _file_bytes([], body), "not a model checkpoint"
+    yield "format wrong", _file_bytes(dict(header, format="other"), body), "format"
+    yield "vocab not strings", _file_bytes(dict(header, vocab=[1, 2]), body), "'vocab'"
     yield "history missing", without("history"), "'history'"
-    yield "history not a list", _v3_bytes(dict(header, history=5), body), "'history'"
-    yield "history entry not an object", _v3_bytes(dict(header, history=[5]), body), "'history'"
+    yield "history not a list", _file_bytes(dict(header, history=5), body), "'history'"
+    yield "history entry not an object", _file_bytes(dict(header, history=[5]), body), "'history'"
     yield "config missing", without("config"), "'config'"
-    yield "config bad key", _v3_bytes(dict(header, config={"nope": 1}), body), "'config'"
+    yield "config bad key", _file_bytes(dict(header, config={"nope": 1}), body), "'config'"
     config = dict(header["config"], hidden_dim=6.5)
-    yield "config wrong type", _v3_bytes(dict(header, config=config), body), "'config'"
+    yield "config wrong type", _file_bytes(dict(header, config=config), body), "'config'"
     flat = [["embedding", [math.prod(arrays[0][1])]]] + arrays[1:]
     yield "embedding of the wrong shape", with_arrays(flat), "'embedding'"
     huge = dict(header["config"], hidden_dim=2**40)  # would need petabytes of weights
-    yield "hidden size beyond the arrays", _v3_bytes(dict(header, config=huge), body), "'config'"
+    yield "hidden size beyond the arrays", _file_bytes(dict(header, config=huge), body), "'config'"
 
 
 def _without_clause_attention(header, body):
-    """A version-3 jcc file as saved when the clause attention could be switched off: the
+    """A jcc file as saved when the clause attention could be switched off: the
     flag false in the header and a (2h, 2) projection instead of a (4h, 2) one."""
     names = [name for name, _ in header["arrays"]]
     sizes = [8 * math.prod(shape) for _, shape in header["arrays"]]
@@ -1045,17 +1052,17 @@ def _without_clause_attention(header, body):
     arrays = list(header["arrays"])
     arrays[at] = ["project.weight", [rows // 2, cols]]
     payload = body[: start + sizes[at] // 2] + body[start + sizes[at] :]
-    return _v3_bytes(dict(header, clause_attention=False, arrays=arrays), payload)
+    return _file_bytes(dict(header, clause_attention=False, arrays=arrays), payload)
 
 
 def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
     _, trained = _small_trained()
     good = tmp_path / "good.json"
     save_checkpoint(trained, good)
-    cases = list(_corrupt_v3(*_split_v3(good)))
+    cases = list(_corrupt_files(*_split_file(good)))
     _, jcc = _small_trained("jcc")
     save_checkpoint(jcc, good)
-    narrow = _without_clause_attention(*_split_v3(good))
+    narrow = _without_clause_attention(*_split_file(good))
     cases.append(("jcc without clause attention", narrow, "'project.weight' has shape (12, 2)"))
     for label, bad, needle in cases:
         path = tmp_path / "bad.json"
@@ -1068,15 +1075,15 @@ def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
 def test_a_state_that_does_not_fit_changes_no_parameter(arch):
-    """A missing name, or a wrong shape for one direction of a BiLSTM, raises naming
+    """A missing name, or a wrong shape for a BiLSTM's stacked ``w_h``, raises naming
     it and leaves every parameter holding the array it held."""
     model = _model(arch)
     held = [p.data for p in model.parameters()]
     state = models._state_dict(model)
-    bwd_w_h = next(name for name in state if name.endswith(".bwd.w_h"))
-    missing = {k: v for k, v in state.items() if k != bwd_w_h}
-    transposed = dict(state, **{bwd_w_h: state[bwd_w_h].T})
-    for bad, needle in [(missing, "name mismatch"), (transposed, f"{bwd_w_h!r} has shape")]:
+    w_h = next(name for name in state if name.endswith(".w_h"))
+    missing = {k: v for k, v in state.items() if k != w_h}
+    transposed = dict(state, **{w_h: state[w_h].T})
+    for bad, needle in [(missing, "name mismatch"), (transposed, f"{w_h!r} has shape")]:
         with pytest.raises(ValueError, match=needle):
             models._load_state(model, bad)
         assert all(map(operator.is_, [p.data for p in model.parameters()], held))
