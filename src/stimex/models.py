@@ -19,6 +19,7 @@ import math
 import numbers
 import operator
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -491,17 +492,23 @@ def _state_dict(model: Model) -> dict[str, np.ndarray]:
     return {p.name: p.data.copy() for p in model.parameters()}
 
 
+def _check_shapes(model: Model, shapes: dict[str, tuple]) -> None:
+    """Raise unless ``shapes`` names every parameter of ``model``, and no other,
+    with its shape."""
+    own = {p.name: p.data.shape for p in model.parameters()}
+    if set(own) != set(shapes):
+        missing, extra = sorted(set(own) - set(shapes)), sorted(set(shapes) - set(own))
+        raise ValueError(f"parameter name mismatch: missing {missing}, unexpected {extra}")
+    for name, shape in own.items():
+        if shapes[name] != shape:
+            raise ValueError(f"parameter {name!r} has shape {shapes[name]}, expected {shape}")
+
+
 def _load_state(model: Model, state: dict[str, np.ndarray]) -> None:
     """Give every parameter a new array of its own, a copy of its entry in
     ``state``; a ``state`` that does not fit changes nothing."""
-    shapes = {p.name: p.data.shape for p in model.parameters()}
-    if set(shapes) != set(state):
-        missing, extra = sorted(set(shapes) - set(state)), sorted(set(state) - set(shapes))
-        raise ValueError(f"parameter name mismatch: missing {missing}, unexpected {extra}")
     values = {name: np.asarray(value, dtype=np.float64) for name, value in state.items()}
-    for name, shape in shapes.items():
-        if values[name].shape != shape:
-            raise ValueError(f"parameter {name!r} has shape {values[name].shape}, expected {shape}")
+    _check_shapes(model, {name: value.shape for name, value in values.items()})
     for p in model.parameters():
         p.data = np.array(values[p.name])
     model.memo = _ProjectionMemo()
@@ -599,6 +606,9 @@ def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool
 # the payload: the row-major little-endian float64 bytes of the arrays that the
 # header's "arrays" list names, back to back: "embedding", then each parameter
 # whole by its name. Loading an older version fails with an error naming it.
+# A load checks the whole header, and every array's size against the file's,
+# before it allocates anything; it then builds the model with uninitialised
+# weights and reads each array straight into the one that keeps it.
 
 
 def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
@@ -635,10 +645,10 @@ def _shape(value) -> list[int]:
     return value
 
 
-def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
-    """Read-only views of a checkpoint payload, keyed by name; sizes are checked
-    first, then that every value is finite."""
-    layout, offset = {}, 0
+def _layout(header: dict, size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of the header's "arrays" list, by name in file
+    order, once their sizes are checked to fill the ``size`` payload bytes exactly."""
+    layout, ends, offset = {}, {}, 0
     for item in _entry(header, "arrays", list):
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
             raise ValueError(f"'arrays' entries must be [name, shape] pairs, got {item!r}")
@@ -646,35 +656,28 @@ def _payload_arrays(header: dict, body: memoryview) -> dict[str, np.ndarray]:
         if name in layout:
             raise ValueError(f"'arrays' lists {name!r} twice")
         try:
-            count = math.prod(_shape(shape))
+            offset += 8 * math.prod(_shape(shape))
         except ValueError as exc:
             raise ValueError(f"array {name!r}: {exc}") from None
-        layout[name] = (shape, offset, count)
-        offset += 8 * count
-    size = len(body)
+        layout[name], ends[name] = tuple(shape), offset
     if size > offset:
         raise ValueError(f"{size - offset} bytes follow the last array of 'arrays'")
     if size < offset:
-        cut = next(n for n, (_, start, count) in layout.items() if start + 8 * count > size)
+        cut = next(name for name, end in ends.items() if end > size)
         raise ValueError(f"payload ends inside array {cut!r} ({size} of {offset} bytes)")
-    arrays = {}
-    for name, (shape, start, count) in layout.items():
-        arrays[name] = np.frombuffer(body, "<f8", count, start).reshape(shape)
-        if not np.isfinite(arrays[name]).all():
+    return layout
+
+
+def _read_arrays(handle, arrays: dict[str, np.ndarray]) -> None:
+    """Fill each of the C-contiguous float64 ``arrays``, in order, with the next
+    little-endian bytes of ``handle``, and check that every value is finite."""
+    for name, arr in arrays.items():
+        if handle.readinto(arr) != arr.nbytes:
+            raise ValueError(f"payload ends inside array {name!r}")
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
+        if not np.isfinite(arr).all():
             raise ValueError(f"array {name!r} holds a non-finite value")
-    return arrays
-
-
-def _split_header(data: bytes) -> tuple[object, memoryview | None]:
-    """The JSON value of a file's first line, and the payload after it (None
-    when the file has no newline)."""
-    newline = data.find(b"\n")
-    end = len(data) if newline < 0 else newline
-    try:
-        header = json.loads(data[:end].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"the header line is not UTF-8 JSON ({exc})") from None
-    return header, None if newline < 0 else memoryview(data)[newline + 1 :]
 
 
 _JSON_KIND = {dict: "object", list: "array", str: "string"}
@@ -689,8 +692,13 @@ def _entry(payload: dict, key: str, kind: type):
     return value
 
 
-def _parse_checkpoint(data: bytes) -> TrainedModel:
-    payload, body = _split_header(data)
+def _read_checkpoint(handle) -> TrainedModel:
+    line = handle.readline()
+    newline = line.endswith(b"\n")
+    try:
+        payload = json.loads((line[:-1] if newline else line).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"the header line is not UTF-8 JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint (format header missing or wrong)")
     version = payload.get("version")
@@ -703,28 +711,35 @@ def _parse_checkpoint(data: bytes) -> TrainedModel:
         config = TrainConfig.from_dict(config_entry)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"'config': {exc}") from None
-    architecture = _entry(payload, "architecture", str)
+    model_class = _model_class(_entry(payload, "architecture", str))
     vocab = _entry(payload, "vocab", list)
     if not all(isinstance(tok, str) for tok in vocab):
         raise ValueError("'vocab' must be a list of strings")
-    if body is None:
+    if not newline:
         raise ValueError("no payload after the header line")
-    state = _payload_arrays(payload, body)
-    if "embedding" not in state:
-        raise ValueError("'arrays' has no 'embedding' entry")
-    if 8 * config.hidden_dim**2 > sum(arr.size for arr in state.values()):
-        # every model's BiLSTM has a (2, h, 4h) w_h array: refuse before allocating it
-        raise ValueError(f"'config': hidden_dim {config.hidden_dim} does not fit the arrays")
-    try:
-        # a copy, so that the table owns its rows instead of viewing the file's bytes
-        embeddings = EmbeddingTable(vocab, state.pop("embedding").copy())
-    except ValueError as exc:
-        raise ValueError(f"'embedding': {exc}") from None
-    model = _model_class(architecture)(embeddings, config, None)
-    _load_state(model, state)
     history = _entry(payload, "history", list)
     if not all(isinstance(epoch, dict) for epoch in history):
         raise ValueError("'history' must be a list of JSON objects")
+    shapes = _layout(payload, os.fstat(handle.fileno()).st_size - handle.tell())
+    if "embedding" not in shapes:
+        raise ValueError("'arrays' has no 'embedding' entry")
+    if 8 * config.hidden_dim**2 > sum(map(math.prod, shapes.values())):
+        # every model's BiLSTM has a (2, h, 4h) w_h array: refuse before allocating it
+        raise ValueError(f"'config': hidden_dim {config.hidden_dim} does not fit the arrays")
+    try:
+        embeddings = EmbeddingTable(vocab, np.empty(shapes["embedding"]))
+    except ValueError as exc:
+        raise ValueError(f"'embedding': {exc}") from None
+    if embeddings.dim != config.embedding_dim:
+        raise ValueError(
+            f"'config': embedding_dim {config.embedding_dim}, embeddings {embeddings.dim} wide"
+        )
+    model = model_class(embeddings, config, None)
+    _check_shapes(model, {name: shape for name, shape in shapes.items() if name != "embedding"})
+    targets = {p.name: p.data for p in model.parameters()}
+    targets["embedding"] = embeddings.matrix
+    _read_arrays(handle, {name: targets[name] for name in shapes})
+    model.memo = _ProjectionMemo()
     return TrainedModel(model, history)
 
 
@@ -732,6 +747,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a version-4 checkpoint; any defect, or an older version, raises
     ``ValueError`` naming ``path``."""
     try:
-        return _parse_checkpoint(Path(path).read_bytes())
+        with open(path, "rb") as handle:
+            return _read_checkpoint(handle)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

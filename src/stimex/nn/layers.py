@@ -69,7 +69,10 @@ def _lstm(lstm: BiLstm, xs: Tensor | np.ndarray, lengths) -> Tensor:
     The forward pass keeps the per-step graph's operation order,
     ``(xw[t] + h @ w_h) + bias`` (added to ``h @ w_h`` in place, as addition
     commutes), so a direction's values are bit-identical to that graph's,
-    whatever the other direction holds.  Every step, forward and backward,
+    whatever the other direction holds.  Step 0 starts from the zero state,
+    whose product with a finite ``w_h`` is +0.0 in every entry, so it fills
+    ``pre`` with +0.0 and makes no product; ``w_h`` must be finite, as
+    training and checkpoint loads ensure.  Every step, forward and backward,
     writes into arrays allocated once per call.  It caches what
     backpropagation through time needs: the gate activations ``acts``, the
     cell states ``cs``, their tanh ``tcs`` and the outputs ``hs``.
@@ -87,8 +90,13 @@ def _lstm(lstm: BiLstm, xs: Tensor | np.ndarray, lengths) -> Tensor:
     pre, ig = np.empty((2, width, 4 * hd)), np.empty((2, width, hd))
     pre_g = pre[..., 2 * hd : 3 * hd]
     h, c = np.zeros((2, 2, width, hd))
-    for xw_t, act_t, c_t, tc_t, h_t, i_t, f_t, g_t, o_t in zip(xw, acts, cs, tcs, hs, i, f, g, o):
-        np.matmul(h, w_h, out=pre)
+    for t, (xw_t, act_t, c_t, tc_t, h_t, i_t, f_t, g_t, o_t) in enumerate(
+        zip(xw, acts, cs, tcs, hs, i, f, g, o)
+    ):
+        if t:
+            np.matmul(h, w_h, out=pre)
+        else:  # the zero state's product, +0.0 in every entry for a finite w_h
+            pre.fill(0.0)
         pre += xw_t
         pre += bias
         stable_sigmoid(pre, out=act_t)
@@ -153,12 +161,13 @@ class BiLstm:
         self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator | None
     ):
         self.name, self.hidden_dim = name, hidden_dim
-        w_x, w_h = [], []
-        for _ in range(2):  # each direction's draws in turn, w_x before w_h
+        w_x, w_h = [], np.empty((2, hidden_dim, 4 * hidden_dim))
+        for d in range(2):  # each direction's draws in turn, w_x before w_h
             w_x.append(glorot_uniform(rng, input_dim, 4 * hidden_dim))
-            w_h.append(glorot_uniform(rng, hidden_dim, 4 * hidden_dim))
+            if rng is not None:
+                w_h[d] = glorot_uniform(rng, hidden_dim, 4 * hidden_dim)
         self.w_x = tuple(Parameter(f"{name}.{tag}.w_x", w) for tag, w in zip(("fwd", "bwd"), w_x))
-        self.w_h = Parameter(f"{name}.w_h", np.stack(w_h))
+        self.w_h = Parameter(f"{name}.w_h", w_h)
         bias = np.zeros((2, 4 * hidden_dim))
         bias[:, hidden_dim : 2 * hidden_dim] = 1.0
         self.bias = Parameter(f"{name}.bias", bias)

@@ -475,6 +475,20 @@ def test_predict_refuses_a_checkpoint_holding_a_non_finite_value(tmp_path, corpu
     assert not out.exists()
 
 
+def test_predict_refuses_a_config_width_the_embeddings_do_not_have(tmp_path, corpus_path, capsys):
+    _, ckpt, _ = pipeline(tmp_path, corpus_path)
+    data = ckpt.read_bytes()
+    header = checkpoint_header(ckpt)
+    header["config"]["embedding_dim"] = 10**9
+    ckpt.write_bytes(json.dumps(header).encode("utf-8") + data[data.index(b"\n") :])
+    capsys.readouterr()
+    out = tmp_path / "again.jsonl"
+    assert run("predict", "--corpus", corpus_path, "--checkpoint", ckpt, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: 'config': embedding_dim 1000000000, embeddings 12 wide\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """A short corpus, a small valid checkpoint's bytes and its path, and an output path."""

@@ -4,10 +4,12 @@ import base64
 import builtins
 import dataclasses
 import gc
+import io
 import itertools
 import json
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -826,13 +828,16 @@ def _file_bytes(header, body):
 
 @pytest.mark.parametrize("shape", [[0, 3], [], [2, 0, 5]])
 def test_payload_arrays_reads_zero_size_and_zero_dimensional_shapes(shape):
-    """Sizes are checked before any array is read and ``count`` is the product of
-    ``shape``, so ``frombuffer(...).reshape(shape)`` cannot fail, also on an empty body."""
+    """Sizes are checked before any array is read and each array's byte size is
+    8 times the product of its ``shape``, so every read fills its array exactly,
+    also on an empty body."""
     other, value = np.array([1.5, -2.0]), np.full(shape, 0.25)
     for arrays in ([("y", value)], [("x", other), ("y", value)], [("y", value), ("x", other)]):
         header = {"arrays": [[name, list(arr.shape)] for name, arr in arrays]}
         body = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
-        got = models._payload_arrays(header, memoryview(body))
+        layout = models._layout(header, len(body))
+        got = {name: np.empty(shape) for name, shape in layout.items()}
+        models._read_arrays(io.BytesIO(body), got)
         assert list(got) == [name for name, _ in arrays]
         for name, arr in arrays:
             assert got[name].shape == arr.shape and np.array_equal(got[name], arr)
@@ -985,6 +990,57 @@ def test_loaded_checkpoint_owns_its_arrays(tmp_path):
         assert arr.flags.owndata and arr.flags.writeable
 
 
+def _traced_peak(load):
+    """The most memory ``tracemalloc`` saw allocated while ``load()`` ran, in bytes."""
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def paper_dim_files(tmp_path_factory):
+    """A checkpoint path of each architecture at the paper's 300/100 dims, 40 words."""
+    tmp = tmp_path_factory.mktemp("paper_dims")
+    emb = EmbeddingTable.random([f"w{k}" for k in range(40)], 300, 0)
+    paths = {}
+    for arch in ("sl", "icc", "jcc"):
+        paths[arch] = tmp / f"{arch}.ckpt"
+        model = MODELS[arch](emb, TrainConfig(), np.random.default_rng(0))
+        save_checkpoint(models.TrainedModel(model, [{"epoch": 1}]), paths[arch])
+    return paths
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_a_checkpoint_load_holds_about_one_copy_of_the_file(paper_dim_files, arch):
+    """Each array is read straight into the weight that keeps it: no whole-file
+    bytes, no views of them and no second copy."""
+    path = paper_dim_files[arch]
+    assert _traced_peak(lambda: load_checkpoint(path)) <= 1.25 * path.stat().st_size
+
+
+def test_sizes_are_checked_before_any_weight_is_allocated(paper_dim_files, tmp_path):
+    """A file whose arrays do not fit it, or whose hidden size the arrays cannot
+    hold, fails before the model is built."""
+    good = paper_dim_files["sl"]
+    header, body = _split_file(good)
+    wanted = (
+        "shape beyond the file",
+        "payload short",
+        "trailing bytes",
+        "hidden size beyond the arrays",
+    )
+    cases = {name: bad for name, bad, _ in _corrupt_files(header, body) if name in wanted}
+    assert len(cases) == len(wanted)
+    path = tmp_path / "bad.ckpt"
+    for name, bad in cases.items():
+        path.write_bytes(bad)
+        peak = _traced_peak(lambda: pytest.raises(ValueError, load_checkpoint, path))
+        assert peak < 0.1 * good.stat().st_size, name
+
+
 def _corrupt_files(header, body):
     """Named ways to damage a valid checkpoint file, with the text the error must name."""
     arrays = header["arrays"]
@@ -1039,6 +1095,8 @@ def _corrupt_files(header, body):
     yield "embedding of the wrong shape", with_arrays(flat), "'embedding'"
     huge = dict(header["config"], hidden_dim=2**40)  # would need petabytes of weights
     yield "hidden size beyond the arrays", _file_bytes(dict(header, config=huge), body), "'config'"
+    wide = dict(header["config"], embedding_dim=10**9)  # the arrays are 8 wide
+    yield "width not the embedding's", _file_bytes(dict(header, config=wide), body), "'config'"
 
 
 def _without_clause_attention(header, body):

@@ -303,6 +303,34 @@ def test_two_live_graphs_of_one_bilstm_stay_independent():
         assert np.array_equal(alone, beside)
 
 
+@pytest.mark.parametrize("lengths", [[1], [1, 1, 1]])
+def test_a_sequences_first_state_reads_no_recurrent_weights(lengths):
+    """Step 0 starts from the zero state and makes no ``h @ w_h`` product: with
+    ``w_h`` all NaN the states and the ``w_x``, ``bias`` and ``xs`` gradients keep
+    every bit, and ``w_h.grad`` is the zero state's, all zero."""
+    rng = np.random.default_rng(12)
+    bi = BiLstm("b", 6, 7, rng)
+    bi.bias.data = rng.standard_normal(bi.bias.data.shape)
+    xs = Parameter("xs", 2.0 * rng.standard_normal((sum(lengths), 6)))
+    weights = Tensor(rng.standard_normal((sum(lengths), 14)))
+    params = bi.parameters() + [xs]
+
+    def run(w_h):
+        bi.w_h.data = w_h
+        for p in params:
+            p.grad = None
+        h = bi(xs, lengths)
+        (h * weights).sum().backward()
+        return h.data, {p.name: p.grad for p in params}
+
+    states, grads = run(bi.w_h.data)
+    nan_states, nan_grads = run(np.full_like(bi.w_h.data, np.nan))
+    assert np.array_equal(nan_states, states) and np.isfinite(states).all()
+    for name in ("b.fwd.w_x", "b.bwd.w_x", "b.bias", "xs"):
+        assert np.array_equal(nan_grads[name], grads[name]), name
+    assert not nan_grads["b.w_h"].any() and not grads["b.w_h"].any()
+
+
 def test_packed_lstm_rejects_bad_lengths():
     bi = BiLstm("z", 3, 2, np.random.default_rng(0))
     xs = Tensor(np.zeros((5, 3)))
