@@ -12,7 +12,7 @@ import operator
 import numpy as np
 
 from stimex.nn.layers import _packed_spans, _pad, _unpad
-from stimex.nn.tensor import Parameter, Tensor, _accum, as_tensor
+from stimex.nn.tensor import Parameter, Tensor, _accum, as_tensor, log_sum_exp
 
 MAX_BRUTE_FORCE = 1_000_000
 
@@ -33,16 +33,8 @@ class CrfParams:
 def _check_labels(y: np.ndarray, n: int, num_labels: int) -> None:
     if len(y) != n:
         raise ValueError(f"label sequence length {len(y)} does not match {n} positions")
-    if len(y) == 0:
-        raise ValueError("empty label sequence")
     if y.min() < 0 or y.max() >= num_labels:
         raise ValueError("label index out of range")
-
-
-def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    """log-sum-exp along ``axis``, by the operations of ``Tensor.logsumexp``."""
-    m = np.max(x, axis=axis, keepdims=True)
-    return np.squeeze(m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)), axis=axis)
 
 
 def _grid(u: np.ndarray, lengths, params: CrfParams) -> tuple[np.ndarray, list, np.ndarray]:
@@ -68,9 +60,9 @@ def _alphas(grid: np.ndarray, live: np.ndarray, params: CrfParams) -> tuple[np.n
     alphas = np.empty_like(grid)
     alphas[0] = grid[0] + params.start_scores.data
     for t in range(1, len(grid)):
-        step = _lse(alphas[t - 1][:, :, None] + trans, axis=1) + grid[t]
+        step = log_sum_exp(alphas[t - 1][:, :, None] + trans, axis=1)[:, 0] + grid[t]
         alphas[t] = np.where(live[t][:, None], step, alphas[t - 1])
-    return alphas, _lse(alphas[-1] + params.end_scores.data, axis=1)
+    return alphas, log_sum_exp(alphas[-1] + params.end_scores.data, axis=1)[:, 0]
 
 
 def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
@@ -108,8 +100,8 @@ def nll_loss(emissions, labels, params: CrfParams) -> Tensor:
         betas = np.empty_like(grid)
         betas[-1] = end.data
         for t in range(len(grid) - 2, -1, -1):
-            step = _lse(trans.data + (grid[t + 1] + betas[t + 1])[:, None, :], axis=2)
-            betas[t] = np.where(live[t + 1][:, None], step, end.data)
+            step = log_sum_exp(trans.data + (grid[t + 1] + betas[t + 1])[:, None, :], axis=2)
+            betas[t] = np.where(live[t + 1][:, None], step[..., 0], end.data)
         node = np.exp(alphas + betas - log_z[:, None])  # read only within each length
         into = (grid[1:] + betas[1:])[:, :, None]  # transitions into steps 1..T-1
         pair = np.exp(alphas[:-1, :, :, None] + trans.data + into - log_z[:, None, None])

@@ -157,38 +157,6 @@ def clause_match_prf(
     return span_prf(extracted, annotated, MatchMode.EXACT)
 
 
-def boundary_decisions(segments: Sequence[Span], n: int) -> list[int]:
-    """Binary decision per internal token gap (1..n-1): is it a boundary?"""
-    if n < 1:
-        raise ValueError("sequence must have at least one token")
-    points = set()
-    for sp in segments:
-        if sp.end > n:
-            raise ValueError(f"segment [{sp.start}, {sp.end}) exceeds sequence length {n}")
-        points.add(sp.start)
-        points.add(sp.end)
-    return [1 if i in points else 0 for i in range(1, n)]
-
-
-def cohen_kappa(a1: Sequence[int], a2: Sequence[int]) -> float:
-    """Cohen's kappa over two aligned binary decision sequences."""
-    if len(a1) != len(a2):
-        raise ValueError(f"decision sequences differ in length: {len(a1)} vs {len(a2)}")
-    if not a1:
-        raise ValueError("empty decision sequences")
-    x = [bool(v) for v in a1]
-    y = [bool(v) for v in a2]
-    n = len(x)
-    p_o = sum(a == b for a, b in zip(x, y)) / n
-    p1x = sum(x) / n
-    p1y = sum(y) / n
-    p_e = p1x * p1y + (1 - p1x) * (1 - p1y)
-    if p_e == 1.0:
-        # Both marginals degenerate on the same side, so observed agreement is 1.
-        return 1.0
-    return (p_o - p_e) / (1 - p_e)
-
-
 def format_eval_csv(rows: Sequence[tuple[str, str, MatchMode, Prf]]) -> str:
     """One row per (dataset, model, mode): integer-percent and full-precision P/R/F1."""
     return csv_text(

@@ -582,21 +582,17 @@ def train(
 # Prediction entry points
 
 
-def _unwrap(model: TrainedModel | Model) -> Model:
-    return model.model if isinstance(model, TrainedModel) else model
+def sl_predict(trained: TrainedModel, instance: Instance) -> list[str]:
+    return trained.model.predict([instance])[0]
 
 
-def sl_predict(model: TrainedModel | SlModel, instance: Instance) -> list[str]:
-    return _unwrap(model).predict([instance])[0]
-
-
-def icc_predict(model: TrainedModel | IccModel, clause_tokens: Sequence[str]) -> bool:
-    model = _unwrap(model)
+def icc_predict(trained: TrainedModel, clause_tokens: Sequence[str]) -> bool:
+    model = trained.model
     return _stimulus_flags(model.logits([clause_tokens], memo=model.memo))[0]
 
 
-def jcc_predict(model: TrainedModel | JccModel, instance: Instance) -> list[bool]:
-    return _unwrap(model).predict([instance])[0]
+def jcc_predict(trained: TrainedModel, instance: Instance) -> list[bool]:
+    return trained.model.predict([instance])[0]
 
 
 # ---------------------------------------------------------------------------

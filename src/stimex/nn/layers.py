@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from stimex.nn.tensor import Parameter, Tensor, _accum, stable_sigmoid
+from stimex.nn.tensor import Parameter, Tensor, _accum, log_sum_exp, stable_sigmoid
 
 
 def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int) -> np.ndarray:
@@ -286,8 +286,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     for target in targets:
         if not 0 <= target < classes:
             raise ValueError(f"target {target} out of range for {classes} classes")
-    m = np.max(z, axis=1, keepdims=True)
-    log_z = m + np.log(np.sum(np.exp(z - m), axis=1, keepdims=True))
+    log_z = log_sum_exp(z, axis=1)
     rows = np.arange(len(z))
     losses = (log_z[:, 0] - z[rows, targets]).tolist()
     out = Tensor(sum(losses[1:], start=losses[0]))

@@ -38,6 +38,12 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def log_sum_exp(x: np.ndarray, axis: int | None) -> np.ndarray:
+    """Max-shifted log-sum-exp of ``x`` along ``axis`` (all of it if None), kept as size 1."""
+    m = np.max(x, axis=axis, keepdims=True)
+    return m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+
+
 def _accum(t: "Tensor", g: np.ndarray) -> None:
     if t.grad is None:
         # A copy: `g` may be a read-only broadcast view, or an array another node reads.
@@ -170,8 +176,7 @@ class Tensor:
         return out._attach((self,), backward)
 
     def logsumexp(self, axis: int | None = None) -> "Tensor":
-        m = np.max(self.data, axis=axis, keepdims=True)
-        y_keep = m + np.log(np.sum(np.exp(self.data - m), axis=axis, keepdims=True))
+        y_keep = log_sum_exp(self.data, axis)
         out = Tensor(y_keep.reshape(()) if axis is None else np.squeeze(y_keep, axis=axis))
 
         def backward(grad):

@@ -21,6 +21,7 @@ from stimex.corpus import (
     generate_synthetic,
     iob_to_spans,
     load_corpus,
+    not_utf8,
     save_corpus,
     spans_to_iob,
     split_corpus,
@@ -268,6 +269,13 @@ def test_load_rejects_bytes_that_are_not_a_json_line(tmp_path, data, needle):
         load_corpus(path)
 
 
+def test_not_utf8_names_only_the_file_when_every_line_decodes(tmp_path):
+    """As when the file was mended between the failed read and this call."""
+    path = tmp_path / "c.jsonl"
+    path.write_text(GOOD_LINE + "}\n", encoding="utf-8")
+    assert not_utf8(path) == f"{path}: not UTF-8 text"
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_damaged_corpora_load_or_raise_a_corpus_error_naming_file(tmp_path_factory, data):
@@ -453,6 +461,12 @@ def test_stats_csv_format():
 def test_synthetic_deterministic():
     assert generate_synthetic(20, seed=3) == generate_synthetic(20, seed=3)
     assert generate_synthetic(20, seed=3) != generate_synthetic(20, seed=4)
+
+
+def test_synthetic_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        generate_synthetic(-1, seed=0)
+    assert generate_synthetic(0, seed=0) == []
 
 
 def test_synthetic_is_self_consistent():

@@ -229,6 +229,8 @@ def test_input_validation():
         score_sequence(np.zeros((2, 2)), [0], params)
     with pytest.raises(ValueError):
         score_sequence(np.zeros((2, 2)), [0, 2], params)
+    with pytest.raises(ValueError):  # no labels to index: NumPy refuses their minimum
+        score_sequence(np.zeros((0, 2)), [], params)
     with pytest.raises(ValueError):
         log_partition(np.zeros((0, 2)), params)
     with pytest.raises(ValueError):

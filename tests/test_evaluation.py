@@ -12,11 +12,9 @@ from stimex.evaluation import (
     AlignmentReport,
     MatchMode,
     Prf,
-    boundary_decisions,
     clause_alignment,
     clause_match_prf,
     clause_prf,
-    cohen_kappa,
     format_eval_csv,
     span_prf,
 )
@@ -225,47 +223,6 @@ def test_clause_match_prf_is_exact_span_prf():
     got = clause_match_prf(extracted, annotated)
     assert got == span_prf(extracted, annotated, MatchMode.EXACT)
     assert got.precision == pytest.approx(0.5)
-
-
-# -- boundary decisions and kappa -----------------------------------------------------
-
-
-def test_boundary_decisions_vector():
-    segs = spans([(0, 2), (2, 5)])
-    assert boundary_decisions(segs, 5) == [0, 1, 0, 0]
-    assert boundary_decisions([], 3) == [0, 0]
-    assert boundary_decisions(spans([(0, 3)]), 3) == [0, 0]
-
-
-def test_boundary_decisions_validation():
-    with pytest.raises(ValueError):
-        boundary_decisions([], 0)
-    with pytest.raises(ValueError):
-        boundary_decisions(spans([(0, 5)]), 3)
-
-
-def test_kappa_hand_value():
-    # p_o = 0.75, marginals 0.5/0.5 -> p_e = 0.5 -> kappa = 0.5
-    a = [1, 1, 0, 0]
-    b = [1, 0, 1, 0]
-    assert cohen_kappa(a, [1, 1, 0, 1]) == pytest.approx((0.75 - 0.5) / 0.5)
-    assert cohen_kappa(a, a) == pytest.approx(1.0)
-    assert cohen_kappa(a, [1 - v for v in a]) == pytest.approx(-1.0)
-    assert cohen_kappa(a, b) == pytest.approx(0.0)
-
-
-def test_kappa_degenerate_marginals():
-    assert cohen_kappa([1, 1, 1], [1, 1, 1]) == 1.0
-    assert cohen_kappa([0, 0], [0, 0]) == 1.0
-    # chance-level agreement when one rater is constant
-    assert cohen_kappa([1, 1, 1, 1], [1, 1, 0, 0]) == pytest.approx(0.0)
-
-
-def test_kappa_validation():
-    with pytest.raises(ValueError):
-        cohen_kappa([1], [1, 0])
-    with pytest.raises(ValueError):
-        cohen_kappa([], [])
 
 
 # -- CSV format ------------------------------------------------------------------------

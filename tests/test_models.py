@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import tracemalloc
 
 import numpy as np
@@ -250,7 +251,7 @@ def test_icc_logits_and_probability():
     model = IccModel(toy_embeddings(corpus), TOY, np.random.default_rng(0))
     logits = model.logits([["because", "he", "left"], ["."]])
     assert logits.shape == (2, 2)
-    assert isinstance(icc_predict(model, ["because"]), bool)
+    assert isinstance(icc_predict(models.TrainedModel(model, []), ["because"]), bool)
     (flags,) = model.predict([clause_instance()])
     assert len(flags) == 3 and all(isinstance(f, bool) for f in flags)
 
@@ -514,7 +515,8 @@ def test_batched_prediction_equals_prediction_one_by_one(arch, finished):
             assert np.array_equal(scores, _scores(fresh, chunk))
     batched = model.predict(instances)
     assert batched == [model.predict([inst])[0] for inst in instances]
-    assert batched == _predictions(arch, model, instances)  # icc_predict: one clause at a time
+    trained = models.TrainedModel(model, [])
+    assert batched == _predictions(arch, trained, instances)  # icc_predict: one clause at a time
     assert batched == fresh.predict(instances)
 
 
@@ -841,6 +843,36 @@ def test_payload_arrays_reads_zero_size_and_zero_dimensional_shapes(shape):
         assert list(got) == [name for name, _ in arrays]
         for name, arr in arrays:
             assert got[name].shape == arr.shape and np.array_equal(got[name], arr)
+
+
+def test_read_arrays_names_the_array_a_short_payload_ends_in():
+    """``_layout`` checks the file's size first, so this read falls short only
+    when the file shrinks after that check."""
+    arrays = {"x": np.empty(2), "y": np.empty((2, 3))}
+    body = np.arange(5.0).astype("<f8").tobytes()  # all of x, then 3 of y's 6 values
+    with pytest.raises(ValueError, match="^payload ends inside array 'y'$"):
+        models._read_arrays(io.BytesIO(body), arrays)
+
+
+def test_a_host_of_the_other_byte_order_swaps_each_value_once(tmp_path, monkeypatch):
+    """With ``sys.byteorder`` patched to the other order, each loaded value is its
+    stored value with its bytes reversed.  Small integers reverse to finite
+    subnormals; the value whose reversed bytes are a NaN is refused."""
+    emb = EmbeddingTable.random(["a", "b", "c", "d", "e"], 8, 0)
+    model = SlModel(emb, TOY, np.random.default_rng(0))
+    arrays = [emb.matrix] + [p.data for p in model.parameters()]
+    for k, arr in enumerate(arrays):
+        arr[...] = np.arange(arr.size).reshape(arr.shape) + k
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(models.TrainedModel(model, []), path)
+    monkeypatch.setattr(sys, "byteorder", {"little": "big", "big": "little"}[sys.byteorder])
+    loaded = load_checkpoint(path).model
+    got = [loaded.embeddings.matrix] + [p.data for p in loaded.parameters()]
+    assert all(np.array_equal(b, a.byteswap()) for a, b in zip(arrays, got, strict=True))
+    model.crf.end_scores.data[1] = np.array(np.nan).byteswap()
+    save_checkpoint(models.TrainedModel(model, []), path)
+    with pytest.raises(ValueError, match="array 'crf.end_scores' holds a non-finite value"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_stores_exact_binary_payloads(tmp_path):
