@@ -216,11 +216,11 @@ def _chunks(items: Sequence, size: int) -> list[Sequence]:
 
 
 class _ProjectionMemo:
-    """A finished model's word-encoder input projections ``E[tok] @ w_x`` by the
-    forward and backward directions, row ``index[tok]`` of ``rows``, filled in as
-    tokens are first seen.  Unknown tokens share the key None and the zero
-    row's projection.  Once the table or a ``w_x`` array is replaced, it starts
-    over; ``loss`` replaces it with an empty one, as ``Adam`` writes in place."""
+    """A model's word-encoder input projections ``E[tok] @ w_x`` by the forward
+    and backward directions, row ``index[tok]`` of ``rows``, filled in as tokens
+    are first seen.  Unknown tokens share the key None and the zero row's
+    projection.  Once the table or a ``w_x`` array is replaced, it starts over;
+    ``loss`` and ``train`` empty it, as ``Adam`` and ``train`` write in place."""
 
     def __init__(self):
         self.source, self.index, self.rows = (None,) * 3, {}, np.empty(0)
@@ -280,7 +280,7 @@ class Model:
     def __init__(self, embeddings: EmbeddingTable, config: TrainConfig):
         self.embeddings = embeddings
         self.config = config
-        self.memo: _ProjectionMemo | None = None  # set by _load_state, emptied by loss
+        self.memo = _ProjectionMemo()  # read by predict; emptied by loss and by train
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
@@ -319,7 +319,7 @@ class _CrfModel(Model):
 
     def loss(self, units: Sequence[tuple], rng=None) -> Tensor:
         """Summed CRF loss of a batch of (input, gold labels) units."""
-        self.memo = self.memo and _ProjectionMemo()  # a step after this writes w_x in place
+        self.memo = _ProjectionMemo()  # a step after this writes w_x in place
         emissions, _ = self.emissions([x for x, _ in units], rng)
         labels = [[self.alphabet.index(y) for y in ys] for _, ys in units]
         return crf.nll_loss(emissions, labels, self.crf)
@@ -404,7 +404,7 @@ class IccModel(_ClauseModel):
 
     def loss(self, units: Sequence[tuple[Sequence[str], bool]], rng=None) -> Tensor:
         """Summed cross-entropy of a batch of (clause tokens, flag) units."""
-        self.memo = self.memo and _ProjectionMemo()  # a step after this writes w_x in place
+        self.memo = _ProjectionMemo()  # a step after this writes w_x in place
         logits = self.logits([toks for toks, _ in units], rng)
         return cross_entropy(logits, [int(flag) for _, flag in units])
 
@@ -504,16 +504,6 @@ def _check_shapes(model: Model, shapes: dict[str, tuple]) -> None:
             raise ValueError(f"parameter {name!r} has shape {shapes[name]}, expected {shape}")
 
 
-def _load_state(model: Model, state: dict[str, np.ndarray]) -> None:
-    """Give every parameter a new array of its own, a copy of its entry in
-    ``state``; a ``state`` that does not fit changes nothing."""
-    values = {name: np.asarray(value, dtype=np.float64) for name, value in state.items()}
-    _check_shapes(model, {name: value.shape for name, value in values.items()})
-    for p in model.parameters():
-        p.data = np.array(values[p.name])
-    model.memo = _ProjectionMemo()
-
-
 def train(
     architecture: str,
     train_instances: Sequence[Instance],
@@ -574,7 +564,9 @@ def train(
             if stale >= config.patience:
                 break
     optimizer.zero_grad()  # the returned parameters carry no gradient arrays
-    _load_state(model, best_state)
+    for p in model.parameters():
+        p.data[...] = best_state[p.name]
+    model.memo = _ProjectionMemo()  # it holds projections of the last epoch's w_x
     return TrainedModel(model, history)
 
 
@@ -735,7 +727,6 @@ def _read_checkpoint(handle) -> TrainedModel:
     targets = {p.name: p.data for p in model.parameters()}
     targets["embedding"] = embeddings.matrix
     _read_arrays(handle, {name: targets[name] for name in shapes})
-    model.memo = _ProjectionMemo()
     return TrainedModel(model, history)
 
 

@@ -482,66 +482,66 @@ def ragged_instances(n):
     return out
 
 
-def _finished(model):
-    """``model`` with its weights installed by ``_load_state``, as ``train`` and
-    ``load_checkpoint`` return it: its predictions read the projection memo."""
-    models._load_state(model, models._state_dict(model))
-    return model
+def _twin(model):
+    """A model that never predicted, given copies of ``model``'s weights by assigning
+    ``p.data``."""
+    twin = type(model)(model.embeddings, model.config, None)
+    for p, q in zip(twin.parameters(), model.parameters()):
+        p.data = q.data.copy()
+    return twin
 
 
-def _scores(model, instances):
-    """The packed emissions (``sl``, ``jcc``) or logits (``icc``) that ``predict``
-    computes for one chunk of ``instances``."""
+def _scores(model, instances, memoised=True):
+    """The packed emissions (``sl``, ``jcc``) or logits (``icc``) of one chunk of
+    ``instances``: as ``predict`` computes them, from the projection memo, or as
+    ``loss`` does, without it, if not ``memoised``."""
+    memo = model.memo if memoised else None
     if model.architecture == "icc":
         clauses = [toks for inst in instances for toks in clause_token_lists(inst)]
-        return model.logits(clauses, memo=model.memo).data
-    return model.emissions([model.input(inst) for inst in instances], memo=model.memo)[0].data
+        return model.logits(clauses, memo=memo).data
+    return model.emissions([model.input(inst) for inst in instances], memo=memo)[0].data
 
 
-@pytest.mark.parametrize(
-    "arch, finished",
-    [pytest.param(a, f, id=a + "-finished" * f) for f in (False, True) for a in MODELS],
-)
-def test_batched_prediction_equals_prediction_one_by_one(arch, finished):
-    """Also for a finished model, whose labels equal a fresh model's and whose scores
-    are bit-equal to them for inputs of two tokens or more (one row alone takes
-    BLAS's vector product, which rounds differently)."""
-    fresh, instances = _model(arch), ragged_instances(23)
-    model = _finished(_model(arch)) if finished else fresh
+@pytest.mark.parametrize("arch", MODELS)
+def test_batched_prediction_equals_prediction_one_by_one(arch):
+    """Scores read from the projection memo are bit-equal to those computed without
+    it for inputs of two tokens or more (one row alone takes BLAS's vector product,
+    which rounds differently), and the labels equal a second model's that
+    memoised every token at once."""
+    model, instances = _model(arch), ragged_instances(23)
     assert len(instances) > 2 * model.config.batch_size  # two full chunks and a partial one
     for chunk in [*([inst] for inst in instances), instances]:  # one new token at a time first
         scores = _scores(model, chunk)
         if sum(len(inst.tokens) for inst in chunk) > 1:
-            assert np.array_equal(scores, _scores(fresh, chunk))
+            assert np.array_equal(scores, _scores(model, chunk, memoised=False))
     batched = model.predict(instances)
     assert batched == [model.predict([inst])[0] for inst in instances]
     trained = models.TrainedModel(model, [])
     assert batched == _predictions(arch, trained, instances)  # icc_predict: one clause at a time
-    assert batched == fresh.predict(instances)
+    assert batched == _model(arch).predict(instances)
 
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
 def test_projection_memo_follows_new_weights(arch):
-    """After predicting, a second ``_load_state`` or an assigned ``w_x``, ``w_h`` or
-    ``bias`` (for ``jcc`` in the word and in a clause encoder) gives the predictions
-    and scores of a model with those weights that never predicted."""
+    """After predicting, new weights assigned to every ``p.data``, or an assigned
+    ``w_x``, ``w_h`` or ``bias`` (for ``jcc`` in the word and in a clause encoder),
+    give the predictions and scores of a model with those weights that never
+    predicted."""
     instances = ragged_instances(12)
-    model = _finished(_model(arch))
+    model = _model(arch)
     before = _scores(model, instances)
     assert len(model.memo.index) > 0
     rng = np.random.default_rng(9)
-    state = models._state_dict(model)
-    state = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in state.items()}
-    models._load_state(model, state)
-    loaded = _model(arch)
-    models._load_state(loaded, state)
+    for p in model.parameters():
+        p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+    loaded = _twin(model)
     assert model.predict(instances) == loaded.predict(instances)
     assert np.array_equal(_scores(model, instances), _scores(loaded, instances))
     assert not np.array_equal(_scores(model, instances), before)
     for m in (model, loaded):
         w_x = (m.word_encoder if arch == "jcc" else m.encoder).w_x[1]
         w_x.data = w_x.data * -1.5
-    assert np.array_equal(_scores(model, instances), _scores(_finished(loaded), instances))
+    assert np.array_equal(_scores(model, instances), _scores(_twin(loaded), instances))
     assert model.predict(instances) == loaded.predict(instances)
     cells = [("word_encoder", 0), ("clause_encoder1", 1)] if arch == "jcc" else [("encoder", 0)]
     for (path, d), (name, scale) in itertools.product(cells, [("w_h", 0.5), ("bias", -2.0)]):
@@ -552,16 +552,16 @@ def test_projection_memo_follows_new_weights(arch):
             data[d] *= scale
             p.data = data
         scores = _scores(model, instances)
-        assert np.array_equal(scores, _scores(_finished(loaded), instances)), (path, d, name)
+        assert np.array_equal(scores, _scores(_twin(loaded), instances)), (path, d, name)
         assert not np.array_equal(scores, before)
         assert model.predict(instances) == loaded.predict(instances)
 
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
-def test_finished_model_trained_further_predicts_with_its_new_weights(arch):
+def test_trained_model_trained_further_predicts_with_its_new_weights(arch):
     """Adam writes ``w_x`` in place, which the memo cannot see; each ``loss`` call
-    empties the memo, so a finished model that has predicted and is then trained
-    on scores as a model given the new weights by ``_load_state`` does."""
+    empties the memo, so a trained model that has predicted and is then trained
+    on scores as a model given the new weights by assigning ``p.data`` does."""
     train_set, dev, test = split_corpus(generate_synthetic(40, 3), 3)
     cfg = TrainConfig(embedding_dim=16, hidden_dim=8, max_epochs=1, patience=1)
     model = train(arch, train_set, dev, toy_embeddings(train_set, 16), cfg).model
@@ -571,8 +571,7 @@ def test_finished_model_trained_further_predicts_with_its_new_weights(arch):
         optimizer.zero_grad()
         model.loss(model.units(train_set)).backward()
         optimizer.step()
-    loaded = type(model)(model.embeddings, cfg, None)
-    models._load_state(loaded, models._state_dict(model))
+    loaded = _twin(model)
     assert np.array_equal(_scores(model, test), _scores(loaded, test))
     assert model.predict(test) == loaded.predict(test)
 
@@ -609,9 +608,12 @@ def test_train_rejects_bad_input():
 MEMO_FIELDS = {"source", "index", "rows"}  # no cache beside the projections
 
 
-def test_finished_models_start_with_an_empty_projection_memo_that_loss_never_reads(tmp_path):
+def test_models_start_with_an_empty_projection_memo_that_loss_never_reads(tmp_path):
     """For each architecture: no projection is memoised before predicting, or by
-    ``loss``, and the memo keeps only the word encoder's ``w_x`` projections."""
+    ``loss``, and the memo keeps only the word encoder's ``w_x`` projections.  The
+    last epoch's ``dev_score`` fills the memo of the model ``train`` returns, so
+    ``train`` must empty it after restoring the best epoch in place, or it would
+    serve the last epoch's projections; an empty ``source`` pins no array."""
     for arch in MODELS:
         corpus, trained = _small_trained(arch)
         save_checkpoint(trained, tmp_path / "m.json")
@@ -619,7 +621,8 @@ def test_finished_models_start_with_an_empty_projection_memo_that_loss_never_rea
         lists = [toks for inst in corpus for toks in clause_token_lists(inst)]
         words = vocabulary(corpus) if arch == "sl" else [tok for toks in lists for tok in toks]
         for model in (trained.model, loaded):
-            assert model.memo.index == {} and set(vars(model.memo)) == MEMO_FIELDS
+            assert model.memo.index == {} and list(model.memo.source) == [None] * 3
+            assert set(vars(model.memo)) == MEMO_FIELDS
             model.loss(model.units(corpus))
             assert model.memo.index == {} and set(vars(model.memo)) == MEMO_FIELDS
             model.predict(corpus)
@@ -1096,6 +1099,10 @@ def _corrupt_files(header, body):
     yield "size not an int", with_entry(["project.bias", [3.0]]), "'project.bias'"
     yield "shape beyond the file", with_entry(["project.bias", [10**9] * 2]), "'project.bias'"
     yield "shape of the wrong model", with_entry(["project.bias", [1, 3]]), "'project.bias'"
+    renamed = with_entry(["project.offset", arrays[at][1]])  # the shape the model expects
+    yield "parameter renamed", renamed, (
+        "parameter name mismatch: missing ['project.bias'], unexpected ['project.offset']"
+    )
     yield "entry not a pair", with_entry(["project.bias"]), "'arrays'"
     yield "duplicate name", with_arrays(arrays + [arrays[at]]), "'project.bias' twice"
     yield "arrays missing", without("arrays"), "'arrays'"
@@ -1161,22 +1168,6 @@ def test_corrupt_checkpoints_raise_value_error_naming_file_and_entry(tmp_path):
             load_checkpoint(path)
         message = str(exc.value)
         assert str(path) in message and needle in message, (label, message)
-
-
-@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
-def test_a_state_that_does_not_fit_changes_no_parameter(arch):
-    """A missing name, or a wrong shape for a BiLSTM's stacked ``w_h``, raises naming
-    it and leaves every parameter holding the array it held."""
-    model = _model(arch)
-    held = [p.data for p in model.parameters()]
-    state = models._state_dict(model)
-    w_h = next(name for name in state if name.endswith(".w_h"))
-    missing = {k: v for k, v in state.items() if k != w_h}
-    transposed = dict(state, **{w_h: state[w_h].T})
-    for bad, needle in [(missing, "name mismatch"), (transposed, f"{w_h!r} has shape")]:
-        with pytest.raises(ValueError, match=needle):
-            models._load_state(model, bad)
-        assert all(map(operator.is_, [p.data for p in model.parameters()], held))
 
 
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
