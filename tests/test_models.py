@@ -502,18 +502,26 @@ def _scores(model, instances, memoised=True):
     return model.emissions([model.input(inst) for inst in instances], memo=memo)[0].data
 
 
-@pytest.mark.parametrize("arch", MODELS)
-def test_batched_prediction_equals_prediction_one_by_one(arch):
-    """Scores read from the projection memo are bit-equal to those computed without
-    it for inputs of two tokens or more (one row alone takes BLAS's vector product,
-    which rounds differently), and the labels equal a second model's that
-    memoised every token at once."""
-    model, instances = _model(arch), ragged_instances(23)
+@pytest.mark.parametrize(
+    "arch, finished",
+    [pytest.param(a, f, id=a + "-finished" * f) for f in (False, True) for a in MODELS],
+)
+def test_batched_prediction_equals_prediction_one_by_one(arch, finished, tmp_path):
+    """Scores read from the projection memo are bit-equal to those a fresh model
+    computes without it for inputs of two tokens or more (one row alone takes
+    BLAS's vector product, which rounds differently), and the labels equal a
+    second fresh model's that memoised every token at once. Also for a finished
+    model, as ``load_checkpoint`` returns it."""
+    fresh, instances = _model(arch), ragged_instances(23)
+    model = fresh
+    if finished:
+        save_checkpoint(models.TrainedModel(_model(arch), []), tmp_path / "m.json")
+        model = load_checkpoint(tmp_path / "m.json").model
     assert len(instances) > 2 * model.config.batch_size  # two full chunks and a partial one
     for chunk in [*([inst] for inst in instances), instances]:  # one new token at a time first
         scores = _scores(model, chunk)
         if sum(len(inst.tokens) for inst in chunk) > 1:
-            assert np.array_equal(scores, _scores(model, chunk, memoised=False))
+            assert np.array_equal(scores, _scores(fresh, chunk, memoised=False))
     batched = model.predict(instances)
     assert batched == [model.predict([inst])[0] for inst in instances]
     trained = models.TrainedModel(model, [])
