@@ -488,10 +488,6 @@ class TrainedModel:
     history: list[dict]
 
 
-def _state_dict(model: Model) -> dict[str, np.ndarray]:
-    return {p.name: p.data.copy() for p in model.parameters()}
-
-
 def _check_shapes(model: Model, shapes: dict[str, tuple]) -> None:
     """Raise unless ``shapes`` names every parameter of ``model``, and no other,
     with its shape."""
@@ -514,10 +510,13 @@ def train(
     """Mini-batch Adam with early stopping on the dev selection metric.
 
     The returned model carries the parameters of the best dev epoch, not the
-    last one.  Training stops once the metric has not improved for
-    ``config.patience`` consecutive epochs.  A non-finite batch loss or
-    gradient raises ``ValueError`` naming the epoch and batch, before the
-    optimizer step that would spread it into the parameters.
+    last one.  They are copied only when the first optimizer step after that
+    epoch is about to overwrite them, into arrays allocated once and reused
+    for each later best epoch, and copied back in place only if an epoch
+    ran after the best one.  Training stops once the metric has not
+    improved for ``config.patience`` consecutive epochs.  A non-finite batch
+    loss or gradient raises ``ValueError`` naming the epoch and batch, before
+    the optimizer step that would spread it into the parameters.
     """
     model_class = _model_class(architecture)
     if not train_instances or not dev_instances:
@@ -526,12 +525,13 @@ def train(
         raise ValueError(f"embedding_dim {config.embedding_dim}, embeddings {embeddings.dim} wide")
     rng = np.random.default_rng(config.seed)
     model = model_class(embeddings, config, rng)
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    params = model.parameters()
+    optimizer = Adam(params, lr=config.learning_rate)
     units = model.units(train_instances)
 
     history: list[dict] = []
-    best_metric = -np.inf
-    best_state = _state_dict(model)
+    best_metric, best_epoch = -np.inf, 0
+    copy, copy_epoch = None, 0  # the best epoch's weights, once a step would overwrite them
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(units))
@@ -544,29 +544,36 @@ def train(
                 raise ValueError(f"training diverged at {where}: batch loss is {total.item()}")
             optimizer.zero_grad()
             mean_loss.backward()
-            for p in model.parameters():
+            for p in params:
                 if p.grad is not None and not np.isfinite(p.grad).all():
                     raise ValueError(
                         f"training diverged at {where}: gradient of {p.name!r} is not finite"
                     )
+            if copy_epoch != best_epoch:
+                if copy is None:
+                    copy = [p.data.copy() for p in params]
+                else:
+                    for c, p in zip(copy, params):
+                        np.copyto(c, p.data)
+                copy_epoch = best_epoch
             optimizer.step()
             loss_sum += float(total.data)
         metric = model.dev_score(dev_instances, config.selection_metric)
         history.append(
             {"epoch": epoch, "train_loss": loss_sum / len(units), "dev_metric": metric}
         )
-        if metric > best_metric:
-            best_metric = metric
-            best_state = _state_dict(model)
+        if metric > best_metric:  # a finite metric, so epoch 1 always is
+            best_metric, best_epoch = metric, epoch
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
     optimizer.zero_grad()  # the returned parameters carry no gradient arrays
-    for p in model.parameters():
-        p.data[...] = best_state[p.name]
-    model.memo = _ProjectionMemo()  # it holds projections of the last epoch's w_x
+    if best_epoch != epoch:
+        for c, p in zip(copy, params):
+            np.copyto(p.data, c)
+    model.memo = _ProjectionMemo()  # it may hold projections of a later epoch's w_x
     return TrainedModel(model, history)
 
 

@@ -75,7 +75,10 @@ def _lstm(lstm: BiLstm, xs: Tensor | np.ndarray, lengths) -> Tensor:
     training and checkpoint loads ensure.  Every step, forward and backward,
     writes into arrays allocated once per call.  It caches what
     backpropagation through time needs: the gate activations ``acts``, the
-    cell states ``cs``, their tanh ``tcs`` and the outputs ``hs``.
+    cell states ``cs``, their tanh ``tcs`` and the outputs ``hs``, the last
+    two after the zero state, so each step's previous state is a view.  The
+    backward pass frees its per-step factors before it makes the weight
+    gradients, and hands those to the parameters uncopied.
     """
     spans = _packed_spans(xs.shape[0], lengths)
     steps, width, hd = max(size for _, size in spans), len(spans), lstm.hidden_dim
@@ -84,14 +87,15 @@ def _lstm(lstm: BiLstm, xs: Tensor | np.ndarray, lengths) -> Tensor:
     projected = isinstance(xs, np.ndarray)
     for d, w_x in enumerate(lstm.w_x):
         _pad(xs[:, d] if projected else xs.data @ w_x.data, spans, d == 1, xw[:, d])
-    acts = np.empty((steps, 2, width, 4 * hd))
-    cs, tcs, hs = np.empty((3, steps, 2, width, hd))
+    acts, tcs = np.empty((steps, 2, width, 4 * hd)), np.empty((steps, 2, width, hd))
+    cs, hs = np.empty((2, steps + 1, 2, width, hd))  # step t's at t + 1, the zero state at 0
+    hs[0] = cs[0] = 0.0
+    h, c = hs[0], cs[0]
     i, f, g, o = (acts[..., k * hd : (k + 1) * hd] for k in range(4))
     pre, ig = np.empty((2, width, 4 * hd)), np.empty((2, width, hd))
     pre_g = pre[..., 2 * hd : 3 * hd]
-    h, c = np.zeros((2, 2, width, hd))
     for t, (xw_t, act_t, c_t, tc_t, h_t, i_t, f_t, g_t, o_t) in enumerate(
-        zip(xw, acts, cs, tcs, hs, i, f, g, o)
+        zip(xw, acts, cs[1:], tcs, hs[1:], i, f, g, o)
     ):
         if t:
             np.matmul(h, w_h, out=pre)
@@ -106,20 +110,28 @@ def _lstm(lstm: BiLstm, xs: Tensor | np.ndarray, lengths) -> Tensor:
         h = np.multiply(o_t, np.tanh(c, out=tc_t), out=h_t)
     out = np.empty((xs.shape[0], 2 * hd))
     for d in range(2):
-        _unpad(hs[:, d], spans, d == 1, out[:, d * hd : (d + 1) * hd])
+        _unpad(hs[1:, d], spans, d == 1, out[:, d * hd : (d + 1) * hd])
     if projected:
         return Tensor(out)
 
-    def backward(grad):
-        h_prev, c_prev = np.zeros((2, *hs.shape))
-        h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
-        # d pre / d (dc) for the i, f, g blocks and d pre / d (dh) for o,
-        # each with its nonlinearity's derivative folded in.
-        by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=3)
-        by_dh = tcs * o * (1.0 - o)
-        dc_by_dh = o * (1.0 - tcs * tcs)
+    def through_time(grad):
+        """The (T, 2, R, 4h) gradient of every step's pre-activations."""
+        # d pre / d (dc) for the i, f, g blocks and d pre / d (dh) for o, each
+        # with its nonlinearity's derivative folded in: g * i * (1 - i),
+        # c_prev * f * (1 - f), i * (1 - g * g) and tcs * o * (1 - o), and
+        # d c / d h, o * (1 - tcs * tcs), each written in place in that order.
+        by_dc = np.empty((steps, 2, width, 3, hd))
+        by_i, by_f, by_g = (by_dc[..., k, :] for k in range(3))
+        by_dh, dc_by_dh = np.empty((2, *tcs.shape))
+        dh_out = one_minus = np.empty_like(tcs)  # scratch, until the output gradient
+        for into, a, b in ((by_i, g, i), (by_f, cs[:-1], f), (by_dh, tcs, o)):
+            np.multiply(a, b, out=into)
+            into *= np.subtract(1.0, b, out=one_minus)
+        for into, a, b in ((by_g, i, g), (dc_by_dh, o, tcs)):
+            np.subtract(1.0, np.multiply(b, b, out=one_minus), out=one_minus)
+            np.multiply(a, one_minus, out=into)
         d_pre = np.empty((steps, 2, width, 4, hd))
-        dh_out = np.zeros_like(hs)
+        dh_out.fill(0.0)
         for d in range(2):
             _pad(grad[:, d * hd : (d + 1) * hd], spans, d == 1, dh_out[:, d])
         w_h_t = w_h.transpose(0, 2, 1)
@@ -131,17 +143,20 @@ def _lstm(lstm: BiLstm, xs: Tensor | np.ndarray, lengths) -> Tensor:
             np.multiply(dh, by_dh[t], out=d_pre[t, :, :, 3])
             np.matmul(d_pre[t].reshape(2, width, 4 * hd), w_h_t, out=dh)
             dc *= f[t]
-        d_pre = d_pre.reshape(steps, 2, width, 4 * hd)
-        d_w_h, d_bias = [], []
+        return d_pre.reshape(steps, 2, width, 4 * hd)
+
+    def backward(grad):
+        d_pre, h_prev = through_time(grad), hs[:-1]
+        d_w_h, d_bias = np.empty(w_h.shape), np.empty(lstm.bias.data.shape)
         for d, w_x in enumerate(lstm.w_x):
             rows = _unpad(d_pre[:, d], spans, d == 1)
             if xs.requires_grad:
                 _accum(xs, rows @ w_x.data.T)
-            _accum(w_x, xs.data.T @ rows)
-            d_w_h.append(_unpad(h_prev[:, d], spans, d == 1).T @ rows)
-            d_bias.append(rows.sum(axis=0))
-        _accum(lstm.w_h, np.stack(d_w_h))
-        _accum(lstm.bias, np.stack(d_bias))
+            _accum(w_x, xs.data.T @ rows, new=True)
+            np.matmul(_unpad(h_prev[:, d], spans, d == 1).T, rows, out=d_w_h[d])
+            np.sum(rows, axis=0, out=d_bias[d])
+        _accum(lstm.w_h, d_w_h, new=True)
+        _accum(lstm.bias, d_bias, new=True)
 
     return Tensor(out)._attach((xs, *lstm.parameters()), backward)
 

@@ -44,10 +44,12 @@ def log_sum_exp(x: np.ndarray, axis: int | None) -> np.ndarray:
     return m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
 
 
-def _accum(t: "Tensor", g: np.ndarray) -> None:
+def _accum(t: "Tensor", g: np.ndarray, new: bool = False) -> None:
+    """Add ``g`` to ``t.grad``; a first gradient is a copy of ``g`` unless ``new``
+    says the caller has just made ``g``, of ``t``'s shape, and nothing else holds it."""
     if t.grad is None:
         # A copy: `g` may be a read-only broadcast view, or an array another node reads.
-        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+        t.grad = g if new else np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
     else:
         t.grad += g
 

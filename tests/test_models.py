@@ -347,6 +347,22 @@ def test_batch_loss_equals_sum_of_unit_losses(arch):
 
 
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_each_gradient_is_an_array_of_its_own(arch):
+    """A BiLSTM hands its weight gradients to the parameters uncopied: each one
+    still has its parameter's shape, can be written, and shares no memory with
+    another gradient or with any weight, so Adam's in-place updates stay apart."""
+    model = _model(arch)
+    model.loss(ragged_units(arch)).backward()
+    params = model.parameters()
+    for p in params:
+        assert p.grad is not None and p.grad.shape == p.data.shape, p.name
+        assert p.grad.flags.writeable, p.name
+    for p in params:
+        others = [q.grad for q in params if q is not p] + [q.data for q in params]
+        assert not any(np.shares_memory(p.grad, other) for other in others), p.name
+
+
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
 def test_batch_loss_draws_the_same_dropout_masks(arch):
     model, units = _model(arch), ragged_units(arch)
     rng_batch, rng_single = np.random.default_rng(9), np.random.default_rng(9)
@@ -705,6 +721,40 @@ def test_history_and_early_stopping():
     assert correct / total == pytest.approx(best)
 
 
+BEST_EPOCH_PATHS = {
+    # name: (scripted dev metric per epoch, max_epochs, patience)
+    "one epoch": ([0.5], 1, 1),
+    "last epoch best": ([0.5, 0.4, 0.7], 3, 3),
+    "patience after a worse epoch": ([0.5, 0.7, 0.6], 4, 1),
+    "max_epochs after a worse epoch": ([0.5, 0.7, 0.6], 3, 2),
+}
+
+
+@pytest.mark.parametrize("path", list(BEST_EPOCH_PATHS))
+@pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
+def test_train_returns_the_best_epochs_weights_bit_for_bit(arch, path, monkeypatch):
+    """The returned weights are those the best epoch was scored with, whether
+    training ends on that epoch or after worse ones, by patience or by max_epochs."""
+    script, max_epochs, patience = BEST_EPOCH_PATHS[path]
+    seen = []
+
+    def scripted_dev_score(model, instances, metric):
+        seen.append([p.data.copy() for p in model.parameters()])
+        return script[len(seen) - 1]
+
+    monkeypatch.setattr(models.Model, "dev_score", scripted_dev_score)
+    corpus = toy_corpus(12, seed=4)
+    cfg = dataclasses.replace(TOY, max_epochs=max_epochs, patience=patience, batch_size=4)
+    trained = train(arch, corpus, corpus, toy_embeddings(corpus), cfg)
+    metrics = [h["dev_metric"] for h in trained.history]
+    assert metrics == script  # the patience path stops before its max_epochs
+    best = metrics.index(max(metrics))
+    got = [p.data for p in trained.model.parameters()]
+    assert all(np.array_equal(a, b) for a, b in zip(got, seen[best]))
+    if best != len(seen) - 1:  # the last epoch's weights differ, so a missing copy-back shows
+        assert not all(np.array_equal(a, b) for a, b in zip(got, seen[-1]))
+
+
 def test_loss_decreases_early_in_training():
     corpus = toy_corpus(24, seed=8)
     cfg = TrainConfig(embedding_dim=16, hidden_dim=8, max_epochs=5, patience=5)
@@ -1041,6 +1091,22 @@ def _traced_peak(load):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("arch, bound", [("sl", 6.5), ("jcc", 5.0)])
+def test_one_epoch_of_training_holds_few_copies_of_the_weights(arch, bound):
+    """A one-epoch ``train`` at the paper's dims peaks at the weights, their
+    gradients and Adam's two moments, plus one batch's graph: it copies no
+    weights, since the only epoch is the best one.  The peaks read 6.12 (sl)
+    and 4.69 (jcc) times the weights; copying them before epoch 1 and after
+    it, with a BiLSTM backward that stacked its factors, read 8.28 and 6.20."""
+    corpus = generate_synthetic(20, seed=3)
+    emb = EmbeddingTable.random(vocabulary(corpus), 300, 0)
+    cfg = TrainConfig(max_epochs=1, patience=1)
+    trained = []
+    peak = _traced_peak(lambda: trained.append(train(arch, corpus, corpus, emb, cfg)))
+    weights = sum(p.data.nbytes for p in trained[0].model.parameters())
+    assert peak <= bound * weights
 
 
 @pytest.fixture(scope="module")
