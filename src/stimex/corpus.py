@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import astuple, dataclass, fields
 from itertools import repeat
 from operator import attrgetter
@@ -231,7 +232,9 @@ def _instance_from_obj(obj: dict, shared: dict) -> Instance:
         pred_iob=pred_iob,
         pred_clauses=_clause_list(obj, "pred_clauses", shared),
     )
-    inst.validate()
+    inst.validate()  # first, so a non-string token fails with its own message
+    inst.tokens = list(map(sys.intern, inst.tokens))  # one object per distinct token
+    inst.dataset = sys.intern(inst.dataset)
     return inst
 
 
@@ -254,8 +257,9 @@ def load_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus; errors name the file, the offending line and field.
 
     Within one call, equal clause entries (``clauses`` or ``pred_clauses``, on
-    any line) load as one shared frozen ``ClauseAnnotation``; each instance
-    still owns its lists, and nothing is shared across calls.
+    any line) load as one shared frozen ``ClauseAnnotation``. Token and
+    ``dataset`` strings are interned, so equal ones are one object across
+    calls and with ``parse_bracket``'s leaves; each instance owns its lists.
     """
     instances = []
     shared: dict[tuple[int, int, bool], ClauseAnnotation] = {}

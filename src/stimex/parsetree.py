@@ -95,7 +95,8 @@ def parse_bracket(text: str) -> ConstTree:
             label = sys.intern(tokens[i + 1])  # one string object per distinct label
             if i + 3 < n and tokens[i + 3] == ")" and tokens[i + 2] not in _BRACKETS:
                 # a pre-terminal, "(label token)", made without opening it
-                siblings.append(ConstTree(label, (), tokens[i + 2], leaf, leaf + 1))
+                token = sys.intern(tokens[i + 2])  # shared with loaded instances
+                siblings.append(ConstTree(label, (), token, leaf, leaf + 1))
                 leaf += 1
                 i += 4
             else:

@@ -347,6 +347,38 @@ def test_load_shares_equal_clause_annotations(tmp_path):
     assert len({id(c) for c in loaded}) == len(triples)
 
 
+def test_load_interns_token_and_dataset_strings(tmp_path):
+    """Equal token and dataset strings are one object within a load and across
+    loads. Every token has two or more characters: CPython caches one-character
+    strings anyway."""
+    records = [
+        {"id": "a", "dataset": "news", "tokens": ["we", "won", "we"], "iob": ["O"] * 3},
+        {"id": "b", "dataset": "news", "tokens": ["they", "won"], "iob": ["O"] * 2},
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    a, b = load_corpus(path)
+    assert a.tokens[0] is a.tokens[2]  # one line
+    assert a.tokens[1] is b.tokens[1] and a.dataset is b.dataset  # two lines
+
+    again = load_corpus(path)
+    assert again == [a, b]
+    for first, second in zip([a, b], again):
+        assert all(x is y for x, y in zip(first.tokens, second.tokens))
+        assert first.dataset is second.dataset
+    assert a.tokens is not b.tokens and a.tokens is not again[0].tokens  # lists stay owned
+
+    path.write_text(
+        f'{GOOD_LINE}}}\n{{"id": "c", "dataset": "d", "tokens": ["xy", 5], "iob": ["O", "O"]}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusError) as exc:  # checked before it is interned
+        load_corpus(path)
+    assert str(exc.value) == (
+        f"{path}: line 2: field 'tokens' must be a non-empty list of strings"
+    )
+
+
 @pytest.mark.parametrize(
     "lookalike, needle",
     [

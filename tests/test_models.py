@@ -92,6 +92,13 @@ def test_config_validation(kwargs):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["embedding_dim", "hidden_dim"])
+def test_config_accepts_one_wide_layers_and_refuses_zero(field):
+    assert getattr(TrainConfig(embedding_dim=1, hidden_dim=1), field) == 1
+    with pytest.raises(ValueError, match="embedding_dim and hidden_dim must be at least 1"):
+        TrainConfig(**{field: 0})
+
+
 def test_config_round_trip_and_unknown_key():
     cfg = TrainConfig(hidden_dim=7, selection_metric="f1")
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
@@ -727,6 +734,7 @@ BEST_EPOCH_PATHS = {
     "last epoch best": ([0.5, 0.4, 0.7], 3, 3),
     "patience after a worse epoch": ([0.5, 0.7, 0.6], 4, 1),
     "max_epochs after a worse epoch": ([0.5, 0.7, 0.6], 3, 2),
+    "patience after an equal epoch": ([0.5, 0.5], 3, 1),  # a tie is no improvement
 }
 
 
@@ -734,7 +742,7 @@ BEST_EPOCH_PATHS = {
 @pytest.mark.parametrize("arch", ["sl", "icc", "jcc"])
 def test_train_returns_the_best_epochs_weights_bit_for_bit(arch, path, monkeypatch):
     """The returned weights are those the best epoch was scored with, whether
-    training ends on that epoch or after worse ones, by patience or by max_epochs."""
+    training ends on that epoch or after worse or equal ones, by patience or by max_epochs."""
     script, max_epochs, patience = BEST_EPOCH_PATHS[path]
     seen = []
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from _oracles import damaged_brackets, preorder, random_tree_text, to_bracket
 from stimex.cli import main
+from stimex.corpus import Instance, load_corpus, save_corpus
 from stimex.parsetree import MAX_DEPTH, BracketParseError, ConstTree, leaves, parse_bracket
 
 GOLDEN = "(S (NP (PRP I)) (VP (VBP am) (ADJP (JJ happy) (SBAR (IN because) (S (NP (PRP you)) (VP (VBD came)))))) (. .))"
@@ -41,6 +42,20 @@ def test_labels_are_shared_between_parses():
     second = parse_bracket("(S (VP (VBD sat)) (NP (DT the) (NN cat)))")
     assert first.children[0].label is second.children[1].label
     assert first.children[0].children[0].label is second.children[1].children[1].label
+
+
+def test_leaves_are_the_loaded_instances_token_strings(tmp_path):
+    # leaves are interned as labels are, so a tree shares its token strings
+    # with the instance it came with and with other trees
+    parse = "(S (NP (NNS dogs)) (VP (VBD barked)))"
+    inst = Instance(id="a", dataset="dd", tokens=["dogs", "barked"], iob=["O", "O"], parse=parse)
+    path = tmp_path / "c.jsonl"
+    save_corpus([inst], path)
+    (loaded,) = load_corpus(path)
+    tree = parse_bracket(loaded.parse)
+    assert leaves(tree) == loaded.tokens
+    assert all(leaf is token for leaf, token in zip(leaves(tree), loaded.tokens))
+    assert leaves(parse_bracket("(S (NP (NNS cats)) (VP (VBD barked)))"))[1] is loaded.tokens[1]
 
 
 def test_labels_keep_function_tags_and_non_ascii_text():
