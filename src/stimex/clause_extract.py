@@ -58,13 +58,10 @@ def clause_gaps(
 
 
 def segments_from_gaps(gaps: Sequence[int], tokens: Sequence[str]) -> SegmentList:
-    """Segments between adjacent gaps; gaps must include 0 and ``len(tokens)``."""
+    """Segments between adjacent gaps, which must rise from 0 to ``len(tokens)``:
+    ``Span`` refuses a gap that does not rise, ``SegmentList`` the wrong ends."""
     if not tokens:
         raise ValueError("empty token sequence")
-    if not gaps or gaps[0] != 0 or gaps[-1] != len(tokens):
-        raise ValueError("gaps must start at 0 and end at the sequence length")
-    if list(gaps) != sorted(set(gaps)):
-        raise ValueError("gaps must be strictly increasing")
     spans = tuple(Span(a, b) for a, b in zip(gaps, gaps[1:]))
     return SegmentList(spans, tuple(tokens))
 

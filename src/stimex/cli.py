@@ -28,7 +28,7 @@ from stimex.corpus import (
     format_stats_csv,
     iob_to_spans,
     load_corpus,
-    not_utf8,
+    read_text,
     save_corpus,
     split_corpus,
 )
@@ -63,11 +63,7 @@ def _by_dataset(instances: Sequence[Instance]) -> dict[str, list[Instance]]:
 def _trees_for(instances: Sequence[Instance], trees_path: str | None) -> list[ConstTree]:
     """One tree per instance, from a line-aligned sidecar file or the parse field."""
     if trees_path:
-        try:
-            text = Path(trees_path).read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise CorpusError(not_utf8(trees_path)) from None
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in read_text(trees_path).splitlines() if ln.strip()]
         if len(lines) != len(instances):
             raise CorpusError(
                 f"{trees_path} holds {len(lines)} trees for {len(instances)} instances"
@@ -189,11 +185,10 @@ def cmd_split(args) -> int:
 
 
 def _read_json(path: str, what: str):
+    text = read_text(path)  # before the try, so bytes that do not decode are named as such
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise CorpusError(not_utf8(path)) from None
-    except ValueError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise CorpusError(f"{path}: {what} is not valid JSON: {exc}") from None
 
 
@@ -254,6 +249,9 @@ def cmd_train(args) -> int:
     splits = _read_splits(args.splits)
     train_insts = _select(by_id, splits["train"], args.splits)
     dev_insts = _select(by_id, splits["dev"], args.splits)
+    for key in ("train", "dev"):
+        if not splits[key]:
+            raise CorpusError(f"{args.splits}: the {key!r} id list is empty")
     if args.embeddings:
         embeddings = models.EmbeddingTable.load_text(args.embeddings)
         config = _load_config(args, embedding_dim=embeddings.dim)
@@ -362,11 +360,7 @@ def cmd_report(args) -> int:
         ("Error analysis", args.errors),
     ):
         if path:
-            try:
-                text = Path(path).read_text(encoding="utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(not_utf8(path)) from None
-            sections.append(f"## {title}\n\n{_markdown_table(text, path)}")
+            sections.append(f"## {title}\n\n{_markdown_table(read_text(path), path)}")
     report = "# Stimulus detection report\n\n" + "\n".join(sections)
     Path(args.out).write_text(report, encoding="utf-8")
     print(f"wrote report to {args.out}")
@@ -474,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, BracketParseError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CorpusError and BracketParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -238,19 +238,27 @@ def _instance_from_obj(obj: dict, shared: dict) -> Instance:
     return inst
 
 
-def not_utf8(path: str | Path) -> str:
-    """``<path>: line N: not UTF-8 text``, N being the first line that does not decode.
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of the UTF-8 text file ``path`` with its number, from 1, as a
+    text-mode read splits and translates them.  Bytes that do not decode raise
+    ``CorpusError`` naming the file and their line: a text reader decodes whole
+    blocks ahead of the lines it returns, so the line is found in the bytes."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise CorpusError(f"{path}: line {lineno}: not UTF-8 text") from None
+        raise CorpusError(f"{path}: not UTF-8 text") from None  # mended since the first read
 
-    For the ``UnicodeDecodeError`` of a text reader, which decodes whole blocks
-    ahead of the lines it returns, so the line is found in the bytes.
-    """
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return f"{path}: line {lineno}: not UTF-8 text"
-    return f"{path}: not UTF-8 text"
+
+def read_text(path: str | Path) -> str:
+    """The whole of ``path`` as ``read_lines`` reads it."""
+    return "".join(line for _, line in read_lines(path))
 
 
 def load_corpus(path: str | Path) -> list[Instance]:
@@ -263,25 +271,21 @@ def load_corpus(path: str | Path) -> list[Instance]:
     """
     instances = []
     shared: dict[tuple[int, int, bool], ClauseAnnotation] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-                except (ValueError, RecursionError) as exc:  # a number too long, nesting too deep
-                    raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
-                if not isinstance(obj, dict):
-                    raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
-                try:
-                    instances.append(_instance_from_obj(obj, shared))
-                except CorpusError as exc:
-                    raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-    except UnicodeDecodeError:
-        raise CorpusError(not_utf8(path)) from None
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # a number too long, nesting too deep
+            raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
+        try:
+            instances.append(_instance_from_obj(obj, shared))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     return instances
 
 
@@ -292,22 +296,14 @@ def _clauses_to_obj(clauses: Sequence[ClauseAnnotation]) -> list[dict]:
 
 
 def instance_to_obj(inst: Instance) -> dict:
-    obj: dict = {
-        "id": inst.id,
-        "dataset": inst.dataset,
-        "tokens": inst.tokens,
-        "iob": inst.iob,
-    }
-    if inst.clauses is not None:
-        obj["clauses"] = _clauses_to_obj(inst.clauses)
-    if inst.parse is not None:
-        obj["parse"] = inst.parse
-    if inst.emotion is not None:
-        obj["emotion"] = inst.emotion
-    if inst.pred_iob is not None:
-        obj["pred_iob"] = inst.pred_iob
-    if inst.pred_clauses is not None:
-        obj["pred_clauses"] = _clauses_to_obj(inst.pred_clauses)
+    """The fields of ``inst`` that are not None, in declaration order, with clause
+    lists as ``{"start", "end", "stimulus"}`` objects."""
+    obj = {}
+    for field in fields(Instance):
+        value = getattr(inst, field.name)
+        if value is not None:
+            clauses = "ClauseAnnotation" in field.type  # the annotation, a string here
+            obj[field.name] = _clauses_to_obj(value) if clauses else value
     return obj
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from stimex import crf
-from stimex.corpus import IOB_LABELS, ClauseAnnotation, Instance, Span, iob_to_spans, not_utf8
+from stimex.corpus import IOB_LABELS, ClauseAnnotation, Instance, Span, iob_to_spans, read_lines
 from stimex.evaluation import MatchMode, clause_prf, span_prf
 from stimex.mapping import tokens_to_clauses
 from stimex.nn import (
@@ -127,35 +127,31 @@ class EmbeddingTable:
         tokens: dict[str, int] = {}  # token -> the line it is on
         rows: list[list[float]] = []
         dim: int | None = None
-        try:
-            with open(path, encoding="utf-8") as handle:
-                for lineno, line in enumerate(handle, start=1):
-                    parts = line.split()
-                    if not parts:
-                        continue
-                    values = parts[1:]
-                    if dim is None:
-                        dim = len(values)
-                        if dim == 0:
-                            raise ValueError(f"{path}: line {lineno}: no vector components")
-                    if len(values) != dim:
-                        raise ValueError(
-                            f"{path}: line {lineno}: expected {dim} components, found {len(values)}"
-                        )
-                    try:
-                        rows.append([float(v) for v in values])
-                    except ValueError:
-                        raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
-                    if not all(map(math.isfinite, rows[-1])):
-                        raise ValueError(f"{path}: line {lineno}: non-finite component")
-                    if parts[0] in tokens:
-                        raise ValueError(
-                            f"{path}: line {lineno}: duplicate token {parts[0]!r}"
-                            f" (first on line {tokens[parts[0]]})"
-                        )
-                    tokens[parts[0]] = lineno
-        except UnicodeDecodeError:
-            raise ValueError(not_utf8(path)) from None
+        for lineno, line in read_lines(path):
+            parts = line.split()
+            if not parts:
+                continue
+            values = parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise ValueError(f"{path}: line {lineno}: no vector components")
+            if len(values) != dim:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {dim} components, found {len(values)}"
+                )
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}: line {lineno}: non-finite component")
+            if parts[0] in tokens:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate token {parts[0]!r}"
+                    f" (first on line {tokens[parts[0]]})"
+                )
+            tokens[parts[0]] = lineno
         if dim is None:
             raise ValueError(f"{path}: empty embedding file")
         return cls(list(tokens), np.array(rows))
@@ -629,8 +625,10 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
             for _, arr in arrays:
                 handle.write(memoryview(np.ascontiguousarray(arr, "<f8")))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # named by the path asked for, not the temporary one
+            raise OSError(f"{path}: {exc.strerror or exc}") from None
         raise
 
 

@@ -294,6 +294,12 @@ def test_split_partitions_ids(tmp_path, corpus_path):
     assert payload["seed"] == 3
 
 
+def test_split_accepts_seed_zero(tmp_path, corpus_path):
+    out = tmp_path / "splits.json"
+    assert run("split", "--corpus", corpus_path, "--seed", 0, "--out", out) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["seed"] == 0
+
+
 def test_split_requires_unique_ids(tmp_path):
     instances = generate_synthetic(12, seed=0)
     for inst in instances:
@@ -538,6 +544,10 @@ def train_args(tmp_path, corpus_path):
     [
         ("splits", "{not json", "split file is not valid JSON: Expecting property name"),
         ("splits", "[1, 2]", "split file must be a JSON object"),
+        pytest.param(
+            "splits", "[" * 100_000, "split file is not valid JSON: maximum recursion depth",
+            id="splits-nested-too-deep",
+        ),
         ("splits", '{"train": 5, "dev": [], "test": []}', "'train' must be a list of instance"),
         ("splits", '{"train": [], "dev": [1], "test": []}', "'dev' must be a list of instance"),
         ("splits", '{"train": [], "test": []}', "split file is missing the 'dev' id list"),
@@ -581,6 +591,29 @@ def test_train_with_a_split_or_config_file_not_utf8_names_its_line(
     assert run("train", *args, "--checkpoint", ckpt) == 1
     assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("key", ["train", "dev"])
+def test_train_names_the_split_file_of_an_empty_id_list(tmp_path, corpus_path, capsys, key):
+    args, splits, _ = train_args(tmp_path, corpus_path)
+    payload = json.loads(splits.read_text(encoding="utf-8"))
+    payload[key] = []
+    splits.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    ckpt = tmp_path / "model.json"
+    assert run("train", *args, "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == f"error: {splits}: the {key!r} id list is empty\n"
+    assert not ckpt.exists()
+
+
+def test_train_into_a_missing_directory_names_the_checkpoint_path(tmp_path, corpus_path, capsys):
+    args, _, _ = train_args(tmp_path, corpus_path)
+    before = sorted(tmp_path.iterdir())
+    ckpt = tmp_path / "missing" / "m.json"
+    capsys.readouterr()
+    assert run("train", *args, "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: No such file or directory\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["split", "train"])

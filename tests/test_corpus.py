@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import CORPUS_RECORD, damaged_corpus, naive_stats
+from stimex import corpus
 from stimex.corpus import (
     ClauseAnnotation,
     CorpusError,
@@ -20,8 +22,9 @@ from stimex.corpus import (
     format_stats_csv,
     generate_synthetic,
     iob_to_spans,
+    instance_to_obj,
     load_corpus,
-    not_utf8,
+    read_lines,
     save_corpus,
     spans_to_iob,
     split_corpus,
@@ -172,6 +175,17 @@ def test_corpus_round_trip(tmp_path):
     assert load_corpus(path) == instances
 
 
+def test_instance_objects_follow_the_field_order_and_leave_out_none():
+    inst = generate_synthetic(1, seed=2)[0]
+    inst.pred_iob, inst.pred_clauses = list(inst.iob), inst.clauses[:1]
+    obj = instance_to_obj(inst)
+    assert list(obj) == [field.name for field in dataclasses.fields(Instance)]
+    span = inst.clauses[0].span
+    assert obj["pred_clauses"] == [{"start": span.start, "end": span.end, "stimulus": False}]
+    inst.clauses = inst.parse = inst.pred_clauses = None
+    assert list(instance_to_obj(inst)) == ["id", "dataset", "tokens", "iob", "emotion", "pred_iob"]
+
+
 def test_load_reports_line_and_field(tmp_path):
     path = tmp_path / "bad.jsonl"
     good = '{"id": "a", "dataset": "d", "tokens": ["x"], "iob": ["O"]}'
@@ -269,11 +283,24 @@ def test_load_rejects_bytes_that_are_not_a_json_line(tmp_path, data, needle):
         load_corpus(path)
 
 
-def test_not_utf8_names_only_the_file_when_every_line_decodes(tmp_path):
-    """As when the file was mended between the failed read and this call."""
+def test_not_utf8_names_only_the_file_when_every_line_decodes(tmp_path, monkeypatch):
+    """As when the file was mended between the failed text read and the scan of its bytes."""
     path = tmp_path / "c.jsonl"
-    path.write_text(GOOD_LINE + "}\n", encoding="utf-8")
-    assert not_utf8(path) == f"{path}: not UTF-8 text"
+    path.write_text(GOOD_LINE + "}\n\u00e9\n", encoding="utf-8")
+
+    def ascii_text(file, mode="r", **kwargs):  # the text read fails on the UTF-8 "é"
+        return builtins.open(file, mode, **(kwargs if "b" in mode else {"encoding": "ascii"}))
+
+    monkeypatch.setattr(corpus, "open", ascii_text, raising=False)
+    with pytest.raises(CorpusError) as exc:
+        list(read_lines(path))
+    assert str(exc.value) == f"{path}: not UTF-8 text"
+
+
+def test_read_lines_numbers_the_lines_of_a_text_mode_read(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"a\r\nb\rc\n\n\xc3\xa9")
+    assert list(read_lines(path)) == [(1, "a\n"), (2, "b\n"), (3, "c\n"), (4, "\n"), (5, "\u00e9")]
 
 
 @given(data=st.data())
@@ -415,6 +442,8 @@ def test_split_floors_small_remainder():
     instances = generate_synthetic(19, seed=0)
     train, dev, test = split_corpus(instances, seed=4)
     assert (len(train), len(dev), len(test)) == (17, 1, 1)
+    train, dev, test = split_corpus(generate_synthetic(10, seed=0), seed=4)  # the least it takes
+    assert (len(train), len(dev), len(test)) == (8, 1, 1)
 
 
 def test_split_deterministic_per_seed():

@@ -94,7 +94,7 @@ def test_config_validation(kwargs):
 
 @pytest.mark.parametrize("field", ["embedding_dim", "hidden_dim"])
 def test_config_accepts_one_wide_layers_and_refuses_zero(field):
-    assert getattr(TrainConfig(embedding_dim=1, hidden_dim=1), field) == 1
+    assert getattr(TrainConfig(embedding_dim=1, hidden_dim=1, batch_size=1), field) == 1
     with pytest.raises(ValueError, match="embedding_dim and hidden_dim must be at least 1"):
         TrainConfig(**{field: 0})
 
@@ -1193,6 +1193,9 @@ def _corrupt_files(header, body):
         dict(header, arrays=arrays[1:]), body[embedding_bytes:]
     ), "'embedding'"
     yield "payload short", good[:-8], f"{names[-1]!r}"
+    after_embedding = good[: head_len + 1 + embedding_bytes]
+    needle = f"payload ends inside array {names[1]!r}"  # the array after the embedding
+    yield "payload ends after the embedding", after_embedding, needle
     sizes = [8 * math.prod(shape) for _, shape in arrays]
     for name, value in (("crf.end_scores", np.nan), ("embedding", -np.inf)):
         at = head_len + 1 + sum(sizes[: names.index(name)])
